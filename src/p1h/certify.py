@@ -9,6 +9,7 @@ re-verify a serialized certificate without trusting its generator.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,11 +36,12 @@ from .poly import (
     resultant_nn,
     zero,
 )
-from .quadform import stable_equal
+from .quadform import oplog_to_path, stable_equal
 from .ratmap import (
     PointedRat,
     UnpointedRat,
     cf_expand,
+    elementary_path,
     eval_path,
     identity_point,
     mk_pointed,
@@ -49,6 +51,7 @@ from .ratmap import (
     oplus,
     path_of_point,
     poly_point,
+    reflect,
     reverse_path,
     sl2_elementary_factors,
     x_over,
@@ -202,20 +205,17 @@ def verify(cert: Certificate) -> VerifyResult:
 def reverse_step(kind, step, field):
     if kind == "pointed":
         return reverse_path(step)
-    one_minus_t = Poly.make(field, [field.one, field.neg(field.one)])
-    sub = lambda c: c.subst(one_minus_t)
     kt = PolyRing(field)
     if kind == "unpointed":
-        return UnpointedStep(
-            kt, step.n, step.A.map_coeffs(sub, kt), step.B.map_coeffs(sub, kt)
-        )
+        A, B = step.A.map_coeffs(reflect, kt), step.B.map_coeffs(reflect, kt)
+        return UnpointedStep(kt, step.n, A, B)
     if kind == "pd":
         return PdPoint(
             kt,
             step.d,
-            step.A.map_coeffs(sub, kt),
-            tuple(B.map_coeffs(sub, kt) for B in step.Bs),
-            tuple(c.map_coeffs(sub, kt) for c in step.cofactors),
+            step.A.map_coeffs(reflect, kt),
+            tuple(B.map_coeffs(reflect, kt) for B in step.Bs),
+            tuple(c.map_coeffs(reflect, kt) for c in step.cofactors),
         )
     raise FieldError(f"unknown kind {kind}")
 
@@ -257,13 +257,9 @@ def _embed(kt, left, G, right):
 
 def _interp_poly(kt, P: Poly, Q: Poly) -> Poly:
     """(1-T) P + T Q over k[T] for field polynomials P, Q of equal arity."""
-    field = P.ring
-    t = Poly.make(field, [field.zero, field.one])
-    onem = Poly.make(field, [field.one, field.neg(field.one)])
     m = max(P.degree, Q.degree)
     return Poly.make(
-        kt,
-        [onem.scale(P.coeff(i)) + t.scale(Q.coeff(i)) for i in range(m + 1)],
+        kt, [_interp_scalar(kt, P.coeff(i), Q.coeff(i)) for i in range(m + 1)]
     )
 
 
@@ -394,16 +390,6 @@ def apply_move(field, units, mv: DiagMove):
     units[mv.i] = mv.c
     units[mv.i + 1] = field.div(field.mul(a, b), mv.c)
     return tuple(units)
-
-
-def invert_move(field, units_before, mv: DiagMove) -> DiagMove:
-    """The move undoing mv, applied at the same position."""
-    a, b = units_before[mv.i], units_before[mv.i + 1]
-    c = mv.c
-    cinv = field.inv(c)
-    return DiagMove(
-        mv.i, a, field.mul(a, field.mul(mv.x, cinv)), field.neg(mv.y)
-    )
 
 
 def _represent(field, a, b, c, budget):
@@ -585,19 +571,8 @@ def lift_move_to_step(field, units, mv: DiagMove, kt=None):
     P = move_matrix(field, a, b, mv)
     J = [[field.zero, field.one], [field.one, field.zero]]
     Pt = linalg.mat_mul(field, J, linalg.mat_mul(field, P, J))
-    factors = sl2_elementary_factors(field, Pt)
-    PT = linalg.mat_identity(kt, 2)
-    for kind, v in factors:
-        E = linalg.mat_identity(kt, 2)
-        lamT = Poly.make(field, [field.zero, v])
-        if kind == "12":
-            E[0][1] = lamT
-        else:
-            E[1][0] = lamT
-        PT = linalg.mat_mul(kt, PT, E)
-    D = [[const(field, b), kt.zero], [kt.zero, const(field, a)]]
-    ST = linalg.mat_mul(kt, linalg.mat_transpose(PT), linalg.mat_mul(kt, D, PT))
-    G = f2_iso_inv(SymMatrix.make(kt, ST), kt.zero)
+    D = SymMatrix.diagonal(field, (b, a))
+    G = f2_iso_inv(oplog_to_path(D, sl2_elementary_factors(field, Pt)), kt.zero)
     pair_src = monomial_sum(field, (a, b))
     after = apply_move(field, units, mv)
     pair_tgt = monomial_sum(field, (after[i], after[i + 1]))
@@ -691,29 +666,25 @@ def _pointed_step_to_unpointed(step: PointedRat) -> UnpointedStep:
     return UnpointedStep(kt, n, step.A, step.B)
 
 
+def _apply_path(kt, n, PT, A: Poly, B: Poly) -> UnpointedStep:
+    """The degree-n unpointed path P(T) . (A, B) for a 2x2 P(T) over k[T]."""
+    field = kt.base
+    AT = A.map_coeffs(lambda c: const(field, c), kt)
+    BT = B.map_coeffs(lambda c: const(field, c), kt)
+    A2 = AT.scale(PT[0][0]) + BT.scale(PT[0][1])
+    B2 = AT.scale(PT[1][0]) + BT.scale(PT[1][1])
+    return UnpointedStep(kt, n, A2, B2)
+
+
 def _normalization_step(move, kt) -> UnpointedStep:
     """The path alpha(T)^{-1} . (A, B) from the unpointed source to its
     pointed representative.  alpha(T)^{-1} is the reversed product of the
     T-scaled elementary factors with negated parameters."""
     field = kt.base
+    inv = [(kind, i, j, field.neg(v)) for kind, i, j, v in reversed(move.factors)]
     u = move.source
     A, B = u.polys()
-    AT = A.map_coeffs(lambda c: const(field, c), kt)
-    BT = B.map_coeffs(lambda c: const(field, c), kt)
-    inv = linalg.mat_identity(kt, 2)
-    for kind, v in reversed(move.factors):
-        E = linalg.mat_identity(kt, 2)
-        lamT = Poly.make(field, [field.zero, field.neg(v)])
-        if kind == "12":
-            E[0][1] = lamT
-        else:
-            E[1][0] = lamT
-        inv = linalg.mat_mul(kt, inv, E)
-    a11, a12 = inv[0]
-    a21, a22 = inv[1]
-    A2 = AT.scale(a11) + BT.scale(a12)
-    B2 = AT.scale(a21) + BT.scale(a22)
-    return UnpointedStep(kt, u.n, A2, B2)
+    return _apply_path(kt, u.n, elementary_path(field, 2, inv), A, B)
 
 
 def _lambda_witness(field, r1, r2, n):
@@ -738,18 +709,12 @@ def _lambda_witness(field, r1, r2, n):
     if field.p == 2:
         return 1
     e = (field.dlog(r2) - field.dlog(r1)) % (field.p - 1)
-    d = _gcd_int(2 * n, field.p - 1)
+    d = math.gcd(2 * n, field.p - 1)
     if e % d:
         return None
     m = (field.p - 1) // d
     j = (e // d) * pow((2 * n) // d, -1, m) % m
     return pow(field.generator(), j, field.p)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def scale_pointed(f: PointedRat, lam) -> PointedRat:
@@ -764,21 +729,8 @@ def _scaling_step(f: PointedRat, lam, kt) -> UnpointedStep:
     diag(lambda, 1/lambda) applied to (A, B)."""
     field = f.ring
     M = [[lam, field.zero], [field.zero, field.inv(lam)]]
-    factors = sl2_elementary_factors(field, M)
-    mat = linalg.mat_identity(kt, 2)
-    for kind, v in factors:
-        E = linalg.mat_identity(kt, 2)
-        lamT = Poly.make(field, [field.zero, v])
-        if kind == "12":
-            E[0][1] = lamT
-        else:
-            E[1][0] = lamT
-        mat = linalg.mat_mul(kt, mat, E)
-    AT = f.A.map_coeffs(lambda c: const(field, c), kt)
-    BT = f.B.map_coeffs(lambda c: const(field, c), kt)
-    A2 = AT.scale(mat[0][0]) + BT.scale(mat[0][1])
-    B2 = AT.scale(mat[1][0]) + BT.scale(mat[1][1])
-    return UnpointedStep(kt, f.n, A2, B2)
+    PT = elementary_path(field, 2, sl2_elementary_factors(field, M))
+    return _apply_path(kt, f.n, PT, f.A, f.B)
 
 
 def unpointed_connect(u1: UnpointedRat, u2: UnpointedRat, budget: int = 64):

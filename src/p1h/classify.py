@@ -12,6 +12,7 @@ alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +22,6 @@ from .fields import FieldError, PrimeField, Rationals, factorize
 from .poly import Poly, PolyRing, poly_xgcd, const, zero
 from .quadform import (
     WittInvariant,
-    stable_equal,
     stable_invariant,
     witt_sum,
     witt_tensor,
@@ -113,19 +113,12 @@ def compose_invariant(i1: PointedInvariant, i2: PointedInvariant) -> PointedInva
     n1, n2 = i1.n, i2.n
     n3 = n1 * n2
     d1, d2 = i1.detbez(), i2.detbez()
-    d3 = field.mul(_power(field, d1, n2), _power(field, d2, n1 * n1))
+    d3 = field.mul(field.pow(d1, n2), field.pow(d2, n1 * n1))
     if n3 == 0:
         return PointedInvariant(0, None, field.one, field)
     witt = witt_tensor(i1.witt, i2.witt)
     res3 = field.mul(d3, field.from_int(_detbez_sign(n3)))
     return PointedInvariant(n3, witt, res3, field)
-
-
-def _power(field, a, e: int):
-    acc = field.one
-    for _ in range(e):
-        acc = field.mul(acc, a)
-    return acc
 
 
 def pointed_equiv(f: PointedRat, g: PointedRat) -> bool:
@@ -156,15 +149,9 @@ def res_class_mod_2n(field, r, n: int):
         return out
     if field.p == 2:
         return 1
-    d = _gcd_int(2 * n, field.p - 1)
+    d = math.gcd(2 * n, field.p - 1)
     e = field.dlog(r) % d
     return pow(field.generator(), e, field.p)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

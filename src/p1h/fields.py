@@ -14,19 +14,14 @@ class FieldError(ValueError):
     """Invalid field construction or illegal element operation."""
 
 
+# Below this bound Miller-Rabin to the prime bases 2..37 proves primality
+# (psi_12; Sorenson and Webster, Math. Comp. 2017); above it the test is
+# only probabilistic.
+MR_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
-def _is_prime_big(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit-scale inputs."""
+    """Miller-Rabin to the bases 2..37: deterministic for n < MR_BOUND."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -100,7 +95,7 @@ def factorize(n: int) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if _is_prime_big(m):
+        if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
         f = _rho_factor(m)
@@ -180,6 +175,9 @@ class Rationals:
     def div(self, a, b):
         return a * self.inv(b)
 
+    def pow(self, a, e: int):
+        return a ** e
+
     exact_div = div
 
     def square_class(self, a):
@@ -204,6 +202,8 @@ class PrimeField:
     """The prime field F_p.  Elements are ints reduced into [0, p)."""
 
     def __init__(self, p: int):
+        if p >= MR_BOUND:
+            raise FieldError(f"{p} is beyond the proven primality bound {MR_BOUND}")
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
@@ -265,6 +265,9 @@ class PrimeField:
 
     def div(self, a, b):
         return (a * self.inv(b)) % self.p
+
+    def pow(self, a, e: int):
+        return pow(a, e, self.p)
 
     exact_div = div
 

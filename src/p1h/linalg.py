@@ -123,11 +123,6 @@ def adjugate(ring, M):
     return out
 
 
-def inverse_times_det(ring, M):
-    """Return (adj(M), det(M)) so that M^{-1} = adj / det."""
-    return adjugate(ring, M), det(ring, M)
-
-
 def solve_cramer(ring, M, rhs):
     """Solve M x = rhs by Cramer's rule with exact division by det(M).
 
@@ -146,38 +141,3 @@ def solve_cramer(ring, M, rhs):
             Mj[i][j] = rhs[i]
         out.append(ring.exact_div(det(ring, Mj), d))
     return out
-
-
-def solve_field(field, M, rhs):
-    """Gaussian elimination over a field; returns None when inconsistent."""
-    n = len(M)
-    m = len(M[0]) if n else 0
-    A = [list(row) + [rhs[i]] for i, row in enumerate(M)]
-    row = 0
-    pivots = []
-    for col in range(m):
-        piv = None
-        for r in range(row, n):
-            if not field.is_zero(A[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        A[row], A[piv] = A[piv], A[row]
-        inv = field.inv(A[row][col])
-        A[row] = [field.mul(inv, x) for x in A[row]]
-        for r in range(n):
-            if r != row and not field.is_zero(A[r][col]):
-                c = A[r][col]
-                A[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(A[r], A[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    for r in range(row, n):
-        if not field.is_zero(A[r][m]):
-            return None
-    x = [field.zero] * m
-    for r, col in enumerate(pivots):
-        x[col] = A[r][m]
-    return x

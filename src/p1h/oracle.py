@@ -18,12 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 from . import certify, classify, quadform
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, const
 from .bezout_hankel import SymMatrix
 from .fields import GF, FieldError
-from . import certify, classify, quadform
-from .poly import Poly, PolyRing
-from .ratmap import mk_pointed, mk_unpointed
+from .ratmap import mk_pointed, mk_unpointed, reflect
 from .quadform import stable_invariant
 
 
@@ -734,14 +732,10 @@ def _matrix_bridge(Sa: SymMatrix, Sb: SymMatrix):
     n = Sa.n
     for mv in chain:
         P = certify.move_matrix(field, cur[mv.i], cur[mv.i + 1], mv)
-        full_ops = []
-        for kind, v in certify.sl2_elementary_factors(
-            field, P
-        ):
-            if kind == "12":
-                full_ops.append(("add", mv.i, mv.i + 1, v))
-            else:
-                full_ops.append(("add", mv.i + 1, mv.i, v))
+        full_ops = [
+            (kind, mv.i + i, mv.i + j, v)
+            for kind, i, j, v in certify.sl2_elementary_factors(field, P)
+        ]
         D = SymMatrix.diagonal(field, cur)
         steps.append(quadform.oplog_to_path(D, full_ops))
         cur = list(certify.apply_move(field, cur, mv))
@@ -753,12 +747,7 @@ def _matrix_bridge(Sa: SymMatrix, Sb: SymMatrix):
 
 
 def _reverse_matrix_path(S: SymMatrix) -> SymMatrix:
-    kt = S.ring
-    base = kt.base
-    onem = Poly.make(base, [base.one, base.neg(base.one)])
-    return SymMatrix.make(
-        kt, [[c.subst(onem) for c in row] for row in S.rows]
-    )
+    return SymMatrix.make(S.ring, [[reflect(c) for c in row] for row in S.rows])
 
 
 def _matrix_bridge_f2(Sa, Sb, fa, fb, opsa, opsb):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import linalg
-from .fields import FieldError, PrimeField, Rationals
+from .fields import FieldError, PrimeField
 
 
 @dataclass(frozen=True)
@@ -259,13 +259,6 @@ class PolyRing:
 
     def format(self, a) -> str:
         return poly_str(a, self.var)
-
-
-def coefficient_ring_pair(ring):
-    """(base field, PolyRing over it or None) for a Poly coefficient ring."""
-    if isinstance(ring, PolyRing):
-        return ring.base, ring
-    return ring, None
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -625,13 +618,3 @@ def factor_fp(A: Poly) -> tuple[tuple[Poly, int], ...]:
     return tuple(
         sorted(factors.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs))
     )
-
-
-def random_poly(field, degree: int, rng: random.Random, monic: bool = False) -> Poly:
-    if isinstance(field, Rationals):
-        cs = [field.coerce(rng.randint(-6, 6)) for _ in range(degree + 1)]
-    else:
-        cs = [rng.randrange(field.p) for _ in range(degree + 1)]
-    if monic:
-        cs[-1] = field.one
-    return Poly.make(field, cs)

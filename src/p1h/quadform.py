@@ -10,6 +10,7 @@ non-archimedean lattice k[T]^n.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from . import linalg
 from .bezout_hankel import SymMatrix
 from .fields import FieldError, PrimeField, Rationals, factorize
 from .poly import Poly, PolyRing, const, poly_divmod, poly_gcd
+from .ratmap import elementary_path, elementary_product
 
 REAL_PLACE = "real"
 
@@ -232,11 +234,8 @@ def _sqrt_exact(field, a):
 def _isqrt(m):
     if m < 0:
         return None
-    r = int(m**0.5)
-    for c in (r - 1, r, r + 1, r + 2):
-        if c >= 0 and c * c == m:
-            return c
-    return None
+    r = math.isqrt(m)
+    return r if r * r == m else None
 
 
 def replay_oplog(S: SymMatrix, ops) -> SymMatrix:
@@ -251,15 +250,8 @@ def oplog_to_path(S: SymMatrix, ops) -> SymMatrix:
     elementary addition's off-diagonal entry by T: S(0) = S, S(1) = replay."""
     field = S.ring
     kt = PolyRing(field)
-    adds = []
-    for op in ops:
-        adds.extend(expand_op_to_adds(field, op))
-    n = S.n
-    P = linalg.mat_identity(kt, n)
-    for _, i, j, lam in adds:
-        E = linalg.mat_identity(kt, n)
-        E[i][j] = Poly.make(field, [field.zero, lam])  # lam * T
-        P = linalg.mat_mul(kt, P, E)
+    adds = [add for op in ops for add in expand_op_to_adds(field, op)]
+    P = elementary_path(field, S.n, adds)
     ST = [[const(field, x) for x in row] for row in S.rows]
     M = linalg.mat_mul(kt, linalg.mat_transpose(P), linalg.mat_mul(kt, ST, P))
     return SymMatrix.make(kt, M)
@@ -384,7 +376,7 @@ def _relevant_primes_q(S: SymMatrix) -> list[int]:
     den = 1
     for row in S.rows:
         for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = math.lcm(den, x.denominator)
     det = S.det()
     ps = {2}
     ps |= set(factorize(den)) if den > 1 else set()
@@ -392,12 +384,6 @@ def _relevant_primes_q(S: SymMatrix) -> list[int]:
         ps |= set(factorize(abs(det.numerator)))
     ps |= set(factorize(det.denominator))
     return sorted(ps)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _hasse_from_values(values, primes):
@@ -508,7 +494,7 @@ def witt_tensor(i1: WittInvariant, i2: WittInvariant) -> WittInvariant:
     r1, r2 = i1.rank, i2.rank
     if isinstance(field, Rationals):
         disc = field.square_class(
-            field.mul(_power_elem(field, i1.disc, r2), _power_elem(field, i2.disc, r1))
+            field.mul(field.pow(i1.disc, r2), field.pow(i2.disc, r1))
         )
         p1, q1 = i1.signature
         p2, q2 = i2.signature
@@ -519,13 +505,6 @@ def witt_tensor(i1: WittInvariant, i2: WittInvariant) -> WittInvariant:
         hasse = _hasse_from_values(list(t.units), primes)
         return WittInvariant(field, r1 * r2, disc, sig, hasse, t.units)
     return invariant_from_values(field, list(t.units), None)
-
-
-def _power_elem(field, a, e: int):
-    acc = field.one
-    for _ in range(e):
-        acc = field.mul(acc, a)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +666,7 @@ def complete_unimodular(kt: PolyRing, x):
             v[j] = v[j] - q * v[i]
             ops.append((j, i, -q))
     # E * x = c * e_piv with E the product of the ops and c a constant unit
-    E = linalg.mat_identity(kt, n)
-    for i, j, q in ops:
-        Eop = linalg.mat_identity(kt, n)
-        Eop[i][j] = q
-        E = linalg.mat_mul(kt, Eop, E)
+    E = elementary_product(kt, n, [("add", i, j, q) for i, j, q in reversed(ops)])
     # move pivot to position 0 by a signed swap, then invert
     if piv != 0:
         P = linalg.mat_identity(kt, n)

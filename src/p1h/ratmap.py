@@ -292,17 +292,21 @@ def path_of_point(f: PointedRat, kt: PolyRing) -> PointedRat:
     )
 
 
+def reflect(c: Poly) -> Poly:
+    """c(1-T) for c in k[T]: the substitution that runs a path backwards."""
+    base = c.ring
+    return c.subst(Poly(base, (base.one, base.neg(base.one))))
+
+
 def reverse_path(F: PointedRat) -> PointedRat:
     """Substitute T -> 1-T, swapping source and target."""
     kt = F.ring
-    one_minus_t = Poly.make(kt.base, [kt.base.one, kt.base.neg(kt.base.one)])
-    sub = lambda c: c.subst(one_minus_t)
     return PointedRat(
         kt,
-        F.A.map_coeffs(sub, kt),
-        F.B.map_coeffs(sub, kt),
-        F.U.map_coeffs(sub, kt),
-        F.V.map_coeffs(sub, kt),
+        F.A.map_coeffs(reflect, kt),
+        F.B.map_coeffs(reflect, kt),
+        F.U.map_coeffs(reflect, kt),
+        F.V.map_coeffs(reflect, kt),
         F.res,
     )
 
@@ -367,19 +371,37 @@ def unpointed_of_pointed(f: PointedRat) -> UnpointedRat:
 class UnpointedMove:
     """Replayable normalization data: elementary factors of the Moebius matrix
     alpha_1 with alpha_1 . infinity = f(infinity).  The associated path is
-    alpha(T)^{-1} . (A, B) with alpha(T) the T-scaled product of the factors."""
+    alpha(T)^{-1} . (A, B) with alpha(T) = elementary_path(field, 2, factors)."""
 
     field: object
-    factors: tuple  # of ("12" | "21", scalar)
+    factors: tuple  # of ("add", i, j, scalar) on coordinates (0, 1)
     source: UnpointedRat
     target: PointedRat
+
+
+def elementary_product(ring, n, adds):
+    """The n x n product of (I + v e_ij) over ops ("add", i, j, v), in order.
+
+    Right-multiplying by I + v e_ij adds v times column i to column j.
+    """
+    M = linalg.mat_identity(ring, n)
+    for _, i, j, v in adds:
+        for row in M:
+            row[j] = ring.add(row[j], ring.mul(v, row[i]))
+    return M
+
+
+def elementary_path(field, n, adds):
+    """The k[T]-matrix P(T) = prod (I + v T e_ij): P(0) = I, P(1) = the product."""
+    scaled = [(k, i, j, Poly.make(field, [field.zero, v])) for k, i, j, v in adds]
+    return elementary_product(PolyRing(field), n, scaled)
 
 
 def sl2_elementary_factors(field, M) -> tuple:
     """Write an SL_2 matrix as a product of elementary matrices.
 
-    Returns (("12", x) | ("21", x), ...) meaning [[1,x],[0,1]] / [[1,0],[x,1]];
-    at most four factors.
+    Returns ops ("add", 0, 1, x) | ("add", 1, 0, x), meaning [[1,x],[0,1]] /
+    [[1,0],[x,1]], whose elementary_product is M; at most four factors.
     """
     a, b = M[0]
     c, d = M[1]
@@ -388,7 +410,7 @@ def sl2_elementary_factors(field, M) -> tuple:
         raise FieldError("not an SL_2 matrix")
     if field.is_zero(c):
         # M = E21(-1) * (E21(1) * M), and the inner matrix has corner a != 0
-        factors = [("21", field.neg(field.one))]
+        factors = [("add", 1, 0, field.neg(field.one))]
         a2, b2 = a, b
         c2, d2 = field.add(c, a), field.add(d, b)
     else:
@@ -396,24 +418,10 @@ def sl2_elementary_factors(field, M) -> tuple:
         a2, b2, c2, d2 = a, b, c, d
     x = field.div(field.sub(a2, field.one), c2)
     y = field.div(field.sub(d2, field.one), c2)
-    factors += [("12", x), ("21", c2), ("12", y)]
-    out = tuple((kind, v) for kind, v in factors if not field.is_zero(v))
-    assert _factors_to_matrix(field, out) == [[a, b], [c, d]]
+    factors += [("add", 0, 1, x), ("add", 1, 0, c2), ("add", 0, 1, y)]
+    out = tuple(op for op in factors if not field.is_zero(op[3]))
+    assert elementary_product(field, 2, out) == [[a, b], [c, d]]
     return out
-
-
-def _factors_to_matrix(field, factors, scale=None):
-    M = linalg.mat_identity(field, 2)
-    for kind, v in factors:
-        if scale is not None:
-            v = field.mul(v, scale)
-        E = linalg.mat_identity(field, 2)
-        if kind == "12":
-            E[0][1] = v
-        else:
-            E[1][0] = v
-        M = linalg.mat_mul(field, M, E)
-    return M
 
 
 def normalize_unpointed(u: UnpointedRat) -> tuple[PointedRat, UnpointedMove]:

@@ -127,6 +127,8 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(data: dict) -> Certificate:
+    if not isinstance(data, dict):
+        raise FieldError("a certificate is a JSON object")
     field = field_from_name(data["field"])
     kind = data["kind"]
     kt = PolyRing(field)

@@ -262,6 +262,37 @@ class TestSquareClass:
                 assert lhs == rhs
 
 
+class TestPrimeField:
+    def test_large_prime_constructs_quickly(self):
+        import time
+
+        t0 = time.perf_counter()
+        F = GF(2**61 - 1)
+        assert time.perf_counter() - t0 < 1.0
+        assert F.mul(F.inv(3), 3) == 1
+
+    def test_pseudoprimes_rejected(self):
+        # 561 is a Carmichael number; 3215031751 is a strong pseudoprime
+        # to the bases 2, 3, 5 and 7
+        for n in (561, 3215031751, 1, 0, 9):
+            with pytest.raises(FieldError):
+                GF(n)
+
+    def test_beyond_proven_bound_rejected(self):
+        from p1h.fields import MR_BOUND
+
+        with pytest.raises(FieldError):
+            GF(2**89 - 1)  # prime, but above the bound
+        with pytest.raises(FieldError):
+            GF(MR_BOUND)
+
+    def test_pow(self):
+        F7 = GF(7)
+        assert F7.pow(3, 0) == 1 and F7.pow(3, 6) == 1 and F7.pow(3, 5) == 5
+        assert QQ.pow(Fraction(-2, 3), 3) == Fraction(-8, 27)
+        assert QQ.pow(Fraction(5), 0) == 1
+
+
 class TestFactorFp:
     def test_f2_square(self):
         F2 = GF(2)

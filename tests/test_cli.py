@@ -193,3 +193,14 @@ class TestCommands:
 
     def test_pd_certify_rationals_is_input_error(self, capsys):
         assert main(["pd-certify", "--field", "Q", "X^2 ; X ; 1"]) == 2
+
+    def test_field_beyond_primality_bound_is_input_error(self, capsys):
+        assert main(["classify", "--field", f"F{2**89 - 1}", "X/1"]) == 2
+        assert "primality bound" in capsys.readouterr().err
+
+    def test_verify_non_object_json_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        for text in ("[]", "3", '"x"', '{"field": "F3", "kind": "pointed", "source": 3}'):
+            bad.write_text(text)
+            assert main(["verify", str(bad)]) == 2
+            assert "cannot load certificate" in capsys.readouterr().err

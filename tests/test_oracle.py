@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from p1h import oracle as oc
+from p1h.bezout_hankel import SymMatrix
 from p1h.fields import GF, FieldError
 from p1h.poly import Poly, poly_divmod, poly_gcd
 from p1h.ratmap import mk_pointed
@@ -142,6 +143,23 @@ class TestCrossCheck:
         assert cc.agreement
         if cc.components > cc.fibers:
             assert cc.bridges > 0
+
+
+class TestDegenerateCases:
+    def test_pd_degree_zero(self):
+        spec = oc.EnumSpec(q=3, n=0, target="pd")
+        p = oc.point_object(spec, ((), ((), ())))
+        assert p.n == 0 and p.A.coeffs == (1,)
+        cc = oc.cross_check(spec)
+        assert cc.agreement and cc.report.points == 1
+
+    def test_f2_matrix_bridge_hyperbolic_to_identity(self):
+        F2 = GF(2)
+        Sa = SymMatrix.make(F2, [[0, 1], [1, 0]])
+        Sb = SymMatrix.make(F2, [[1, 0], [0, 1]])
+        h = oc._matrix_bridge(Sa, Sb)
+        assert h is not None and h.steps
+        assert oc.verify_matrix_homotopy(h)
 
 
 class TestUnpointedOracle:

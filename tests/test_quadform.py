@@ -24,9 +24,13 @@ from p1h.quadform import (
     replay_oplog,
     stable_equal,
     stable_invariant,
+    _sqrt_exact,
     tensor_diag,
     witt_sum,
 )
+from p1h.ratmap import elementary_path
+
+from conftest import perm_det
 
 
 def _sym(field, rows):
@@ -111,6 +115,38 @@ class TestDiagonalize:
     def test_degenerate_rejected(self):
         with pytest.raises(FieldError):
             diagonalize(_sym(QQ, [[1, 1], [1, 1]]))
+
+
+class TestElementaryPath:
+    def test_endpoints_against_oplog_matrix(self, rng):
+        for field in (GF(5), QQ):
+            for _ in range(40):
+                n = rng.randrange(2, 5)
+                ops = []
+                for _ in range(rng.randrange(0, 7)):
+                    i, j = rng.sample(range(n), 2)
+                    v = field.coerce(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                    ops.append(("add", i, j, v))
+                PT = elementary_path(field, n, ops)
+                at = lambda t: [[c.eval(field.coerce(t)) for c in row] for row in PT]
+                assert at(0) == la.mat_identity(field, n)
+                assert at(1) == oplog_matrix(field, n, ops)
+                kt = PolyRing(field)
+                assert perm_det(kt, PT) == kt.one
+
+
+class TestSqrtExact:
+    def test_big_squares(self):
+        r = 10**17 + 3
+        assert _sqrt_exact(QQ, Fraction(r * r)) == r
+        assert _sqrt_exact(QQ, Fraction(10**400)) == 10**200
+        assert _sqrt_exact(QQ, Fraction(r * r, 4 * 10**400)) == Fraction(r, 2 * 10**200)
+
+    def test_non_squares(self):
+        r = 10**17 + 3
+        assert _sqrt_exact(QQ, Fraction(r * r + 1)) is None
+        assert _sqrt_exact(QQ, Fraction(10**401)) is None
+        assert _sqrt_exact(QQ, Fraction(-4)) is None
 
 
 class TestHilbert:

@@ -13,6 +13,7 @@ from p1h.ratmap import (
     cf_assemble,
     cf_expand,
     compose,
+    elementary_product,
     eval_path,
     ga_act,
     identity_point,
@@ -24,6 +25,7 @@ from p1h.ratmap import (
     phi_n,
     poly_point,
     reverse_path,
+    sl2_elementary_factors,
     unpointed_of_pointed,
     x_over,
 )
@@ -264,6 +266,28 @@ class TestPaths:
         R = reverse_path(F)
         assert eval_path(R, 0) == eval_path(F, 1)
         assert eval_path(R, 1) == eval_path(F, 0)
+
+
+class TestSl2Factors:
+    def test_product_reproduces_matrix(self, rng):
+        for field in (GF(5), QQ):
+            for _ in range(60):
+                a, b, c = (
+                    field.coerce(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                    for _ in range(3)
+                )
+                if field.is_zero(a):
+                    continue
+                # [[a, b], [c, (1 + b c)/a]] has determinant 1
+                M = [[a, b], [c, field.div(field.add(field.one, field.mul(b, c)), a)]]
+                ops = sl2_elementary_factors(field, M)
+                assert len(ops) <= 4
+                assert all(op[:3] in (("add", 0, 1), ("add", 1, 0)) for op in ops)
+                assert elementary_product(field, 2, ops) == M
+
+    def test_rejects_non_sl2(self):
+        with pytest.raises(FieldError):
+            sl2_elementary_factors(QQ, [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]])
 
 
 class TestUnpointed:
