@@ -23,7 +23,14 @@ from .classify import (
     pointed_invariant,
     unpointed_invariant,
 )
-from .fields import FieldError, PrimeField, Rationals, factorize
+from .fields import (
+    FieldError,
+    PrimeField,
+    Rationals,
+    factorize,
+    sqrt_mod,
+    squarefree_part,
+)
 from .poly import (
     Poly,
     PolyRing,
@@ -36,7 +43,7 @@ from .poly import (
     resultant_nn,
     zero,
 )
-from .quadform import oplog_to_path, stable_equal
+from .quadform import _sqrt_exact, oplog_to_path, stable_equal
 from .ratmap import (
     PointedRat,
     UnpointedRat,
@@ -376,7 +383,8 @@ def move_matrix(field, a, b, mv: DiagMove):
     c = mv.c
     x, y = mv.x, mv.y
     val = field.add(field.mul(a, field.mul(x, x)), field.mul(b, field.mul(y, y)))
-    assert field.is_zero(field.sub(val, c))
+    if not field.is_zero(field.sub(val, c)):
+        raise FieldError(f"witness gives a x^2 + b y^2 = {val}, not {c}")
     cinv = field.inv(c)
     return [
         [x, field.neg(field.mul(b, field.mul(y, cinv)))],
@@ -392,44 +400,95 @@ def apply_move(field, units, mv: DiagMove):
     return tuple(units)
 
 
-def _represent(field, a, b, c, budget):
-    """Find (x, y) with a x^2 + b y^2 = c, or None."""
+def _represent(field, a, b, c):
+    """(x, y) with a x^2 + b y^2 = c, or None exactly when there is none.
+
+    Over F_p the first x = 0, 1, 2, ... that makes (c - a x^2)/b a square
+    gives y by Tonelli-Shanks.  For p odd a witness always exists and about
+    half of all x qualify, so it costs about two Euler tests and one root.
+    Over Q: a closed form when -ab is a square (the form is hyperbolic),
+    otherwise an exact point of the conic (a/c) x^2 + (b/c) y^2 = 1 by
+    Legendre descent, which fails exactly when some Hilbert symbol
+    (a/c, b/c)_v is -1.
+    """
     if isinstance(field, PrimeField):
         for x in field.elements():
-            lhs = field.sub(c, field.mul(a, field.mul(x, x)))
-            for y in field.elements():
-                if field.is_zero(field.sub(field.mul(b, field.mul(y, y)), lhs)):
-                    return x, y
+            y = field.sqrt(field.div(field.sub(c, field.mul(a, field.mul(x, x))), b))
+            if y is not None:
+                return x, y
         return None
-    from .quadform import _sqrt_exact
+    t = _sqrt_exact(field, -a * b)
+    if t is not None:
+        # a x^2 + b y^2 = (a x - t y)(a x + t y)/a: take the factors 1 and a c
+        return (1 + a * c) / (2 * a), (a * c - 1) / (2 * t)
+    # (a/c) = s_a r_a^2 with s_a its squarefree class, likewise b/c
+    A, B = a / c, b / c
+    sa, sb = field.square_class(A), field.square_class(B)
+    pt = _conic_point(int(sa), int(sb))
+    if pt is None:
+        return None
+    x, y, z = pt
+    return x / (_sqrt_exact(field, A / sa) * z), y / (_sqrt_exact(field, B / sb) * z)
 
-    for x in _rational_grid(budget):
-        y2 = (c - a * x * x) / b
-        if y2 < 0:
-            continue
-        y = _sqrt_exact(field, y2)
-        if y is not None:
-            return x, y
-    return None
+
+def _conic_point(a: int, b: int):
+    """A nonzero integer solution (x, y, z) of a x^2 + b y^2 = z^2 for
+    squarefree a, b, or None when there is none.
+
+    Legendre descent (Cremona and Rusin, Math. Comp. 2003): take t with
+    t^2 = a mod b and write t^2 - a = b k m^2 with k squarefree.  Since
+    (z + x sqrt a)(t + sqrt a) multiplies norms, a point of a x^2 + k y^2 =
+    z^2 gives one of the original conic, and |a k| < |a b|.  Both conics
+    have the same Hilbert symbols, so the descent fails only when a has no
+    root modulo b or both coefficients are negative.
+    """
+    if abs(a) > abs(b):
+        pt = _conic_point(b, a)
+        return None if pt is None else (pt[1], pt[0], pt[2])
+    if a == 1:
+        return 1, 0, 1
+    if b == 1:
+        return 0, 1, 1
+    if a < 0 and b < 0:
+        return None
+    t = _sqrt_mod_squarefree(a, abs(b))
+    if t is None:
+        return None
+    km2 = (t * t - a) // b
+    k = squarefree_part(km2)
+    pt = _conic_point(a, k)
+    if pt is None:
+        return None
+    x, y, z = pt
+    return z + t * x, k * math.isqrt(km2 // k) * y, t * z + a * x
 
 
-def _rational_grid(budget):
-    height = max(4, min(50, budget // 2))
-    vals = {Fraction(0)}
-    for p in range(1, height):
-        for q in range(1, height):
-            vals.add(Fraction(p, q))
-            vals.add(Fraction(-p, q))
-    return sorted(vals, key=lambda v: (abs(v.numerator) + v.denominator, v))
+def _sqrt_mod_squarefree(a: int, m: int):
+    """t with t^2 = a mod m and |t| <= m/2, for squarefree m > 1, or None:
+    a root modulo each prime factor, combined by the Chinese remainder
+    theorem."""
+    t, mod = 0, 1
+    for p in factorize(m):
+        r = a % p if p == 2 else sqrt_mod(a, p)
+        if r is None:
+            return None
+        t += mod * ((r - t) * pow(mod, -1, p) % p)
+        mod *= p
+    return t - m if 2 * t > m else t
 
 
 def diag_chain(field, us, vs, budget: int = 64):
     """A chain of elementary SL_2 moves from us to vs, or EXHAUSTED.
 
-    Over a finite field the state space of unit tuples is finite and every
-    unit is represented by every rank-2 form, so breadth-first search is
-    complete.  Over Q the moves are pair rescalings, swaps, and the Witt
-    combination (a, b) -> (a+b, ab/(a+b)), searched with bounded height.
+    One left-to-right sweep: where position i differs from vs, the move
+    (u_i, u_i+1) -> (v_i, u_i u_i+1 / v_i) fixes it, and the equal
+    products fix the last entry, so the chain has at most n - 1 moves.
+    Each move's witness comes from _represent.  Over F_p every binary form
+    represents every unit, so the sweep always succeeds.  Over Q the last
+    move always exists when the forms are isometric (Witt cancellation);
+    an earlier one can fail at n >= 3, and then the rest of the chain is a
+    breadth-first search of at most `budget` expansions over rescalings,
+    swaps and Witt combinations.
     """
     out = _diag_chain_cached(field, tuple(us), tuple(vs), budget)
     return out if out is EXHAUSTED else list(out)
@@ -449,56 +508,19 @@ def _diag_chain_cached(field, us, vs, budget):
         prod_v = field.mul(prod_v, a)
     if not field.is_zero(field.sub(prod_u, prod_v)):
         raise FieldError("determinants differ: no SL chain can exist")
-    if isinstance(field, PrimeField):
-        out = _diag_chain_bfs_fp(field, us, vs)
-    else:
-        out = _diag_chain_q(field, us, vs, budget)
-    return out if out is EXHAUSTED else tuple(out)
-
-
-def _diag_chain_bfs_fp(field, us, vs):
-    from collections import deque
-
-    units = list(field.units())
-    rep_cache: dict = {}
-
-    def witness(a, b, c):
-        key = (a, b, c)
-        if key not in rep_cache:
-            rep_cache[key] = _represent(field, a, b, c, 0)
-        return rep_cache[key]
-
-    frontier = deque([us])
-    parent = {us: None}
-    while frontier:
-        state = frontier.popleft()
-        if state == vs:
-            break
-        for i in range(len(us) - 1):
-            a, b = state[i], state[i + 1]
-            ab = field.mul(a, b)
-            for c in units:
-                nxt = list(state)
-                nxt[i] = c
-                nxt[i + 1] = field.div(ab, c)
-                nxt = tuple(nxt)
-                if nxt in parent:
-                    continue
-                w = witness(a, b, c)
-                if w is None:
-                    continue
-                parent[nxt] = (state, DiagMove(i, c, w[0], w[1]))
-                frontier.append(nxt)
-    if vs not in parent:
-        return EXHAUSTED
     moves = []
-    cur = vs
-    while parent[cur] is not None:
-        prev, mv = parent[cur]
+    cur = us
+    for i in range(n - 1):
+        if cur[i] == vs[i]:
+            continue
+        w = _represent(field, cur[i], cur[i + 1], vs[i])
+        if w is None:
+            rest = _diag_chain_q(field, cur, vs, budget)
+            return rest if rest is EXHAUSTED else tuple(moves) + tuple(rest)
+        mv = DiagMove(i, vs[i], w[0], w[1])
         moves.append(mv)
-        cur = prev
-    moves.reverse()
-    return moves
+        cur = apply_move(field, cur, mv)
+    return tuple(moves)
 
 
 def _diag_chain_q(field, us, vs, budget):
@@ -534,7 +556,7 @@ def _diag_chain_q(field, us, vs, budget):
         for i in range(len(us) - 1):
             a, b = state[i], state[i + 1]
             for c in candidates(state, i):
-                w = _represent(field, a, b, c, budget)
+                w = _represent(field, a, b, c)
                 if w is None:
                     continue
                 nxt = list(state)
@@ -623,11 +645,15 @@ def _invariant_diff(i1: PointedInvariant, i2: PointedInvariant) -> str:
 
 
 def connect(f: PointedRat, g: PointedRat, budget: int = 64):
-    """A verified certificate f ~ g, or NotEquivalent / EXHAUSTED.
+    """A certificate f ~ g, or NotEquivalent / EXHAUSTED.
 
-    Complete over finite fields at desk scale; over Q the chain search is
-    budgeted and reports EXHAUSTED when it cannot realize the (correct)
-    equivalence decision constructively.
+    The certificate runs from f to its monomial normal form, along the
+    diagonal chain between the two normal forms, and back from g's normal
+    form.  The chain is constructed without search over finite fields and
+    over Q up to degree 2.  Over Q at degree >= 3 a sweep move that does not
+    exist falls back to a search of `budget` expansions, which reports
+    EXHAUSTED when it cannot realize the (correct) equivalence decision
+    constructively.
     """
     if f.ring != g.ring:
         raise FieldError("points over different fields")

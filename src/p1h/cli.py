@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success (and "equivalent"/"verified"), 1 for a negative
-decision (not equivalent, verification failed, search exhausted), 2 for
-malformed input.  `--json` emits deterministic JSON on stdout.
+decision (not equivalent, verification failed, search exhausted) or a
+generated certificate that fails its own verification, 2 for malformed
+input.  `--json` emits deterministic JSON on stdout.
 """
 from __future__ import annotations
 
@@ -120,6 +121,16 @@ def cmd_equiv(args):
     return 0 if same else 1
 
 
+def _self_check(cert) -> bool:
+    """Verify a freshly built certificate before it is written anywhere;
+    on failure report the reason on stderr."""
+    res = certify.verify(cert)
+    if not res:
+        print(f"error: generated certificate fails verification: {res.reason}",
+              file=sys.stderr)
+    return bool(res)
+
+
 def cmd_certify(args):
     if args.unpointed:
         u1 = _parse_fn(args, args.f, want_unpointed=True)
@@ -136,7 +147,8 @@ def cmd_certify(args):
     if out is certify.EXHAUSTED:
         _emit(args, {"result": "exhausted"}, "search budget exhausted")
         return 1
-    assert certify.verify(out)
+    if not _self_check(out):
+        return 1
     payload = serial.certificate_to_json(out)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -288,7 +300,8 @@ def cmd_pd_certify(args):
         cert = certify.pd_cert(p)
     except FieldError as exc:
         raise CliError(str(exc))
-    assert certify.verify(cert)
+    if not _self_check(cert):
+        return 1
     payload = serial.certificate_to_json(cert)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

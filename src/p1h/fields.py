@@ -116,6 +116,35 @@ def squarefree_part(n: int) -> int:
     return sign * out
 
 
+def sqrt_mod(a: int, p: int):
+    """The smaller square root of a modulo an odd prime p, or None when a is
+    not a square: Euler's criterion, then Tonelli-Shanks (O(log^2 p)
+    multiplications)."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            # least i with t^(2^i) = 1; then 2^(m-i-1)-th power of c fixes it
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
+
 class Rationals:
     """The field Q.  Elements are Fraction values in lowest terms."""
 
@@ -286,6 +315,12 @@ class PrimeField:
             return 0
         return 1 if pow(a, (self.p - 1) // 2, self.p) == 1 else -1
 
+    def sqrt(self, a):
+        """The smaller square root of a in [0, p), or None for a non-square."""
+        if self.p == 2:
+            return a % 2
+        return sqrt_mod(a, self.p)
+
     def nonresidue(self):
         """Smallest quadratic non-residue (p odd)."""
         if self._nonresidue is None:
@@ -357,10 +392,13 @@ def field_from_name(name: str):
     name = name.strip()
     if name in ("Q", "QQ"):
         return QQ
-    if name.startswith("Fp="):
-        return GF(int(name[3:]))
     if name.startswith("F"):
-        return GF(int(name[1:]))
+        digits = name[3:] if name.startswith("Fp=") else name[1:]
+        try:
+            p = int(digits)
+        except ValueError:
+            raise FieldError(f"unknown field {name!r}: no prime after F") from None
+        return GF(p)
     raise FieldError(f"unknown field {name!r}")
 
 

@@ -14,6 +14,7 @@ the exact object level where the acceptance tests demand it.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
@@ -582,6 +583,11 @@ def _pd_unimodular_kt(q, n, acoef, bs):
     return False
 
 
+def _worker_count(requested: int) -> int:
+    """Worker processes to start: the request, clamped to 1..os.cpu_count()."""
+    return max(1, min(requested, os.cpu_count() or 1))
+
+
 def _chunks(total, workers):
     step = (total + workers - 1) // workers
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
@@ -614,10 +620,11 @@ def enumerate_edges(spec: EnumSpec):
         npolys = len(_rpolys(q, D))
         total = npolys ** (n * (1 + spec.d))
         worker, base_args = _edges_pd_chunk, (q, n, D, spec.d)
-    ranges = _chunks(total, max(1, spec.workers))
+    workers = _worker_count(spec.workers)
+    ranges = _chunks(total, workers)
     args = [base_args + r for r in ranges]
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(worker, args))
     else:
         parts = [worker(a) for a in args]

@@ -215,7 +215,7 @@ def diagonalize(S: SymMatrix):
 
 
 def _sqrt_exact(field, a):
-    """A square root of a, or None.  a is a known square here."""
+    """A square root of a, or None when a is not a square."""
     if isinstance(field, Rationals):
         num, den = a.numerator, a.denominator
         rn = _isqrt(num)
@@ -223,12 +223,7 @@ def _sqrt_exact(field, a):
         if rn is None or rd is None:
             return None
         return Fraction(rn, rd)
-    if field.p == 2:
-        return a
-    for x in range(field.p):
-        if field.is_zero(field.sub(field.mul(x, x), a)):
-            return x
-    return None
+    return field.sqrt(a)
 
 
 def _isqrt(m):

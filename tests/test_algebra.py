@@ -292,6 +292,32 @@ class TestPrimeField:
         assert QQ.pow(Fraction(-2, 3), 3) == Fraction(-8, 27)
         assert QQ.pow(Fraction(5), 0) == 1
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 101])
+    def test_sqrt_matches_brute_force(self, p):
+        # 17 and 41 are 1 mod 8, where the Tonelli loop runs more than once
+        F = GF(p)
+        for a in range(p):
+            roots = [x for x in range(p) if x * x % p == a]
+            if roots:
+                assert F.sqrt(a) == roots[0]
+            else:
+                assert F.sqrt(a) is None
+
+    def test_sqrt_large_primes(self, rng):
+        import time
+
+        # 2^61 - 1 is 3 mod 4; 998244353 = 119 * 2^23 + 1 needs up to 23 rounds
+        for p in (2**61 - 1, 998244353):
+            F = GF(p)
+            t0 = time.perf_counter()
+            for _ in range(20):
+                x = rng.randrange(1, p)
+                r = F.sqrt(x * x % p)
+                assert r in (x, p - x) and r <= p // 2
+            assert time.perf_counter() - t0 < 1.0
+            assert F.sqrt(F.nonresidue()) is None
+        assert GF(2).sqrt(1) == 1 and GF(2).sqrt(0) == 0
+
 
 class TestFactorFp:
     def test_f2_square(self):

@@ -1,5 +1,6 @@
 """Certificates: generation, exact verification, reversal, congruence."""
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from p1h.certify import (
     EXHAUSTED,
     Certificate,
     DiagMove,
+    _represent,
+    apply_move,
     NotEquivalent,
     UnpointedStep,
     concat_certificates,
@@ -23,11 +26,13 @@ from p1h.certify import (
     verify,
 )
 from p1h.classify import mk_pd, pointed_invariant, unpointed_invariant
-from p1h.fields import GF, QQ
+from p1h.fields import GF, QQ, FieldError, factorize
 from p1h.poly import Poly, PolyRing, X, const, zero
+from p1h.quadform import REAL_PLACE, hilbert_symbol
 from p1h.ratmap import (
     PointedRat,
     eval_path,
+    identity_point,
     mk_pointed,
     mk_unpointed,
     monomial_sum,
@@ -114,6 +119,140 @@ class TestDiagChain:
     def test_determinant_obstruction(self):
         with pytest.raises(Exception):
             diag_chain(QQ, (Fraction(1),), (Fraction(2),))
+
+    def test_wrong_witness_rejected(self):
+        # 1*1^2 + 1*1^2 = 2, not 3: refused without relying on assert
+        with pytest.raises(FieldError):
+            move_matrix(QQ, Fraction(1), Fraction(1), DiagMove(0, Fraction(3), Fraction(1), Fraction(1)))
+        with pytest.raises(FieldError):
+            move_matrix(GF(7), 1, 2, DiagMove(0, 5, 1, 1))
+
+    def test_q_fallback_when_pair_misses_target(self):
+        # <1, 1> does not represent 3, so the sweep's first move does not
+        # exist; <1, 1, -1> and <3, -3, 1/9> are both H + <1>, so a chain does
+        us = (Fraction(1), Fraction(1), Fraction(-1))
+        vs = (Fraction(3), Fraction(-3), Fraction(1, 9))
+        assert _represent(QQ, us[0], us[1], vs[0]) is None
+        chain = diag_chain(QQ, us, vs)
+        assert chain is not EXHAUSTED
+        cur = us
+        for mv in chain:
+            cur = apply_move(QQ, cur, mv)
+        assert cur == vs
+        assert verify(lift_chain_to_cert(QQ, us, chain))
+
+
+def _random_units(field, n, rng):
+    return tuple(rng.randrange(1, field.p) for _ in range(n))
+
+
+def _hilbert_solvable(a, b, c):
+    """a x^2 + b y^2 = c has a rational solution iff (a/c, b/c)_v = 1 at
+    every place; only 2, the real place and primes of a, b, c can fail."""
+    A, B = a / c, b / c
+    primes = {2}
+    for q in (A, B):
+        primes |= set(factorize(abs(q.numerator * q.denominator)))
+    return all(hilbert_symbol(A, B, v) == 1 for v in [REAL_PLACE] + sorted(primes))
+
+
+def _one_move_q_pair(rng, n):
+    """Points (X+a_1)/u_1 (+) ... (+) (X+a_n)/u_n for units one random SL_2
+    move apart, each sum with fresh translations."""
+    us = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+    while True:
+        i = rng.randrange(n - 1)
+        x, y = rng.choice([-1, 1]) * rng.randint(1, 3), rng.choice([-1, 1]) * rng.randint(1, 3)
+        c = us[i] * x * x + us[i + 1] * y * y
+        if c and c != us[i]:
+            break
+    vs = list(us)
+    vs[i], vs[i + 1] = c, us[i] * us[i + 1] / c
+    out = []
+    for units in (us, vs):
+        acc = identity_point(QQ)
+        for u in units:
+            acc = oplus(acc, mk_pointed(X(QQ) + const(QQ, rng.randint(-9, 9)), const(QQ, u)))
+        out.append(acc)
+    return out
+
+
+class TestSearchFreeChains:
+    @pytest.mark.parametrize("p", [3, 5, 7, 101, 211])
+    def test_fp_sweep_is_short_and_replays(self, p, rng):
+        F = GF(p)
+        for n in range(1, 6):
+            for _ in range(2):
+                us = _random_units(F, n, rng)
+                vs = list(_random_units(F, n, rng))
+                prod_u = prod_v = 1
+                for u in us:
+                    prod_u = F.mul(prod_u, u)
+                for v in vs[:-1]:
+                    prod_v = F.mul(prod_v, v)
+                vs[-1] = F.div(prod_u, prod_v)
+                vs = tuple(vs)
+                chain = diag_chain(F, us, vs)
+                assert chain is not EXHAUSTED and len(chain) <= max(0, n - 1)
+                cur = us
+                for mv in chain:
+                    cur = apply_move(F, cur, mv)
+                assert cur == vs
+                cert = lift_chain_to_cert(F, us, chain)
+                assert verify(cert)
+                assert cert.target == monomial_sum(F, vs)
+
+    def test_q_witness_exact_iff_hilbert(self, rng):
+        found = missing = 0
+        for _ in range(1000):
+            a, b, c = (
+                Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 12))
+                for _ in range(3)
+            )
+            w = _represent(QQ, a, b, c)
+            assert (w is not None) == _hilbert_solvable(a, b, c), (a, b, c)
+            if w is not None:
+                assert a * w[0] ** 2 + b * w[1] ** 2 == c
+                found += 1
+            else:
+                missing += 1
+        assert found > 50 and missing > 50
+
+    def test_q_isotropic_and_definite_cases(self):
+        F = Fraction
+        for a, b, c in [(F(1), F(-1), F(7)), (F(2), F(-8), F(-5, 3)), (F(3, 2), F(-27, 2), F(1))]:
+            x, y = _represent(QQ, a, b, c)  # -ab is a square: closed form
+            assert a * x * x + b * y * y == c
+        assert _represent(QQ, F(-1), F(-2), F(3)) is None  # negative definite
+        x, y = _represent(QQ, F(-1), F(-2), F(-3))
+        assert -x * x - 2 * y * y == -3
+        assert _represent(QQ, F(1), F(1), F(3)) is None  # fails at 3
+        x, y = _represent(QQ, F(1), F(1), F(5, 4))
+        assert x * x + y * y == F(5, 4)
+
+    @pytest.mark.parametrize("p, n", [(211, 3), (101, 4)])
+    def test_connect_large_prime(self, p, n, rng):
+        F = GF(p)
+        for _ in range(2):
+            f = random_point(F, n, rng)
+            while True:
+                g = random_point(F, n, rng)
+                if g.res == f.res and g != f:
+                    break
+            t0 = time.perf_counter()
+            cert = connect(f, g)
+            assert isinstance(cert, Certificate) and verify(cert)
+            # about 0.1-0.5 s on a 2-core VM; the search this replaced took
+            # 21 s (F211) and over 300 s (F101 n=4)
+            assert time.perf_counter() - t0 < 10.0
+
+    def test_q_degree_three_one_move_pairs(self, rng):
+        for _ in range(5):
+            f, g = _one_move_q_pair(rng, 3)
+            cert = connect(f, g)
+            assert isinstance(cert, Certificate)
+            assert verify(cert)
+            assert cert.source == f and cert.target == g
 
 
 class TestLift:

@@ -198,6 +198,25 @@ class TestCommands:
         assert main(["classify", "--field", f"F{2**89 - 1}", "X/1"]) == 2
         assert "primality bound" in capsys.readouterr().err
 
+    def test_non_integer_field_spec_is_input_error(self, capsys):
+        for spec in ("Fx", "Fp=abc", "F", "Fp=", "F1.5"):
+            assert main(["classify", "--field", spec, "X/1"]) == 2
+            assert "unknown field" in capsys.readouterr().err
+
+    def test_failed_self_check_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        from p1h import certify
+
+        monkeypatch.setattr(
+            certify, "verify", lambda cert: certify.VerifyResult(False, "rejected for the test", 0)
+        )
+        out = tmp_path / "cert.json"
+        args = ["--field", "F3", "--out", str(out)]
+        assert main(["certify", *args, "(X^2-1)/X", "(X^2+1)/(2*X+2)"]) == 1
+        assert "rejected for the test" in capsys.readouterr().err
+        assert main(["pd-certify", *args, "X^2 ; X ; 1"]) == 1
+        assert "rejected for the test" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_non_object_json_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         for text in ("[]", "3", '"x"', '{"field": "F3", "kind": "pointed", "source": 3}'):

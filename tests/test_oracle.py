@@ -1,6 +1,7 @@
 """The exhaustive finite-field oracle: point counts, components,
 cross-checks, and the raw arithmetic layer it runs on."""
 import itertools
+import os
 
 import pytest
 
@@ -115,6 +116,17 @@ class TestComponents:
         par = oc.components(oc.EnumSpec(q=3, n=2, D=2, workers=2))
         assert seq.edges == par.edges
         assert len(seq.components) == len(par.components)
+
+    def test_worker_count_capped(self, monkeypatch):
+        # the clamp alone: no process is started here
+        cpus = os.cpu_count() or 1
+        assert oc._worker_count(10**9) == cpus
+        assert oc._worker_count(0) == 1 and oc._worker_count(-7) == 1
+        assert len(oc._chunks(10**6, oc._worker_count(10**9))) <= cpus
+        monkeypatch.setattr(oc.os, "cpu_count", lambda: None)
+        assert oc._worker_count(8) == 1
+        monkeypatch.setattr(oc.os, "cpu_count", lambda: 4)
+        assert oc._worker_count(3) == 3 and oc._worker_count(64) == 4
 
 
 class TestCrossCheck:
