@@ -52,12 +52,12 @@ from .ratmap import (
     eval_path,
     identity_point,
     mk_pointed,
-    mk_unpointed,
     monomial_sum,
     normalize_unpointed,
     oplus,
     path_of_point,
     poly_point,
+    projective_normal,
     reflect,
     reverse_path,
     sl2_elementary_factors,
@@ -86,8 +86,9 @@ class NotEquivalent:
 
 
 @dataclass(frozen=True)
-class UnpointedStep:
-    """A k[T]-point of the unpointed scheme: homogeneous pair up to scaling."""
+class PairStep:
+    """A bare k[T]-step (A, B) of degree n: an unpointed step (a homogeneous
+    pair up to scaling), or a pointed step as loaded from a certificate."""
 
     kt: object
     n: int
@@ -114,40 +115,20 @@ class VerifyResult:
         return self.ok
 
 
-def _step_endpoints(kind, step, field):
-    if kind == "pointed":
-        return eval_path(step, 0), eval_path(step, 1)
-    if kind == "unpointed":
-        outs = []
-        for t in (0, 1):
-            tv = field.coerce(t)
-            av = [step.A.coeff(i).eval(tv) for i in range(step.n + 1)]
-            bv = [step.B.coeff(i).eval(tv) for i in range(step.n + 1)]
-            outs.append(mk_unpointed(field, av, bv))
-        return outs[0], outs[1]
-    if kind == "pd":
-        outs = []
-        for t in (0, 1):
-            tv = field.coerce(t)
-            A = step.A.map_coeffs(lambda c: c.eval(tv), field)
-            Bs = [B.map_coeffs(lambda c: c.eval(tv), field) for B in step.Bs]
-            outs.append(mk_pd(A, Bs))
-        return outs[0], outs[1]
-    raise FieldError(f"unknown certificate kind {kind}")
-
-
 def _step_valid(kind, step, field):
     kt = PolyRing(field)
     if kind == "pointed":
         A, B = step.A, step.B
         n = A.degree
-        if not A.is_monic() or (B.degree >= n and n > 0):
+        if not A.is_monic() or B.degree >= n:
             return "step is not a monic pair"
         res = resultant_nn(A, B, n) if n > 0 else kt.one
         if not res.is_constant() or res.is_zero():
             return "non-constant resultant"
         return None
     if kind == "unpointed":
+        if step.A.degree > step.n or step.B.degree > step.n:
+            return "coefficient degree above n"
         if step.n == 0:
             # res_{0,0} is identically 1; validity is the non-vanishing of
             # the coefficient vector for every parameter value
@@ -167,8 +148,10 @@ def _step_valid(kind, step, field):
         if not A.is_monic():
             return "A is not monic"
         for B in step.Bs:
-            if B.degree >= n and n > 0:
+            if B.degree >= n:
                 return "denominator degree too large"
+        if len(step.cofactors) != len(step.Bs) + 1:
+            return "cofactor identity fails"
         total = A * step.cofactors[0]
         for B, c in zip(step.Bs, step.cofactors[1:]):
             total = total + B * c
@@ -178,44 +161,52 @@ def _step_valid(kind, step, field):
     return f"unknown kind {kind}"
 
 
-def _points_equal(kind, p, q) -> bool:
-    if kind == "pointed":
-        return p.A == q.A and p.B == q.B
-    if kind == "unpointed":
-        return p.avec == q.avec and p.bvec == q.bvec
-    if kind == "pd":
-        return p.A == q.A and p.Bs == q.Bs
-    return False
+def _coords(kind, field, p, t=None):
+    """The coefficient vectors of a point, or of a step at T = t, in the one
+    form endpoint equality compares: lowest degree first, padded with zeros
+    to length n+1, and for an unpointed point scaled so that the first
+    nonzero coordinate is 1.  A point of a step that passes `_step_valid` is
+    valid by construction, so nothing is rebuilt."""
+    if isinstance(p, UnpointedRat):
+        return p.avec, p.bvec  # stored padded and scaled
+    polys = (p.A, *p.Bs) if kind == "pd" else (p.A, p.B)
+    vecs = [P.coeffs for P in polys]
+    if t is not None:
+        t = field.coerce(t)
+        vecs = [[c.eval(t) for c in v] for v in vecs]
+    pad = [field.zero] * (p.n + 1)
+    vecs = tuple(tuple(v) + tuple(pad[len(v):]) for v in vecs)
+    return projective_normal(field, vecs) if kind == "unpointed" else vecs
 
 
 def verify(cert: Certificate) -> VerifyResult:
     """Mechanically re-check a certificate: every step is a valid k[T]-point
-    and the endpoints chain from source to target."""
-    field = cert.field
-    cur = cert.source
+    and the endpoints chain from source to target.
+
+    Each step is checked once, from its coefficients alone (`_step_valid`),
+    and its T=0 and T=1 coefficients are compared with the chain's current
+    point."""
+    kind, field = cert.kind, cert.field
+    cur = _coords(kind, field, cert.source)
     for idx, step in enumerate(cert.steps):
-        problem = _step_valid(cert.kind, step, field)
+        problem = _step_valid(kind, step, field)
         if problem:
             return VerifyResult(False, f"{problem} at step {idx}", idx)
-        try:
-            s0, s1 = _step_endpoints(cert.kind, step, field)
-        except (FieldError, ValueError) as exc:
-            return VerifyResult(False, f"invalid endpoint at step {idx}: {exc}", idx)
-        if not _points_equal(cert.kind, s0, cur):
+        if _coords(kind, field, step, 0) != cur:
             return VerifyResult(False, f"endpoint mismatch at step {idx}", idx)
-        cur = s1
-    if not _points_equal(cert.kind, cur, cert.target):
+        cur = _coords(kind, field, step, 1)
+    if cur != _coords(kind, field, cert.target):
         return VerifyResult(False, "target mismatch", len(cert.steps))
     return VerifyResult(True)
 
 
 def reverse_step(kind, step, field):
+    kt = PolyRing(field)
+    if isinstance(step, PairStep):  # every unpointed step, loaded pointed steps
+        A, B = step.A.map_coeffs(reflect, kt), step.B.map_coeffs(reflect, kt)
+        return PairStep(kt, step.n, A, B)
     if kind == "pointed":
         return reverse_path(step)
-    kt = PolyRing(field)
-    if kind == "unpointed":
-        A, B = step.A.map_coeffs(reflect, kt), step.B.map_coeffs(reflect, kt)
-        return UnpointedStep(kt, step.n, A, B)
     if kind == "pd":
         return PdPoint(
             kt,
@@ -237,7 +228,7 @@ def reverse_certificate(cert: Certificate) -> Certificate:
 
 def concat_certificates(a: Certificate, b: Certificate) -> Certificate:
     assert a.kind == b.kind and a.field == b.field
-    assert _points_equal(a.kind, a.target, b.source)
+    assert _coords(a.kind, a.field, a.target) == _coords(a.kind, a.field, b.source)
     return Certificate(a.kind, a.field, a.steps + b.steps, a.source, b.target)
 
 
@@ -673,7 +664,7 @@ def connect(f: PointedRat, g: PointedRat, budget: int = 64):
             return EXHAUSTED
         middle = lift_chain_to_cert(field, us, chain)
         # the chain ends at vs exactly
-        assert _points_equal("pointed", middle.target, cert_g.target)
+        assert middle.target.key() == cert_g.target.key()
     out = cert_f
     if middle is not None:
         out = concat_certificates(out, middle)
@@ -686,23 +677,17 @@ def connect(f: PointedRat, g: PointedRat, budget: int = 64):
 # ---------------------------------------------------------------------------
 
 
-def _pointed_step_to_unpointed(step: PointedRat) -> UnpointedStep:
-    kt = step.ring
-    n = step.n
-    return UnpointedStep(kt, n, step.A, step.B)
-
-
-def _apply_path(kt, n, PT, A: Poly, B: Poly) -> UnpointedStep:
+def _apply_path(kt, n, PT, A: Poly, B: Poly) -> PairStep:
     """The degree-n unpointed path P(T) . (A, B) for a 2x2 P(T) over k[T]."""
     field = kt.base
     AT = A.map_coeffs(lambda c: const(field, c), kt)
     BT = B.map_coeffs(lambda c: const(field, c), kt)
     A2 = AT.scale(PT[0][0]) + BT.scale(PT[0][1])
     B2 = AT.scale(PT[1][0]) + BT.scale(PT[1][1])
-    return UnpointedStep(kt, n, A2, B2)
+    return PairStep(kt, n, A2, B2)
 
 
-def _normalization_step(move, kt) -> UnpointedStep:
+def _normalization_step(move, kt) -> PairStep:
     """The path alpha(T)^{-1} . (A, B) from the unpointed source to its
     pointed representative.  alpha(T)^{-1} is the reversed product of the
     T-scaled elementary factors with negated parameters."""
@@ -750,7 +735,7 @@ def scale_pointed(f: PointedRat, lam) -> PointedRat:
     return mk_pointed(f.A, f.B.scale(field.inv(lam2)))
 
 
-def _scaling_step(f: PointedRat, lam, kt) -> UnpointedStep:
+def _scaling_step(f: PointedRat, lam, kt) -> PairStep:
     """Path from f to lambda^2 f: T-scaled elementary factors of
     diag(lambda, 1/lambda) applied to (A, B)."""
     field = f.ring
@@ -777,7 +762,7 @@ def unpointed_connect(u1: UnpointedRat, u2: UnpointedRat, budget: int = 64):
         # are never anti-parallel, so the interpolant never vanishes)
         if u1.avec == u2.avec and u1.bvec == u2.bvec:
             return Certificate("unpointed", field, (), u1, u2)
-        step = UnpointedStep(
+        step = PairStep(
             kt,
             0,
             Poly.make(kt, [_interp_scalar(kt, u1.avec[0], u2.avec[0])]),
@@ -795,7 +780,7 @@ def unpointed_connect(u1: UnpointedRat, u2: UnpointedRat, budget: int = 64):
     steps = []
     if mv1.factors:
         steps.append(_normalization_step(mv1, kt))
-    steps += [_pointed_step_to_unpointed(s) for s in pcert.steps]
+    steps += [PairStep(kt, s.n, s.A, s.B) for s in pcert.steps]
     lam2 = field.mul(lam, lam)
     if not field.is_zero(field.sub(lam2, field.one)):
         steps.append(reverse_step("unpointed", _scaling_step(f2, lam, kt), field))

@@ -223,7 +223,7 @@ class Rationals:
         text = text.strip()
         if "/" in text:
             num, den = text.split("/")
-            return Fraction(int(num), int(den))
+            return self.div(Fraction(int(num)), Fraction(int(den)))
         return Fraction(int(text))
 
 

@@ -832,7 +832,7 @@ def unpointed_components(q: int, n: int, D: int = None) -> UnpointedReport:
     agreement means the generated partition coincides with the invariant
     fibers, which pins both down to the true naive components.
     """
-    from .certify import Certificate, UnpointedStep, _normalization_step, _scaling_step, verify
+    from .certify import Certificate, _normalization_step, _scaling_step, verify
     from .ratmap import normalize_unpointed, unpointed_of_pointed
 
     field = GF(q)

@@ -335,19 +335,23 @@ class UnpointedRat:
         return f"[{poly_str(A)} : {poly_str(B)}]"
 
 
+def projective_normal(field, vecs) -> tuple:
+    """Coefficient vectors scaled so that their first nonzero coordinate is 1:
+    the representative of their point in projective space."""
+    first = next((c for v in vecs for c in v if not field.is_zero(c)), None)
+    if first is None:
+        raise FieldError("zero coefficient vector")
+    inv = field.inv(first)
+    return tuple(tuple(field.mul(inv, c) for c in v) for v in vecs)
+
+
 def mk_unpointed(field, avec, bvec) -> UnpointedRat:
     n = len(avec) - 1
     if len(bvec) != n + 1:
         raise FieldError("coefficient vectors must share a length")
-    avec = tuple(field.coerce(a) for a in avec)
-    bvec = tuple(field.coerce(b) for b in bvec)
-    coords = avec + bvec
-    first = next((c for c in coords if not field.is_zero(c)), None)
-    if first is None:
-        raise FieldError("zero coefficient vector")
-    inv = field.inv(first)
-    avec = tuple(field.mul(inv, a) for a in avec)
-    bvec = tuple(field.mul(inv, b) for b in bvec)
+    avec, bvec = projective_normal(
+        field, ([field.coerce(a) for a in avec], [field.coerce(b) for b in bvec])
+    )
     if field.is_zero(avec[n]) and field.is_zero(bvec[n]):
         raise FieldError("true degree below n: not a point of the degree-n stratum")
     A = Poly.make(field, avec)

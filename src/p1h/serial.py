@@ -8,11 +8,10 @@ keys byte-stably.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .classify import PdPoint, PointedInvariant, UnpointedInvariant, mk_pd
 from .fields import FieldError, Rationals, field_from_name, field_name
-from .certify import Certificate, UnpointedStep
+from .certify import Certificate, PairStep
 from .poly import Poly, PolyRing
 from .ratmap import PointedRat, UnpointedRat, mk_pointed, mk_unpointed
 
@@ -28,7 +27,9 @@ def elem_to_json(field, a):
 def elem_from_json(field, v):
     if isinstance(v, str):
         return field.parse(v)
-    return field.from_int(v) if not isinstance(field, Rationals) else Fraction(v)
+    if type(v) is not int:
+        raise FieldError(f"a coefficient is an integer or a string, not {v!r}")
+    return field.from_int(v)
 
 
 def poly_to_json(p: Poly):
@@ -115,9 +116,12 @@ def step_to_json(kind, step):
     }
 
 
+SCHEMA = "p1h.certificate/1"
+
+
 def certificate_to_json(cert: Certificate) -> dict:
     return {
-        "schema": "p1h.certificate/1",
+        "schema": SCHEMA,
         "kind": cert.kind,
         "field": field_name(cert.field),
         "source": point_to_json(cert.source),
@@ -126,63 +130,58 @@ def certificate_to_json(cert: Certificate) -> dict:
     }
 
 
+def point_from_json(kind, field, data):
+    """A validated field point: the inverse of `point_to_json`."""
+    if kind == "pointed":
+        return mk_pointed(
+            poly_from_json(field, data["A"]), poly_from_json(field, data["B"])
+        )
+    if kind == "unpointed":
+        return mk_unpointed(
+            field,
+            [elem_from_json(field, a) for a in data["A"]],
+            [elem_from_json(field, b) for b in data["B"]],
+        )
+    if kind == "pd":
+        return mk_pd(
+            poly_from_json(field, data["A"]),
+            [poly_from_json(field, B) for B in data["Bs"]],
+        )
+    raise FieldError(f"unknown certificate kind {kind!r}")
+
+
+def step_from_json(kind, kt, data, n):
+    """A step as bare coefficient data, checked by `certify.verify` alone;
+    an unpointed step must declare the source degree n."""
+    if kind == "pd":
+        return PdPoint(
+            kt,
+            len(data["Bs"]),
+            poly_from_json(kt, data["A"]),
+            tuple(poly_from_json(kt, B) for B in data["Bs"]),
+            tuple(poly_from_json(kt, c) for c in data["cofactors"]),
+        )
+    A, B = poly_from_json(kt, data["A"]), poly_from_json(kt, data["B"])
+    if kind == "pointed":
+        return PairStep(kt, A.degree, A, B)
+    if type(data["n"]) is not int or data["n"] != n:
+        raise FieldError(f"unpointed step degree must be the source degree {n}")
+    return PairStep(kt, n, A, B)
+
+
 def certificate_from_json(data: dict) -> Certificate:
     if not isinstance(data, dict):
         raise FieldError("a certificate is a JSON object")
+    if data.get("schema") != SCHEMA:
+        raise FieldError(f"schema must be {SCHEMA!r}")
+    if not isinstance(data["field"], str):
+        raise FieldError("field must be a string")
     field = field_from_name(data["field"])
     kind = data["kind"]
+    src = point_from_json(kind, field, data["source"])
+    tgt = point_from_json(kind, field, data["target"])
     kt = PolyRing(field)
-    if kind == "pointed":
-        src = mk_pointed(
-            poly_from_json(field, data["source"]["A"]),
-            poly_from_json(field, data["source"]["B"]),
-        )
-        tgt = mk_pointed(
-            poly_from_json(field, data["target"]["A"]),
-            poly_from_json(field, data["target"]["B"]),
-        )
-        steps = tuple(
-            mk_pointed(poly_from_json(kt, s["A"]), poly_from_json(kt, s["B"]))
-            for s in data["steps"]
-        )
-    elif kind == "unpointed":
-        src = mk_unpointed(
-            field,
-            [elem_from_json(field, a) for a in data["source"]["A"]],
-            [elem_from_json(field, b) for b in data["source"]["B"]],
-        )
-        tgt = mk_unpointed(
-            field,
-            [elem_from_json(field, a) for a in data["target"]["A"]],
-            [elem_from_json(field, b) for b in data["target"]["B"]],
-        )
-        steps = tuple(
-            UnpointedStep(
-                kt, s["n"], poly_from_json(kt, s["A"]), poly_from_json(kt, s["B"])
-            )
-            for s in data["steps"]
-        )
-    elif kind == "pd":
-        src = mk_pd(
-            poly_from_json(field, data["source"]["A"]),
-            [poly_from_json(field, B) for B in data["source"]["Bs"]],
-        )
-        tgt = mk_pd(
-            poly_from_json(field, data["target"]["A"]),
-            [poly_from_json(field, B) for B in data["target"]["Bs"]],
-        )
-        steps = tuple(
-            PdPoint(
-                kt,
-                len(s["Bs"]),
-                poly_from_json(kt, s["A"]),
-                tuple(poly_from_json(kt, B) for B in s["Bs"]),
-                tuple(poly_from_json(kt, c) for c in s["cofactors"]),
-            )
-            for s in data["steps"]
-        )
-    else:
-        raise FieldError(f"unknown certificate kind {kind!r}")
+    steps = tuple(step_from_json(kind, kt, s, src.n) for s in data["steps"])
     return Certificate(kind, field, steps, src, tgt)
 
 

@@ -12,7 +12,7 @@ from p1h.certify import (
     _represent,
     apply_move,
     NotEquivalent,
-    UnpointedStep,
+    PairStep,
     concat_certificates,
     connect,
     diag_chain,
@@ -25,7 +25,7 @@ from p1h.certify import (
     unpointed_connect,
     verify,
 )
-from p1h.classify import mk_pd, pointed_invariant, unpointed_invariant
+from p1h.classify import PdPoint, mk_pd, pointed_invariant, unpointed_invariant
 from p1h.fields import GF, QQ, FieldError, factorize
 from p1h.poly import Poly, PolyRing, X, const, zero
 from p1h.quadform import REAL_PLACE, hilbert_symbol
@@ -90,6 +90,7 @@ class TestDiagChain:
         # the witness (1, 1) realizes 2 = 1 + 1
         P = move_matrix(QQ, Fraction(1), Fraction(1), mv)
         M = [[sum(P[k][i] * (P[k][j] if k < 2 else 0) for k in range(2)) for j in range(2)] for i in range(2)]
+        assert M == [[2, 0], [0, Fraction(1, 2)]]  # P^T diag(1, 1) P
 
     def test_moves_replay_exactly(self, rng):
         F5 = GF(5)
@@ -377,6 +378,51 @@ class TestVerify:
         f = random_point(GF(5), 1, rng)
         cert = Certificate("pointed", GF(5), (), f, x_over(GF(5), 1))
         assert not verify(cert) or f == x_over(GF(5), 1)
+
+    def test_degree_zero_steps_keep_b_zero(self):
+        """At degree 0 a step's B (each B_i for pd) must vanish: the chain
+        1/T, 1/(1-T) from 1/0 back to 1/0 would pass through 1/1, which is
+        not a point."""
+        F3 = GF(3)
+        kt = PolyRing(F3)
+        T, one_minus_T = (Poly.make(kt, [Poly.make(F3, c)]) for c in ([0, 1], [1, 2]))
+        one, o = const(kt, kt.one), zero(kt)
+        src = identity_point(F3)
+        steps = tuple(PairStep(kt, 0, one, B) for B in (T, one_minus_T))
+        res = verify(Certificate("pointed", F3, steps, src, src))
+        assert not res and res.step == 0
+        pd_src = mk_pd(const(F3, 1), [zero(F3), zero(F3)])
+        pd_steps = tuple(PdPoint(kt, 2, one, (B, o), (one, o, o)) for B in (T, one_minus_T))
+        res = verify(Certificate("pd", F3, pd_steps, pd_src, pd_src))
+        assert not res and res.step == 0
+
+    def test_loaded_steps_are_checked_once_and_never_rebuilt(self, monkeypatch):
+        """Loading and verifying takes one resultant per step; only the source
+        and target are built as points (a Bezout pair or resultant each)."""
+        from collections import Counter
+
+        from p1h import certify, ratmap, serial
+
+        F3 = GF(3)
+        f = mk_pointed(X(F3) * X(F3) - const(F3, 1), X(F3))
+        g = mk_pointed(X(F3) * X(F3) + const(F3, 1), Poly.make(F3, [2, 2]))
+        u1 = mk_unpointed(F3, [0, 0, 1], [1, 0, 1])
+        u2 = mk_unpointed(F3, [0, 1, 2], [1, 1, 2])
+        calls = Counter()
+        for module, name in ((ratmap, "bezout_pair"), (ratmap, "resultant_nn"),
+                             (certify, "resultant_nn"), (certify, "eval_path")):
+            def spy(*args, _orig=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(module, name, spy)
+        for cert, pairs in ((connect(f, g), 2), (unpointed_connect(u1, u2), 0)):
+            assert len(cert.steps) >= 2
+            data = serial.certificate_to_json(cert)
+            calls.clear()
+            assert verify(serial.certificate_from_json(data))
+            assert calls == Counter(resultant_nn=len(cert.steps) + 2, bezout_pair=pairs)
+            assert verify(reverse_certificate(serial.certificate_from_json(data)))
 
 
 class TestReversalAndCongruence:

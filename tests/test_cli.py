@@ -1,9 +1,15 @@
 """The command-line surface: parsing, printing, JSON determinism, exit
 codes, and the certificate file round-trip."""
+import copy
+import functools
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from p1h import serial
+from p1h.certify import connect, pd_cert, unpointed_connect
+from p1h.classify import mk_pd
 from p1h.cli import main
 from p1h.expr import ParseError, format_ratfun, parse_poly, parse_ratfun, parse_ratfun_sum
 from p1h.fields import GF, QQ
@@ -223,3 +229,148 @@ class TestCommands:
             bad.write_text(text)
             assert main(["verify", str(bad)]) == 2
             assert "cannot load certificate" in capsys.readouterr().err
+
+
+@functools.cache
+def _f3_certificates():
+    """Valid F3 certificate JSON of each kind.  The unpointed one has degree 2:
+    at degree 0 a point can have a single nonzero coordinate, so scaling may
+    absorb a changed coefficient and leave a different valid certificate."""
+    F3 = GF(3)
+    pointed = connect(parse_ratfun("(X^2-1)/X", F3), parse_ratfun("(X^2+1)/(2*X+2)", F3))
+    unpointed = unpointed_connect(
+        parse_ratfun("X^2/(X^2+1)", F3), parse_ratfun("(2*X^2+X)/(2*X^2+X+1)", F3)
+    )
+    A, *Bs = (parse_poly(t, F3) for t in "X^2+1 ; X ; X+1".split(";"))
+    pd = pd_cert(mk_pd(A, Bs))
+    return {c.kind: serial.certificate_to_json(c) for c in (pointed, unpointed, pd)}
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, the root first."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _mutate(data, where, action, value):
+    """One edit of a JSON tree: drop a position, cut a list there to half its
+    length, or replace it with `value`.  `where` names a top-level key, "n"
+    for the first step's degree, or picks any position by number."""
+    if isinstance(where, int):
+        paths = list(_paths(data))[1:]
+        path = paths[where % len(paths)] if paths else None
+    else:
+        path = ("steps", 0, "n") if where == "n" else (where,)
+    try:
+        parent, key = _at(data, path[:-1]), path[-1]
+        old = parent[key]
+    except (KeyError, IndexError, TypeError):
+        return  # nothing there to edit
+    if action == "drop":
+        del parent[key]
+    elif action == "truncate" and isinstance(old, list):
+        parent[key] = old[: len(old) // 2]
+    else:
+        parent[key] = value
+
+
+MUTANTS = (None, True, 1.5, "x", "1/0", "", "Q", "F2", "F5", "F4", "bogus/9",
+           -1, 0, 1, 2, 3, 10**30, [], {}, [[1]])
+
+
+class TestVerifyTrustBoundary:
+    """`p1h verify` exits 0 (OK), 1 (FAIL at a step) or 2 (malformed) and
+    never raises, whatever the certificate file holds."""
+
+    def _verify(self, tmp_path, data):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(data))
+        return main(["verify", str(cert)])
+
+    def test_non_homotopy_step_fails_at_step(self, tmp_path, capsys):
+        x_over_1 = {"A": [0, 1], "B": [1]}
+        data = {"schema": "p1h.certificate/1", "kind": "pointed", "field": "F3",
+                "source": x_over_1, "target": x_over_1,
+                "steps": [{"A": [[], [1]], "B": []}]}  # A = X, B = 0: resultant 0
+        assert self._verify(tmp_path, data) == 1
+        assert capsys.readouterr().out.strip() == "FAIL: non-constant resultant at step 0"
+
+    def test_schema_is_checked(self, tmp_path, capsys):
+        data = copy.deepcopy(_f3_certificates()["pointed"])
+        for schema in ("bogus/9", None, 1):
+            data["schema"] = schema
+            assert self._verify(tmp_path, data) == 2
+            assert "cannot load certificate: schema" in capsys.readouterr().err
+        del data["schema"]
+        assert self._verify(tmp_path, data) == 2
+
+    def test_zero_denominator_over_q_is_input_error(self, tmp_path, capsys):
+        point = {"A": [0, 1], "B": ["1/0"]}
+        data = {"schema": "p1h.certificate/1", "kind": "pointed", "field": "Q",
+                "source": point, "target": point, "steps": []}
+        assert self._verify(tmp_path, data) == 2
+        assert "division by zero" in capsys.readouterr().err
+        assert main(["equiv", "--unpointed", "--field", "Q", "1/0 0 ; 0 1", "1 0 ; 0 4"]) == 2
+
+    def test_unpointed_step_degree_is_checked(self, tmp_path, capsys):
+        good = _f3_certificates()["unpointed"]
+        assert self._verify(tmp_path, good) == 0
+        for n in ("x", -1, True, 1, 3, 2.0, None):
+            data = copy.deepcopy(good)
+            data["steps"][0]["n"] = n
+            assert self._verify(tmp_path, data) == 2
+            assert "source degree 2" in capsys.readouterr().err
+
+    def test_step_outside_its_shape_fails(self, tmp_path, capsys):
+        data = copy.deepcopy(_f3_certificates()["unpointed"])
+        data["steps"][0]["A"].append([0, 1])  # T X^3 in a degree-2 step
+        assert self._verify(tmp_path, data) == 1
+        assert "coefficient degree above n at step 0" in capsys.readouterr().out
+        data = copy.deepcopy(_f3_certificates()["pd"])
+        data["steps"][0]["cofactors"] = []
+        assert self._verify(tmp_path, data) == 1
+        assert "cofactor identity fails at step 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["pointed", "unpointed", "pd"])
+    def test_changed_step_coefficient_never_verifies(self, tmp_path, capsys, kind):
+        good = _f3_certificates()[kind]
+        assert self._verify(tmp_path, good) == 0
+        leaves = [p for p in _paths(good["steps"]) if isinstance(_at(good["steps"], p), int)]
+        assert len(leaves) >= 20
+        for path in leaves:
+            data = copy.deepcopy(good)
+            parent = _at(data["steps"], path[:-1])
+            parent[path[-1]] = (parent[path[-1]] + 1) % 3
+            assert self._verify(tmp_path, data) != 0, path
+        capsys.readouterr()
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        kind=st.sampled_from(["pointed", "unpointed", "pd"]),
+        edits=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(["schema", "field", "kind", "n"]), st.integers(1, 10**6)),
+                st.sampled_from(["drop", "replace", "truncate"]),
+                st.sampled_from(MUTANTS),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_mutated_certificate_exits_cleanly(self, tmp_path, kind, edits):
+        data = copy.deepcopy(_f3_certificates()[kind])
+        for edit in edits:
+            _mutate(data, *edit)
+        assert self._verify(tmp_path, data) in (0, 1, 2)
