@@ -274,7 +274,7 @@ def normal_form_cert(f: PointedRat):
     return _normal_form_cert_cached(f)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _normal_form_cert_cached(f: PointedRat):
     field = f.ring
     if isinstance(field, PolyRing):
@@ -485,7 +485,7 @@ def diag_chain(field, us, vs, budget: int = 64):
     return out if out is EXHAUSTED else list(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _diag_chain_cached(field, us, vs, budget):
     n = len(us)
     if us == vs:
@@ -601,7 +601,7 @@ def lift_chain_to_cert(field, us, chain) -> Certificate:
     return _lift_chain_cached(field, tuple(us), tuple(chain))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _lift_chain_cached(field, us, chain) -> Certificate:
     kt = PolyRing(field)
     cur = tuple(us)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bezout_hankel import bezout_form
-from .fields import FieldError, PrimeField, Rationals, factorize
+from .fields import FieldError, Rationals, factorize
 from .poly import Poly, PolyRing, poly_xgcd, const, zero
 from .quadform import (
     WittInvariant,
@@ -78,10 +78,9 @@ def _pointed_invariant_cached(f: PointedRat) -> PointedInvariant:
     field = f.ring
     witt = stable_invariant(bezout_form(f))
     inv = PointedInvariant(f.n, witt, f.res, field)
-    # coherence: the form's discriminant matches the exact determinant
-    assert field.square_class(witt.disc) == field.square_class(inv.detbez()) or (
-        isinstance(field, PrimeField) and field.p == 2
-    )
+    # coherence: the form's discriminant (already a canonical square class)
+    # matches the exact determinant
+    assert witt.disc == field.square_class(inv.detbez())
     return inv
 
 
@@ -149,9 +148,19 @@ def res_class_mod_2n(field, r, n: int):
         return out
     if field.p == 2:
         return 1
-    d = math.gcd(2 * n, field.p - 1)
-    e = field.dlog(r) % d
-    return pow(field.generator(), e, field.p)
+    # r = g^E; with zeta = g^((p-1)/d) of order d, r^((p-1)/d) = zeta^(E mod d),
+    # so E mod d is found among d <= 2n powers instead of by a discrete log
+    p = field.p
+    if r % p == 0:
+        raise FieldError("res_class_mod_2n(0)")
+    d = math.gcd(2 * n, p - 1)
+    g = field.generator()
+    t = pow(r, (p - 1) // d, p)
+    zeta = pow(g, (p - 1) // d, p)
+    e, z = 0, 1
+    while z != t:
+        e, z = e + 1, z * zeta % p
+    return pow(g, e, p)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,12 @@ from .poly import Poly, poly_str
 from .ratmap import PointedRat, UnpointedRat, mk_pointed, mk_unpointed, oplus
 
 
+# Largest exponent accepted in X^k: each term allocates a coefficient list
+# of that length, so an unbounded exponent would let one short expression
+# exhaust memory.
+MAX_EXPONENT = 1000
+
+
 class ParseError(ValueError):
     def __init__(self, message, pos):
         super().__init__(f"{message} (at position {pos})")
@@ -118,7 +124,11 @@ class _PolyParser:
     def parse_power(self):
         if self.peek()[0] == "^":
             self.take()
-            return int(self.take("num")[1])
+            tok = self.take("num")
+            exp = int(tok[1])
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT}", tok[2])
+            return exp
         return 1
 
     def parse_coeff(self):

@@ -8,6 +8,7 @@ the library is unambiguously attached to its field.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 class FieldError(ValueError):
@@ -80,9 +81,18 @@ def _rho_factor(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer: trial division for small
     factors, Pollard rho for anything that survives (resultants at desk
-    scale can still have 10-plus-digit square parts)."""
+    scale can still have 10-plus-digit square parts).
+
+    Factorizations are memoized, since one invariant needs the same
+    determinant's primes several times; every call returns a fresh dict."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
+    return dict(_factor_pairs(n))
+
+
+@lru_cache(maxsize=4096)
+def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n > 0, in the order factorize reports them."""
     out: dict[int, int] = {}
     d = 2
     while d * d <= n and d < 100_000:
@@ -101,7 +111,7 @@ def factorize(n: int) -> dict[int, int]:
         f = _rho_factor(m)
         stack.append(f)
         stack.append(m // f)
-    return out
+    return tuple(out.items())
 
 
 def squarefree_part(n: int) -> int:

@@ -364,19 +364,18 @@ def _diag_values(S: SymMatrix) -> list:
     return [M[k][k] for k in range(n)]
 
 
-def _relevant_primes_q(S: SymMatrix) -> list[int]:
+def _relevant_primes_q(S: SymMatrix, det: Fraction) -> list[int]:
     """Primes where the form can have a nontrivial Hasse symbol: 2 plus the
-    primes of the common denominator and of the (moderate) determinant.
-    At any other odd prime the matrix is p-adically unimodular."""
+    primes of the common denominator and of the (moderate) nonzero
+    determinant det of S.  At any other odd prime the matrix is p-adically
+    unimodular."""
     den = 1
     for row in S.rows:
         for x in row:
             den = math.lcm(den, x.denominator)
-    det = S.det()
     ps = {2}
     ps |= set(factorize(den)) if den > 1 else set()
-    if det.numerator != 0:
-        ps |= set(factorize(abs(det.numerator)))
+    ps |= set(factorize(abs(det.numerator)))
     ps |= set(factorize(det.denominator))
     return sorted(ps)
 
@@ -419,10 +418,11 @@ def stable_invariant(S: SymMatrix) -> WittInvariant:
     """Complete stable-equivalence invariant of a non-degenerate form."""
     field = S.ring
     if isinstance(field, Rationals):
-        if not S.is_nondegenerate():
+        det = S.det()
+        if det == 0:
             raise FieldError("degenerate form")
         values = _diag_values(S)
-        return invariant_from_values(field, values, _relevant_primes_q(S))
+        return invariant_from_values(field, values, _relevant_primes_q(S, det))
     form, _ = diagonalize(S)
     if isinstance(form, BlockNormalForm):
         # F_2: rank determines the stable class; an all-ones payload keeps

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from p1h.fields import GF, QQ, FieldError
+from p1h.fields import GF, QQ, FieldError, factorize, is_prime
 from p1h.poly import (
     Poly,
     PolyRing,
@@ -317,6 +317,41 @@ class TestPrimeField:
             assert time.perf_counter() - t0 < 1.0
             assert F.sqrt(F.nonresidue()) is None
         assert GF(2).sqrt(1) == 1 and GF(2).sqrt(0) == 0
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+class TestFactorize:
+    def test_agrees_with_sympy(self, rng):
+        sympy = pytest.importorskip("sympy")
+        ns = [rng.randrange(1, 10**12) for _ in range(200)]
+        ns += [rng.randrange(1, 10**6) ** 2 for _ in range(50)]
+        ns += [_next_prime(rng.randrange(2, 10**4)) ** rng.randrange(1, 5) for _ in range(50)]
+        ns += [
+            _next_prime(rng.randrange(10**8, 10**9)) * _next_prime(rng.randrange(10**8, 10**9))
+            for _ in range(10)
+        ]
+        ns += [1, 2, 10**5 + 3, (10**5 + 3) ** 2]
+        for n in ns:
+            assert factorize(n) == sympy.factorint(n), n
+
+    def test_returns_a_fresh_dict(self):
+        n = 2**3 * 3 * 1000000007
+        first = factorize(n)
+        first[2] = 99
+        first[5] = 1
+        del first[3]
+        assert factorize(n) == {2: 3, 3: 1, 1000000007: 1}
+        assert factorize(n) is not factorize(n)
+
+    def test_rejects_nonpositive(self):
+        for n in (0, -6):
+            with pytest.raises(ValueError):
+                factorize(n)
 
 
 class TestFactorFp:

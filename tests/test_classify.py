@@ -1,6 +1,7 @@
 """Invariants and equivalence decisions: the monoid morphism, coherence,
 composition law, unpointed classes, maps to P^d."""
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,23 @@ class TestPointedInvariant:
         g = x_over(QQ, 3)
         assert oplus(f, g) != oplus(g, f)
         assert pointed_invariant(oplus(f, g)) == pointed_invariant(oplus(g, f))
+
+
+class TestFactorOnce:
+    def test_semiprime_resultant_is_factored_once(self, monkeypatch):
+        from p1h import classify, fields
+
+        N = 100000007 * 999999937  # 18 digits, two 9-digit primes
+        f = x_over(QQ, Fraction(N))
+        g = mk_pointed(X(QQ) + const(QQ, 1), const(QQ, N))
+        assert f.res == g.res == N
+        calls = []
+        rho = fields._rho_factor
+        monkeypatch.setattr(fields, "_rho_factor", lambda m: calls.append(m) or rho(m))
+        fields._factor_pairs.cache_clear()
+        classify._pointed_invariant_cached.cache_clear()
+        assert pointed_equiv(f, g)
+        assert calls == [N]
 
 
 class TestPointedEquiv:
@@ -203,6 +221,19 @@ class TestResClass:
         # generator of F_5^* is 2; 2n = 2, gcd(2, 4) = 2
         assert res_class_mod_2n(F5, 4, 1) == res_class_mod_2n(F5, 1, 1)
         assert res_class_mod_2n(F5, 2, 1) != res_class_mod_2n(F5, 1, 1)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_fp_matches_discrete_log(self, p):
+        F = GF(p)
+        g = F.generator()
+        for n in range(1, 5):
+            d = math.gcd(2 * n, p - 1)
+            for r in F.units():
+                assert res_class_mod_2n(F, r, n) == pow(g, F.dlog(r) % d, p)
+
+    def test_fp_zero_rejected(self):
+        with pytest.raises(FieldError):
+            res_class_mod_2n(GF(7), 0, 2)
 
 
 class TestUnpointed:

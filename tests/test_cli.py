@@ -64,6 +64,15 @@ class TestParser:
                 f = random_point(field, rng.randrange(1, 4), rng)
                 assert parse_ratfun(format_ratfun(f), field) == f
 
+    def test_exponent_cap(self):
+        from p1h.expr import MAX_EXPONENT
+
+        assert parse_poly(f"X^{MAX_EXPONENT}", GF(5)).degree == MAX_EXPONENT
+        with pytest.raises(ParseError):
+            parse_poly(f"X^{MAX_EXPONENT + 1}", GF(5))
+        with pytest.raises(ParseError):
+            parse_ratfun("X^100000000/1", GF(5))
+
     def test_whitespace_insensitive(self):
         assert parse_ratfun(" ( X^2 - 1 ) / X ", QQ) == parse_ratfun("(X^2-1)/X", QQ)
 
@@ -203,6 +212,21 @@ class TestCommands:
     def test_field_beyond_primality_bound_is_input_error(self, capsys):
         assert main(["classify", "--field", f"F{2**89 - 1}", "X/1"]) == 2
         assert "primality bound" in capsys.readouterr().err
+
+    def test_unpointed_class_over_huge_prime_field(self, capsys):
+        import time
+
+        t0 = time.perf_counter()
+        code = main(["classify", "--unpointed", "--field", "F2305843009213693951", "X/3"])
+        assert code == 0 and time.perf_counter() - t0 < 2.0
+
+    def test_huge_exponent_is_input_error(self, capsys):
+        import time
+
+        t0 = time.perf_counter()
+        assert main(["classify", "--field", "F5", "X^100000000/1"]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "exceeds" in capsys.readouterr().err
 
     def test_non_integer_field_spec_is_input_error(self, capsys):
         for spec in ("Fx", "Fp=abc", "F", "Fp=", "F1.5"):

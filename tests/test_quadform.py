@@ -207,6 +207,23 @@ class TestStableInvariant:
         assert stable_equal(i1, i2)
         assert i1.disc == -1 and i1.signature == (1, 1)
 
+    def test_q_degenerate_rejected(self):
+        with pytest.raises(FieldError):
+            stable_invariant(_sym(QQ, [[1, 2], [2, 4]]))
+
+    def test_q_takes_one_determinant(self, monkeypatch):
+        calls = []
+        det = la.det
+
+        def counting_det(ring, M):
+            calls.append(len(M))
+            return det(ring, M)
+
+        monkeypatch.setattr(la, "det", counting_det)
+        inv = stable_invariant(_sym(QQ, [[2, 1, 0], [1, 3, 1], [0, 1, 5]]))
+        assert calls == [3]
+        assert inv.rank == 3 and inv.disc == 23  # det 23
+
     def test_f5_squares(self):
         F5 = GF(5)
         i1 = stable_invariant(SymMatrix.diagonal(F5, [1, 1]))
