@@ -17,7 +17,6 @@ from .poly import (
     X,
     bezout_pair,
     const,
-    factor_fp,
     laurent_expand,
     poly,
     poly_divmod,

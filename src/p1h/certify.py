@@ -36,7 +36,6 @@ from .poly import (
     PolyRing,
     X,
     const,
-    factor_fp,
     poly_divmod,
     poly_gcd,
     poly_xgcd,
@@ -717,15 +716,46 @@ def _lambda_witness(field, r1, r2, n):
                 return None
             lam /= Fraction(p) ** (e // (2 * n))
         return lam
-    if field.p == 2:
-        return 1
-    e = (field.dlog(r2) - field.dlog(r1)) % (field.p - 1)
-    d = math.gcd(2 * n, field.p - 1)
+    return _root_mod_p(field.div(r2, r1), 2 * n, field.p, field.generator())
+
+
+def _root_mod_p(c: int, m: int, p: int, g: int):
+    """lambda with lambda^m = c mod p, or None when c is no m-th power.
+
+    With N = p - 1 = s t, where s collects the primes of d = gcd(m, N):
+    m is invertible mod t, so c^b with b = 0 mod s, b = 1/m mod t is an
+    m-th root of the t-part; the s-part needs log_h(c^t) for h = g^t of
+    order s, which Pohlig-Hellman finds over the primes of d alone."""
+    N = p - 1
+    d = math.gcd(m, N)
+    s = 1
+    while (f := math.gcd(N // s, d)) > 1:
+        s *= f
+    t = N // s
+    e = _subgroup_log(pow(g, t, p), pow(c, t, p), s, p)
     if e % d:
         return None
-    m = (field.p - 1) // d
-    j = (e // d) * pow((2 * n) // d, -1, m) % m
-    return pow(field.generator(), j, field.p)
+    a = (e // d) * pow(t * m // d, -1, s // d) % (s // d)
+    b = s * pow(s * m, -1, t)
+    return pow(g, t * a, p) * pow(c, b, p) % p
+
+
+def _subgroup_log(h: int, y: int, s: int, p: int) -> int:
+    """x mod s with h^x = y mod p, for h of order s and y in <h>: one
+    base-ell digit at a time for each prime power ell^k of s (Pohlig-Hellman)."""
+    x, mod = 0, 1
+    for ell, k in factorize(s).items():
+        q = ell**k
+        hq, yq = pow(h, s // q, p), pow(y, s // q, p)
+        gamma = pow(hq, q // ell, p)  # order ell
+        xq = 0
+        for i in range(k):
+            z = pow(yq * pow(hq, -xq, p) % p, q // ell ** (i + 1), p)
+            digit = next(u for u in range(ell) if pow(gamma, u, p) == z)
+            xq += digit * ell**i
+        x += mod * ((xq - x) * pow(mod, -1, q) % q)
+        mod *= q
+    return x
 
 
 def scale_pointed(f: PointedRat, lam) -> PointedRat:
@@ -813,13 +843,14 @@ def oplus_constant(cert: Certificate, g: PointedRat, side: str = "right") -> Cer
 # ---------------------------------------------------------------------------
 
 
-def _crt_selectors(field, prime_powers):
-    """e_i = 1 mod P_i^{r_i}, 0 mod the others (A = prod P_i^{r_i})."""
+def _crt_selectors(field, moduli):
+    """e_i = 1 mod Q_i, 0 mod the others, for pairwise coprime Q_i
+    (modulo A = prod Q_i)."""
     A = const(field, field.one)
-    for Q in prime_powers:
+    for Q in moduli:
         A = A * Q
     outs = []
-    for Q in prime_powers:
+    for Q in moduli:
         rest = poly_divmod(A, Q)[0]
         g, s, t = poly_xgcd(rest, Q)
         assert g.degree == 0
@@ -828,12 +859,41 @@ def _crt_selectors(field, prime_powers):
     return outs
 
 
-def pd_cert(p: PdPoint, base_target=None) -> Certificate:
+def _coprime_split(A: Poly, Bs):
+    """Split monic A into pairwise coprime monic pieces Q_i, each tagged
+    with the first slot j_i whose B_j is a unit modulo Q_i, by gcds alone.
+
+    For j = 0, 1, ... the largest factor of what is left of A that is
+    coprime to B_j becomes a piece.  Every irreducible factor of A lands in
+    the piece of the first B_j it does not divide.  Raises FieldError when
+    a part of A is a non-unit modulo every B_j."""
+    pieces = []
+    rest = A
+    for j, B in enumerate(Bs):
+        if rest.degree == 0:
+            break
+        # strip from Q every irreducible it shares with B_j: g keeps them all
+        Q = rest
+        g = poly_gcd(Q, B)
+        while g.degree > 0:
+            Q = poly_divmod(Q, g)[0]
+            g = poly_gcd(Q, g)
+        if Q.degree > 0:
+            pieces.append((Q, j))
+            rest = poly_divmod(rest, Q)[0]
+    if rest.degree > 0:
+        raise FieldError("A and the B_j do not generate the unit ideal")
+    return pieces
+
+
+def pd_cert(p: PdPoint) -> Certificate:
     """Certificate from p to the standard point (X^n, 1, ..., 1).
 
-    Uses the factorization of A, Chinese-remainder selectors to aggregate
-    local units into one global unit W of k[X]/(A), and the straight-line
-    interpolation steps; every step carries explicit cofactors.
+    Splits A into pairwise coprime pieces on each of which some B_j is a
+    unit, aggregates these local units into one global unit W of k[X]/(A)
+    with Chinese-remainder selectors, and slides along straight-line
+    interpolation steps; every step carries explicit cofactors.  A point
+    whose A and B_j do not generate the unit ideal raises FieldError.
     """
     field = p.ring
     if isinstance(field, PolyRing):
@@ -859,34 +919,15 @@ def pd_cert(p: PdPoint, base_target=None) -> Certificate:
         return endpoint
 
     if any(B != one for B in p.Bs):
-        factors = factor_fp(p.A)
-        prime_powers = []
-        primes = []
-        for q, mult in factors:
-            Q = const(field, field.one)
-            for _ in range(mult):
-                Q = Q * q
-            prime_powers.append(Q)
-            primes.append(q)
-        sel = _crt_selectors(field, prime_powers)
-        js = []
-        for q in primes:
-            j = next(
-                (
-                    j
-                    for j, B in enumerate(p.Bs)
-                    if poly_gcd(B, q).degree == 0 and not B.is_zero()
-                ),
-                None,
-            )
-            assert j is not None, "unimodularity guarantees a local unit"
-            js.append(j)
+        pieces = _coprime_split(p.A, p.Bs)
+        sel = _crt_selectors(field, [Q for Q, _ in pieces])
+        js = [j for _, j in pieces]
         W = zero(field)
         for e, j in zip(sel, js):
             W = W + e * p.Bs[j]
         W = poly_divmod(W, p.A)[1]
         inv_locals = []
-        for q, Q, j in zip(primes, prime_powers, js):
+        for Q, j in pieces:
             g, s, t = poly_xgcd(p.Bs[j], Q)
             assert g.degree == 0
             inv_locals.append(poly_divmod(s, Q)[1])

@@ -353,19 +353,6 @@ class PrimeField:
                     break
         return self._generator
 
-    def dlog(self, a) -> int:
-        """Discrete log of a unit with respect to generator(), by direct scan."""
-        a %= self.p
-        if a == 0:
-            raise FieldError("dlog(0)")
-        g = self.generator()
-        x = 1
-        for e in range(self.p - 1):
-            if x == a:
-                return e
-            x = (x * g) % self.p
-        raise AssertionError("unreachable")
-
     def square_class(self, a):
         """1 for squares; the smallest non-residue otherwise.  Always 1 in F_2."""
         a = a % self.p

@@ -828,7 +828,8 @@ def unpointed_components(q: int, n: int, D: int = None) -> UnpointedReport:
     q = 5, so the edge set is generated by three verified families: pointed
     homotopies (from the exhaustive pointed enumeration), the normalization
     paths sliding any point to a pointed one, and the unit rescaling paths
-    f ~ lambda^2 f.  Every edge is re-checked by the certificate verifier;
+    f ~ lambda^2 f.  Every edge is re-checked by the certificate verifier,
+    and an edge it rejects is left out and makes agreement False;
     agreement means the generated partition coincides with the invariant
     fibers, which pins both down to the true naive components.
     """
@@ -854,12 +855,13 @@ def unpointed_components(q: int, n: int, D: int = None) -> UnpointedReport:
         index[(up.avec, up.bvec)] = len(pts)
         pts.append(up)
     uf = UnionFind(len(pts))
-    edges_verified = 0
+    edges_verified = edges_rejected = 0
 
     def link(u1, u2, step):
-        nonlocal edges_verified
-        cert = Certificate("unpointed", field, (step,), u1, u2)
-        assert verify(cert), "generated edge failed verification"
+        nonlocal edges_verified, edges_rejected
+        if not verify(Certificate("unpointed", field, (step,), u1, u2)):
+            edges_rejected += 1
+            return
         edges_verified += 1
         uf.union(index[(u1.avec, u1.bvec)], index[(u2.avec, u2.bvec)])
 
@@ -897,7 +899,7 @@ def unpointed_components(q: int, n: int, D: int = None) -> UnpointedReport:
     for i in range(len(pts)):
         if fiber_of[uf.find(i)] != fiber_of[i]:
             sound = False
-    agreement = sound and len(comp_labels) == len(fibers)
+    agreement = sound and not edges_rejected and len(comp_labels) == len(fibers)
     return UnpointedReport(
         q, n, len(pts), len(comp_labels), len(fibers), agreement, edges_verified
     )

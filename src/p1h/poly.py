@@ -8,12 +8,11 @@ polynomial in X whose coefficients are polynomials in T.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable
 
 from . import linalg
-from .fields import FieldError, PrimeField
+from .fields import FieldError
 
 
 @dataclass(frozen=True)
@@ -119,17 +118,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * g + Poly.make(R, [c])
         return acc
-
-    def derivative(self) -> "Poly":
-        R = self.ring
-        out = []
-        for i in range(1, len(self.coeffs)):
-            term = self.coeffs[i]
-            acc = R.zero
-            for _ in range(i):
-                acc = R.add(acc, term)
-            out.append(acc)
-        return Poly.make(R, out)
 
     def map_coeffs(self, fn, new_ring) -> "Poly":
         return Poly.make(new_ring, [fn(c) for c in self.coeffs])
@@ -441,180 +429,3 @@ def laurent_expand(V: Poly, A: Poly, m: int) -> tuple:
         out.append(s)
         r = r.shift(1) - A.scale(s)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Factorization over prime fields
-# ---------------------------------------------------------------------------
-
-_IRR_CACHE: dict[tuple[int, int], list] = {}
-
-
-def _monic_polys(field, d: int):
-    p = field.p
-    for code in range(p**d):
-        cs = []
-        c = code
-        for _ in range(d):
-            cs.append(c % p)
-            c //= p
-        yield Poly.make(field, cs + [1])
-
-
-def irreducibles(field: PrimeField, max_deg: int) -> list:
-    """All monic irreducible polynomials of degree <= max_deg, by sieve."""
-    key = (field.p, max_deg)
-    if key in _IRR_CACHE:
-        return _IRR_CACHE[key]
-    found: list[Poly] = []
-    for d in range(1, max_deg + 1):
-        for cand in _monic_polys(field, d):
-            ok = True
-            for q in found:
-                if 2 * q.degree > d:
-                    break
-                if poly_divmod(cand, q)[1].is_zero():
-                    ok = False
-                    break
-            if ok:
-                found.append(cand)
-    _IRR_CACHE[key] = found
-    return found
-
-
-def _pth_root(A: Poly) -> Poly:
-    """p-th root of A(X) = C(X^p) over F_p (coefficients are fixed by Frobenius)."""
-    p = A.ring.p
-    return Poly.make(A.ring, [A.coeff(i) for i in range(0, A.degree + 1, p)])
-
-
-def squarefree_decomposition(A: Poly) -> list[tuple[Poly, int]]:
-    """Yun-style decomposition adapted to characteristic p."""
-    field = A.ring
-    p = field.p
-    out: dict[int, Poly] = {}
-
-    def accumulate(f: Poly, mult: int):
-        if f.degree > 0:
-            out[mult] = out.get(mult, const(field, 1)) * f
-
-    def decompose(f: Poly, mult: int):
-        if f.degree <= 0:
-            return
-        df = f.derivative()
-        if df.is_zero():
-            # f = C(X^p); recurse on the p-th root
-            decompose(_pth_root(f), mult * p)
-            return
-        g = poly_gcd(f, df)
-        w = poly_divmod(f, g)[0]
-        i = 1
-        while w.degree > 0:
-            y = poly_gcd(w, g)
-            accumulate(poly_divmod(w, y)[0], mult * i)
-            w = y
-            g = poly_divmod(g, y)[0]
-            i += 1
-        if g.degree > 0:
-            # leftover has derivative zero
-            decompose(g, mult)
-
-    decompose(A.monic(), 1)
-    return [(f, mult) for mult, f in sorted(out.items())]
-
-
-_factor_rng = random.Random(0x5EED)
-
-
-def _ddf(A: Poly) -> list[tuple[Poly, int]]:
-    """Distinct-degree factorization of a squarefree monic polynomial."""
-    field = A.ring
-    p = field.p
-    out = []
-    f = A
-    x = X(field)
-    h = x
-    d = 0
-    while f.degree > 2 * (d + 1) - 1 and f.degree > 0:
-        d += 1
-        h = _pow_mod(h, p, f)
-        g = poly_gcd(f, h - x)
-        if g.degree > 0:
-            out.append((g, d))
-            f = poly_divmod(f, g)[0]
-            h = poly_divmod(h, f)[1] if f.degree > 0 else h
-    if f.degree > 0:
-        out.append((f, f.degree))
-    return out
-
-
-def _pow_mod(b: Poly, e: int, m: Poly) -> Poly:
-    acc = const(b.ring, 1)
-    b = poly_divmod(b, m)[1]
-    while e:
-        if e & 1:
-            acc = poly_divmod(acc * b, m)[1]
-        b = poly_divmod(b * b, m)[1]
-        e >>= 1
-    return acc
-
-
-def _edf(A: Poly, d: int) -> list[Poly]:
-    """Equal-degree splitting (Cantor-Zassenhaus, odd p) of monic squarefree A."""
-    field = A.ring
-    if A.degree == d:
-        return [A]
-    p = field.p
-    exponent = (p**d - 1) // 2
-    while True:
-        h = Poly.make(field, [_factor_rng.randrange(p) for _ in range(A.degree)] + [1])
-        g = poly_gcd(A, h)
-        if 0 < g.degree < A.degree:
-            pass
-        else:
-            t = _pow_mod(h, exponent, A) - const(field, 1)
-            g = poly_gcd(A, t)
-        if 0 < g.degree < A.degree:
-            return _edf(g, d) + _edf(poly_divmod(A, g)[0], d)
-
-
-def factor_fp(A: Poly) -> tuple[tuple[Poly, int], ...]:
-    """Factor a nonzero polynomial over F_p into monic irreducibles.
-
-    Returns ((factor, multiplicity), ...) sorted by (degree, coeffs); the
-    product of factor^mult times the leading unit reproduces the input.
-    Uses squarefree decomposition, then trial division against the sieve of
-    irreducibles for small search spaces (always for p <= 5), falling back
-    to distinct-degree plus randomized equal-degree splitting for larger p.
-    """
-    field = A.ring
-    if not isinstance(field, PrimeField):
-        raise FieldError("factorization supported over prime fields only")
-    if A.is_zero():
-        raise FieldError("factor_fp(0)")
-    factors: dict[Poly, int] = {}
-    if A.degree == 0:
-        return ()
-    for part, mult in squarefree_decomposition(A):
-        half = part.degree // 2
-        if field.p <= 5 or field.p**max(half, 1) <= 200_000:
-            rest = part
-            for q in irreducibles(field, max(half, 1)):
-                while rest.degree >= q.degree:
-                    quo, rem = poly_divmod(rest, q)
-                    if rem.is_zero():
-                        factors[q] = factors.get(q, 0) + mult
-                        rest = quo
-                    else:
-                        break
-                if rest.degree == 0:
-                    break
-            if rest.degree > 0:
-                factors[rest] = factors.get(rest, 0) + mult
-        else:
-            for sub, d in _ddf(part):
-                for irr in _edf(sub, d):
-                    factors[irr] = factors.get(irr, 0) + mult
-    return tuple(
-        sorted(factors.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs))
-    )

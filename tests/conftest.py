@@ -3,17 +3,22 @@
 The oracles here deliberately avoid the library's own computation paths:
 determinants by permutation expansion, the two-variable numerator quotient
 by direct division in the second variable, Laurent coefficients by long
-division.  Expected values in the tests are either computed by these or
-asserted as frozen literals checked against them.
+division, discrete logs by scanning powers.  Expected values in the tests
+are either computed by these or asserted as frozen literals checked
+against them.
 """
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import p1h
 from p1h.fields import GF, QQ
 from p1h.poly import Poly, X, const, poly_divmod
 from p1h.ratmap import mk_pointed, monomial_sum, oplus, x_over
@@ -74,6 +79,17 @@ def laurent_oracle(field, V, A, m):
     return tuple(q.coeff(m - i) for i in range(1, m + 1))
 
 
+def dlog(field, a):
+    """Discrete log of a unit of F_p to the base field.generator(), by
+    scanning all p - 1 powers (a reference for small p only)."""
+    g, x = field.generator(), 1
+    for e in range(field.p - 1):
+        if x == a % field.p:
+            return e
+        x = x * g % field.p
+    raise ValueError(f"{a} is not a unit mod {field.p}")
+
+
 def all_points(field, n):
     """All of F_n(field) for a finite field."""
     q = field.p
@@ -114,6 +130,18 @@ def random_point(field, n, rng):
             return mk_pointed(A, B)
         except Exception:
             continue
+
+
+def run_optimized(script, *args):
+    """stdout of `python -O -c script args...` with this p1h importable;
+    -O strips asserts, so checks that carry guarantees must not be one."""
+    src = os.path.dirname(os.path.dirname(p1h.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script, *args],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    ).stdout
 
 
 @pytest.fixture

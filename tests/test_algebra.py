@@ -1,5 +1,5 @@
 """Field and polynomial layer: division, gcd, resultants, expansions,
-square classes, factorization."""
+square classes, integer factorization."""
 import itertools
 from fractions import Fraction
 
@@ -12,9 +12,7 @@ from p1h.poly import (
     X,
     bezout_pair,
     const,
-    factor_fp,
     laurent_expand,
-    poly,
     poly_divmod,
     poly_gcd,
     poly_xgcd,
@@ -352,47 +350,6 @@ class TestFactorize:
         for n in (0, -6):
             with pytest.raises(ValueError):
                 factorize(n)
-
-
-class TestFactorFp:
-    def test_f2_square(self):
-        F2 = GF(2)
-        fs = factor_fp(poly(F2, [1, 0, 1]))
-        assert fs == ((X(F2) + const(F2, 1), 2),)
-
-    def test_f3_irreducible(self):
-        F3 = GF(3)
-        # -1 is a non-square mod 3, so X^2+1 has no roots
-        assert all((x * x + 1) % 3 != 0 for x in range(3))
-        fs = factor_fp(poly(F3, [1, 0, 1]))
-        assert fs == ((poly(F3, [1, 0, 1]), 1),)
-
-    def test_f5_linear(self):
-        F5 = GF(5)
-        assert factor_fp(X(F5)) == ((X(F5), 1),)
-
-    def test_rationals_rejected(self):
-        with pytest.raises(FieldError, match="prime fields only"):
-            factor_fp(X(QQ))
-
-    def test_remultiply_and_spotcheck(self, rng):
-        for p in (2, 3, 5, 7, 101):
-            field = GF(p)
-            for _ in range(25):
-                A = _rand_poly(field, rng, rng.randrange(1, 9))
-                if A.is_zero():
-                    continue
-                fs = factor_fp(A)
-                prod = const(field, A.lead)
-                for f, mult in fs:
-                    assert f.is_monic()
-                    for _ in range(mult):
-                        prod = prod * f
-                    if f.degree <= 3 and f.degree > 1:
-                        assert all(
-                            not field.is_zero(f.eval(x)) for x in field.elements()
-                        )
-                assert prod == A
 
 
 def _rand_poly(field, rng, deg, monic=False):

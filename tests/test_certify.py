@@ -1,5 +1,6 @@
 """Certificates: generation, exact verification, reversal, congruence."""
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from p1h.certify import (
     EXHAUSTED,
     Certificate,
     DiagMove,
+    _coprime_split,
+    _lambda_witness,
     _represent,
     apply_move,
     NotEquivalent,
@@ -27,7 +30,7 @@ from p1h.certify import (
 )
 from p1h.classify import PdPoint, mk_pd, pointed_invariant, unpointed_invariant
 from p1h.fields import GF, QQ, FieldError, factorize
-from p1h.poly import Poly, PolyRing, X, const, zero
+from p1h.poly import Poly, PolyRing, X, const, poly_divmod, poly_gcd, zero
 from p1h.quadform import REAL_PLACE, hilbert_symbol
 from p1h.ratmap import (
     PointedRat,
@@ -42,7 +45,7 @@ from p1h.ratmap import (
     x_over,
 )
 
-from conftest import all_points, random_point
+from conftest import all_points, dlog, random_point
 
 
 class TestNormalForm:
@@ -487,6 +490,84 @@ class TestUnpointedConnect:
                 else:
                     assert isinstance(result, NotEquivalent)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_fp_witness_exactly_when_classes_agree(self, p):
+        F = GF(p)
+        for n in range(1, 5):
+            d = math.gcd(2 * n, p - 1)
+            for r1 in F.units():
+                for r2 in F.units():
+                    lam = _lambda_witness(F, r1, r2, n)
+                    if (dlog(F, r2) - dlog(F, r1)) % d == 0:
+                        assert r1 * pow(lam, 2 * n, p) % p == r2
+                    else:
+                        assert lam is None
+
+
+def _random_pd_point(field, d, rng):
+    """A unimodular point whose A is a product of random monic factors
+    and whose B_j are often zero; also whether two factors of A share a
+    divisor (then A has a repeated irreducible factor)."""
+    while True:
+        n = rng.randrange(1, 6)
+        A, repeated = const(field, 1), False
+        while A.degree < n:
+            k = rng.randrange(1, n - A.degree + 1)
+            f = Poly.make(field, [rng.randrange(field.p) for _ in range(k)] + [1])
+            repeated |= poly_gcd(A, f).degree > 0
+            A = A * f
+        Bs = [
+            zero(field)
+            if rng.random() < 0.25
+            else Poly.make(field, [rng.randrange(field.p) for _ in range(A.degree)])
+            for _ in range(d)
+        ]
+        try:
+            return mk_pd(A, Bs), repeated
+        except FieldError:
+            continue
+
+
+class TestCoprimeSplit:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_random_points(self, p, d, rng):
+        F = GF(p)
+        one = const(F, 1)
+        repeats = zero_slots = 0
+        for _ in range(80):
+            pt, repeated = _random_pd_point(F, d, rng)
+            repeats += repeated
+            zero_slots += any(B.is_zero() for B in pt.Bs)
+            pieces = _coprime_split(pt.A, pt.Bs)
+            product = one
+            for Q, j in pieces:
+                assert Q.is_monic() and Q.degree > 0
+                # B_j is a unit mod Q, and every irreducible of Q divides
+                # each earlier B_i: j is the first slot that is a unit there
+                assert poly_gcd(pt.Bs[j], Q) == one
+                for B in pt.Bs[:j]:
+                    assert poly_divmod(_power(B, Q.degree), Q)[1].is_zero()
+                product = product * Q
+            assert product == pt.A
+            for (Q1, _), (Q2, _) in itertools.combinations(pieces, 2):
+                assert poly_gcd(Q1, Q2) == one
+        assert repeats and zero_slots
+
+    def test_repeated_factor_split(self):
+        F3 = GF(3)
+        x, one = X(F3), const(F3, 1)
+        # A = X^3 (X+1)^2: B_0 = X vanishes on X, B_1 = 1 takes it
+        A = x * x * x * (x + one) * (x + one)
+        assert _coprime_split(A, (x, one)) == [((x + one) * (x + one), 0), (x * x * x, 1)]
+
+
+def _power(B, k):
+    out = const(B.ring, 1)
+    for _ in range(k):
+        out = out * B
+    return out
+
 
 class TestPdCert:
     def test_base_point(self):
@@ -519,6 +600,17 @@ class TestPdCert:
         p = mk_pd(A, (X(F5), X(F5) + const(F5, 1)))
         cert = pd_cert(p)
         assert verify(cert)
+
+    def test_hand_built_point(self):
+        # PdPoint built directly, bypassing mk_pd's unimodularity check
+        F3 = GF(3)
+        x, one = X(F3), const(F3, 1)
+        # X^2 * 1 + (X + 1)(1 - X) = 1
+        good = PdPoint(F3, 2, x * x, (x + one, zero(F3)), (one, one - x, zero(F3)))
+        assert verify(pd_cert(good))
+        bad = PdPoint(F3, 2, x * x, (x, zero(F3)), (zero(F3),) * 3)
+        with pytest.raises(FieldError, match="unit ideal"):
+            pd_cert(bad)
 
     def test_rationals_unsupported(self):
         p = mk_pd(X(QQ), (const(QQ, 1), const(QQ, 1)))

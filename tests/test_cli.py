@@ -16,7 +16,7 @@ from p1h.fields import GF, QQ
 from p1h.poly import X, const
 from p1h.ratmap import PointedRat, UnpointedRat, mk_pointed, oplus, x_over
 
-from conftest import random_point
+from conftest import random_point, run_optimized
 
 
 class TestParser:
@@ -219,6 +219,34 @@ class TestCommands:
         t0 = time.perf_counter()
         code = main(["classify", "--unpointed", "--field", "F2305843009213693951", "X/3"])
         assert code == 0 and time.perf_counter() - t0 < 2.0
+
+    def test_unpointed_certificate_over_huge_prime_field(self, capsys, tmp_path):
+        import time
+
+        out = tmp_path / "u.json"
+        t0 = time.perf_counter()
+        argv = ["certify", "--unpointed", "--field", "F2305843009213693951"]
+        assert main(argv + ["X/3", "X/12", "--out", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_commands_under_optimize(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from p1h.cli import main\n"
+            "d = sys.argv[1]\n"
+            "runs = [\n"
+            "    ['certify', '--field', 'F5', 'X/1+X/1', 'X/2+X/3', '--out', d + '/p.json'],\n"
+            "    ['certify', '--unpointed', '--field', 'F5', 'X/1', 'X/4', '--out', d + '/u.json'],\n"
+            "    ['pd-certify', '--field', 'F3', 'X^2 ; X ; 1', '--out', d + '/pd.json'],\n"
+            "    ['verify', d + '/p.json'],\n"
+            "    ['verify', d + '/u.json'],\n"
+            "    ['verify', d + '/pd.json'],\n"
+            "]\n"
+            "print(*[main(argv) for argv in runs])\n"
+        )
+        out = run_optimized(script, str(tmp_path))
+        assert out.split()[-6:] == ["0"] * 6
 
     def test_huge_exponent_is_input_error(self, capsys):
         import time

@@ -11,6 +11,8 @@ from p1h.fields import GF, FieldError
 from p1h.poly import Poly, poly_divmod, poly_gcd
 from p1h.ratmap import mk_pointed
 
+from conftest import run_optimized
+
 
 class TestRawLayer:
     def test_raw_ops_match_poly(self, rng):
@@ -182,3 +184,13 @@ class TestUnpointedOracle:
     def test_f5_n1(self):
         rep = oc.unpointed_components(5, 1)
         assert rep.agreement and rep.components == 2
+
+    def test_rejected_edge_breaks_agreement_under_optimize(self):
+        script = (
+            "import p1h.certify\n"
+            "from p1h import oracle\n"
+            "p1h.certify.verify = lambda cert: False\n"
+            "rep = oracle.unpointed_components(3, 1)\n"
+            "print(rep.agreement, rep.edges_verified)\n"
+        )
+        assert run_optimized(script).split() == ["False", "0"]
