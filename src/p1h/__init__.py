@@ -44,6 +44,7 @@ from .ratmap import (
     normalize_unpointed,
     oplus,
     phi_n,
+    pointed_from_pair,
     poly_point,
     unpointed_of_pointed,
     x_over,

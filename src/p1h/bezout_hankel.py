@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import linalg
 from .fields import FieldError
 from .poly import Poly, PolyRing, bezout_pair, laurent_expand
-from .ratmap import PointedRat, mk_pointed, phi_n
+from .ratmap import PointedRat, phi_n, pointed_from_pair
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,11 @@ def psi_n(H: HankelMatrix, v) -> PointedRat:
         raise AssertionError(
             "internal inconsistency: gcd(A, V) != 1 for non-degenerate Hankel data"
         ) from exc
-    f = mk_pointed(A, B)
-    assert f.V == V and f.U == U
-    assert hankel_of(f).s == H.s
-    assert ring.is_zero(ring.sub(phi_n(f), v))
+    f = pointed_from_pair(A, B, U, V)
+    # V/A = s_1 X^{-1} + s_2 X^{-2} + ...: hankel_of(f) reads its first 2n-1
+    # terms and phi_n(f) is -s_{2n}, so one expansion checks both
+    t = laurent_expand(V, A, 2 * n)
+    assert t[:-1] == H.s and ring.is_zero(ring.add(t[-1], v))
     return f
 
 

@@ -48,13 +48,13 @@ from .ratmap import (
     UnpointedRat,
     cf_expand,
     elementary_path,
-    eval_path,
     identity_point,
     mk_pointed,
     monomial_sum,
     normalize_unpointed,
     oplus,
     path_of_point,
+    pointed_from_pair,
     poly_point,
     projective_normal,
     reflect,
@@ -282,17 +282,20 @@ def _normal_form_cert_cached(f: PointedRat):
     if f.n == 0:
         return (), Certificate("pointed", field, (), f, f)
     slots = [poly_point(P, b) for P, b in cf_expand(f)]
-    assert _fold(field, slots).A == f.A and _fold(field, slots).B == f.B
+    cur = _fold(field, slots)
+    assert cur.A == f.A and cur.B == f.B
     steps = []
 
     def push(i, G, new_slots_i):
-        src = _fold(field, slots)
+        nonlocal cur
         step = _embed(kt, slots[:i], G, slots[i + 1 :])
         slots[i : i + 1] = new_slots_i
         tgt = _fold(field, slots)
-        assert eval_path(step, 0).A == src.A and eval_path(step, 0).B == src.B
-        assert eval_path(step, 1).A == tgt.A and eval_path(step, 1).B == tgt.B
+        # step is a validated k[T]-point: its ends are points, compare coefficients
+        assert _coords("pointed", field, step, 0) == _coords("pointed", field, cur)
+        assert _coords("pointed", field, step, 1) == _coords("pointed", field, tgt)
         steps.append(step)
+        cur = tgt
 
     guard = 0
     while True:
@@ -314,18 +317,20 @@ def _normal_form_cert_cached(f: PointedRat):
                 ]
                 + [const(field, field.one)],
             )
-            G = mk_pointed(AT, const(kt, const(field, u)))
+            G = poly_point(AT, const(field, u))
             push(i, G, [poly_point(X(field).shift(d - 1), u)])
         else:
-            # X^d/u -> X^d/(X^{d-1} + u), then split off the lead
-            BT = Poly.make(
-                kt,
-                [const(field, u)]
-                + [zero(field)] * (d - 2)
-                + [Poly.make(field, [field.zero, field.one])],
-            )
-            G = mk_pointed(
-                Poly.make(kt, [zero(field)] * d + [const(field, field.one)]), BT
+            # X^d/u -> X^d/(X^{d-1} + u), then split off the lead.  The path
+            # B = u + T X^{d-1} has B V = 1 - (T/u)^2 X^{2d-2} = 1 mod X^d
+            # for V = 1/u - (T/u^2) X^{d-1}, so U = (T/u)^2 X^{d-2}.
+            T = Poly.make(field, [field.zero, field.one])
+            w = T.scale(field.inv(u))
+            pad = [zero(field)] * (d - 2)
+            G = pointed_from_pair(
+                Poly.make(kt, [zero(field)] * d + [const(field, field.one)]),
+                Poly.make(kt, [const(field, u)] + pad + [T]),
+                Poly.make(kt, pad + [w * w]),
+                Poly.make(kt, [const(field, field.inv(u))] + pad + [-w.scale(field.inv(u))]),
             )
             target = mk_pointed(
                 X(field).shift(d - 1),
@@ -338,12 +343,11 @@ def _normal_form_cert_cached(f: PointedRat):
         u = g.B.constant()
         if not field.is_zero(a):
             AT = Poly.make(kt, [_interp_scalar(kt, a, field.zero), const(field, field.one)])
-            G = mk_pointed(AT, const(kt, const(field, u)))
+            G = poly_point(AT, const(field, u))
             push(i, G, [x_over(field, u)])
+    # every slot is now X/u_i, so cur is the fold monomial_sum(units) computes
     units = tuple(g.B.constant() for g in slots)
-    target = monomial_sum(field, units)
-    cert = Certificate("pointed", field, tuple(steps), f, target)
-    return units, cert
+    return units, Certificate("pointed", field, tuple(steps), f, cur)
 
 
 def _interp_scalar(kt, a, b):
@@ -588,8 +592,9 @@ def lift_move_to_step(field, units, mv: DiagMove, kt=None):
     pair_src = monomial_sum(field, (a, b))
     after = apply_move(field, units, mv)
     pair_tgt = monomial_sum(field, (after[i], after[i + 1]))
-    assert eval_path(G, 0).A == pair_src.A and eval_path(G, 0).B == pair_src.B
-    assert eval_path(G, 1).A == pair_tgt.A and eval_path(G, 1).B == pair_tgt.B
+    # G is a validated k[T]-point: its ends are points, compare coefficients
+    assert _coords("pointed", field, G, 0) == _coords("pointed", field, pair_src)
+    assert _coords("pointed", field, G, 1) == _coords("pointed", field, pair_tgt)
     left = [x_over(field, u) for u in units[:i]]
     right = [x_over(field, u) for u in units[i + 2 :]]
     return _embed(kt, left, G, right), after
@@ -704,19 +709,22 @@ def _lambda_witness(field, r1, r2, n):
         ratio = field.div(r2, r1)
         if ratio <= 0:
             return None
-        lam = Fraction(1)
-        num = ratio.numerator
-        den = ratio.denominator
-        for p, e in factorize(num).items():
-            if e % (2 * n):
-                return None
-            lam *= Fraction(p) ** (e // (2 * n))
-        for p, e in factorize(den).items():
-            if e % (2 * n):
-                return None
-            lam /= Fraction(p) ** (e // (2 * n))
-        return lam
+        num = _int_root(ratio.numerator, 2 * n)
+        den = _int_root(ratio.denominator, 2 * n)
+        return None if num is None or den is None else Fraction(num, den)
     return _root_mod_p(field.div(r2, r1), 2 * n, field.p, field.generator())
+
+
+def _int_root(x: int, k: int):
+    """The positive integer r with r^k = x, for x >= 1, or None: Newton's
+    iteration on integers from 2^ceil(bits/k), which is at least the root,
+    falls to the floor of the k-th root."""
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r if r**k == x else None
+        r = s
 
 
 def _root_mod_p(c: int, m: int, p: int, g: int):

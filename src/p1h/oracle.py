@@ -14,6 +14,7 @@ the exact object level where the acceptance tests demand it.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
@@ -148,6 +149,12 @@ class EnumSpec:
         if self.target not in ("ratfun", "symmat", "pd"):
             raise FieldError(f"unknown oracle target {self.target}")
         GF(self.q)  # primality check
+        if self.n < 0 or (self.D is not None and self.D < 0):
+            raise FieldError("the degree n and the T-degree D must be >= 0")
+        if self.d < 1:
+            raise FieldError("the target dimension d must be >= 1")
+        if self.target == "pd" and self.d < 2:
+            raise FieldError("maps to P^d need d >= 2")
         object.__setattr__(self, "D", self.depth)
         if self.work_estimate() > _WORK_CAP:
             raise FieldError(
@@ -159,18 +166,26 @@ class EnumSpec:
         return self.n if self.D is None else self.D
 
     def work_estimate(self) -> float:
+        """The number of candidates enumerate_edges walks (inf when it is
+        beyond the float range)."""
         q, n, D = self.q, self.n, self.depth
+        if self.target == "ratfun" and n == 2:
+            # structured solver: outer loop over (b0, b1), inner over the
+            # bounded homogeneous parameter
+            return _qpow(q, 3 * (D + 1), q - 1)
         if self.target == "ratfun":
-            if n <= 1:
-                return float(q ** (2 * (D + 1)))
-            if n == 2:
-                # structured solver: outer loop over (b0, b1), inner over the
-                # bounded homogeneous parameter
-                return float(q ** (2 * (D + 1)) * (q - 1) * q ** (D + 1))
-            return float(q ** (2 * n * (D + 1)))
-        if self.target == "symmat":
-            return float(q ** (n * (n + 1) // 2 * (D + 1)))
-        return float(q ** (3 * n * (D + 1)))
+            e = 2 * max(n, 1) * (D + 1)
+        elif self.target == "symmat":
+            e = n * (n + 1) // 2 * (D + 1)
+        else:  # pd: (A, B_1, ..., B_d), (d+1) n coefficients of T-degree <= D
+            e = (self.d + 1) * n * (D + 1)
+        return _qpow(q, e)
+
+
+def _qpow(q: int, e: int, times: int = 1) -> float:
+    """times * q^e as a float, or inf when q^e is beyond 2^1000; never builds
+    a huge integer."""
+    return float(times * q**e) if e * math.log2(q) < 1000 else math.inf
 
 
 @dataclass

@@ -24,7 +24,14 @@ class Poly:
 
     @staticmethod
     def make(ring, coeffs: Iterable) -> "Poly":
-        cs = [ring.coerce(c) for c in coeffs]
+        """The boundary constructor: coerces every coefficient into the ring
+        (parsing, JSON loading, map_coeffs), then trims."""
+        return Poly.trimmed(ring, [ring.coerce(c) for c in coeffs])
+
+    @staticmethod
+    def trimmed(ring, cs: list) -> "Poly":
+        """A list of ring elements, trailing zeros dropped; for arithmetic,
+        whose results are ring elements already."""
         while cs and ring.is_zero(cs[-1]):
             cs.pop()
         return Poly(ring, tuple(cs))
@@ -67,10 +74,15 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = R.add(out[i], c)
-        return Poly.make(R, out)
+        return Poly.trimmed(R, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        R = self.ring
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [R.zero] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = R.sub(out[i], c)
+        return Poly.trimmed(R, out)
 
     def __neg__(self) -> "Poly":
         R = self.ring
@@ -87,12 +99,12 @@ class Poly:
                 continue
             for j, bj in enumerate(b):
                 out[i + j] = R.add(out[i + j], R.mul(ai, bj))
-        return Poly.make(R, out)
+        return Poly.trimmed(R, out)
 
     def scale(self, c) -> "Poly":
         R = self.ring
         c = R.coerce(c)
-        return Poly.make(R, [R.mul(c, x) for x in self.coeffs])
+        return Poly.trimmed(R, [R.mul(c, x) for x in self.coeffs])
 
     def shift(self, k: int) -> "Poly":
         """Multiply by X^k."""
@@ -274,7 +286,7 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         q[i] = factor
         for j, bc in enumerate(b.coeffs):
             rem[i + j] = R.sub(rem[i + j], R.mul(factor, bc))
-    return Poly.make(R, q), Poly.make(R, rem[:db])
+    return Poly.trimmed(R, q), Poly.trimmed(R, rem[:db])
 
 
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
@@ -338,13 +350,13 @@ def resultant_nn(a: Poly, b: Poly, n: int):
     if n == 0:
         return a.ring.one
     if a.degree == n and a.is_monic():
-        return _res_monic(a, b, n)
+        return linalg.det(a.ring, _mult_matrix(a, b, n))
     return linalg.det(a.ring, sylvester_nn(a, b, n))
 
 
-def _res_monic(a: Poly, b: Poly, n: int):
-    R = a.ring
-    # Columns: X^j * b reduced modulo a, on the basis 1, X, ..., X^{n-1}.
+def _mult_matrix(a: Poly, b: Poly, n: int):
+    """Multiplication by b on R[X]/(a), a monic of degree n: column j holds
+    X^j * b reduced modulo a, on the basis 1, X, ..., X^{n-1}."""
     cols = []
     cur = b
     if cur.degree == n:  # padded formal degree: reduce before starting
@@ -355,8 +367,7 @@ def _res_monic(a: Poly, b: Poly, n: int):
         if cur.degree == n:
             lead = cur.coeff(n)
             cur = cur - a.scale(lead)
-    M = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return linalg.det(R, M)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def bezout_pair(A: Poly, B: Poly) -> tuple[Poly, Poly]:
@@ -364,9 +375,9 @@ def bezout_pair(A: Poly, B: Poly) -> tuple[Poly, Poly]:
 
     A must be monic of degree n >= 1 with deg B < n and res_{n,n}(A, B) a
     unit; raises FieldError otherwise.  Over a field this runs through the
-    extended Euclidean algorithm; over k[T] the coefficients solve a
-    Sylvester-type linear system by Cramer's rule (the determinant is the
-    resultant, a nonzero constant, so every division is exact).
+    extended Euclidean algorithm; over k[T] V = 1/B modulo A solves the
+    n x n system of multiplication by B by Cramer's rule (the determinant is
+    the resultant, a nonzero constant, so every division is exact).
     """
     R = A.ring
     n = A.degree
@@ -388,26 +399,16 @@ def bezout_pair(A: Poly, B: Poly) -> tuple[Poly, Poly]:
 
 def _bezout_pair_kt(A: Poly, B: Poly, n: int) -> tuple[Poly, Poly]:
     R = A.ring
-    # Unknowns u_0..u_{n-2}, v_0..v_{n-1}; equations: coefficients of
-    # X^0..X^{2n-2} in A*U + B*V = 1.
-    size = 2 * n - 1
-    M = [[R.zero] * size for _ in range(size)]
-    for j in range(n - 1):  # columns for U
-        for i in range(n + 1):
-            if j + i < size:
-                M[j + i][j] = A.coeff(i)
-    for j in range(n):  # columns for V
-        for i in range(n):
-            if j + i < size:
-                M[j + i][n - 1 + j] = B.coeff(i)
-    rhs = [R.one] + [R.zero] * (size - 1)
+    # V = 1/B modulo A: the n x n system (multiplication by B) v = e_0, whose
+    # determinant is the resultant; then U = (1 - B V)/A exactly.
+    rhs = [R.one] + [R.zero] * (n - 1)
     try:
-        sol = linalg.solve_cramer(R, M, rhs)
+        sol = linalg.solve_cramer(R, _mult_matrix(A, B, n), rhs)
     except (ZeroDivisionError, FieldError) as exc:
         raise FieldError("not coprime / not a point of F_n") from exc
-    U = Poly.make(R, sol[: n - 1])
-    V = Poly.make(R, sol[n - 1 :])
-    assert (A * U + B * V - const(R, R.one)).is_zero()
+    V = Poly.make(R, sol)
+    U, rem = poly_divmod(const(R, R.one) - B * V, A)
+    assert rem.is_zero()
     return U, V
 
 

@@ -97,9 +97,7 @@ def mk_pointed(A: Poly, B: Poly) -> PointedRat:
         return PointedRat(ring, A, B, const(ring, ring.one), zero(ring), ring.one)
     res = resultant_nn(A, B, n)
     if not _unit_resultant(ring, res):
-        if isinstance(ring, PolyRing):
-            raise RejectedPath(res)
-        raise RejectedPoint(res)
+        _reject(ring, res)
     U, V = bezout_pair(A, B)
     return PointedRat(ring, A, B, U, V, res)
 
@@ -108,14 +106,63 @@ def _is_one(p: Poly) -> bool:
     return p.degree == 0 and p.ring.is_zero(p.ring.sub(p.coeffs[0], p.ring.one))
 
 
+def _reject(ring, res):
+    if isinstance(ring, PolyRing):
+        raise RejectedPath(res)
+    raise RejectedPoint(res)
+
+
+def pointed_from_pair(A: Poly, B: Poly, U: Poly, V: Poly) -> PointedRat:
+    """Build a point from a known Bezout pair, checking it rather than solving.
+
+    With A monic of degree n >= 1, deg B < n, deg U <= n-2, deg V <= n-1 and
+    A U + B V = 1, B is a unit modulo A with inverse V, so (U, V) is the
+    unique Bezout pair and res_{n,n}(A, B) = det(B mod A) is a unit.  Over
+    k[T] a unit is a constant, and reduction modulo a monic A commutes with
+    T -> 0, so res is the n x n resultant over k of the T = 0 specialisation.
+    Raises FieldError when any of these conditions fails.
+    """
+    ring = A.ring
+    if not (B.ring == U.ring == V.ring == ring):
+        raise FieldError("Bezout pair over different rings")
+    n = A.degree
+    if n < 1 or not A.is_monic():
+        raise FieldError("numerator must be monic of degree >= 1")
+    if B.degree >= n or U.degree > n - 2 or V.degree > n - 1:
+        raise FieldError("Bezout pair degree bounds violated")
+    if (A * U + B * V).coeffs != (ring.one,):
+        raise FieldError("A U + B V != 1: not a Bezout pair")
+    if isinstance(ring, PolyRing):
+        base = ring.base
+        at0 = lambda P: Poly.trimmed(base, [c.constant() for c in P.coeffs])
+        res = const(base, resultant_nn(at0(A), at0(B), n))
+    else:
+        res = resultant_nn(A, B, n)
+    return PointedRat(ring, A, B, U, V, res)
+
+
 def identity_point(ring) -> PointedRat:
     """The unique degree-0 point 1/0, the unit for the addition law."""
     return mk_pointed(const(ring, ring.one), zero(ring))
 
 
 def poly_point(P: Poly, b) -> PointedRat:
-    """The polynomial function P/b (P monic, b a unit)."""
-    return mk_pointed(P, const(P.ring, b))
+    """The polynomial function P/b (P monic, b a unit), in closed form:
+    U = 0, V = 1/b and res = b^n."""
+    ring = P.ring
+    n = P.degree
+    if n < 1:
+        return mk_pointed(P, const(ring, b))
+    if not P.is_monic():
+        raise FieldError("numerator must be monic")
+    B = const(ring, b)
+    b = B.constant()
+    res = ring.one
+    for _ in range(n):
+        res = ring.mul(res, b)
+    if not _unit_resultant(ring, res):
+        _reject(ring, res)
+    return PointedRat(ring, P, B, zero(ring), const(ring, ring.inv(b)), res)
 
 
 def x_over(ring, u) -> PointedRat:
@@ -133,31 +180,30 @@ def monomial_sum(ring, units) -> PointedRat:
 def oplus(f: PointedRat, g: PointedRat) -> PointedRat:
     """The graded addition: multiply the attached 2x2 unimodular matrices.
 
-    The Bezout pair of the result is read off the product matrix rather than
-    recomputed; an assertion checks it against the (unique) recomputed pair.
+    The Bezout pair of the result is read off the product matrix, and
+    `pointed_from_pair` checks that it is one (which makes it the unique
+    pair); the resultant must equal the multiplicative twist of the two.
     """
     if f.ring != g.ring:
         raise FieldError("oplus over different rings")
+    # the only degree-0 point is 1/0, whose matrix is the identity
+    if f.n == 0:
+        return g
+    if g.n == 0:
+        return f
     ring = f.ring
     A3 = f.A * g.A - f.V * g.B
     B3 = f.B * g.A + f.U * g.B
     V3 = f.A * g.V + f.V * g.U
     U3 = f.U * g.U - f.B * g.V
-    n3 = f.n + g.n
-    assert A3.degree == n3 and A3.is_monic()
-    assert B3.degree < n3 or B3.is_zero()
-    one = const(ring, ring.one)
-    assert (A3 * U3 + B3 * V3 - one).is_zero(), "determinant drifted from 1"
+    out = pointed_from_pair(A3, B3, U3, V3)
     # det of the Bezout form is multiplicative; res twists by (-1)^{n1 n2}
     res3 = ring.mul(f.res, g.res)
     if (f.n * g.n) % 2:
         res3 = ring.neg(res3)
-    if n3 > 0:
-        assert ring.is_zero(ring.sub(resultant_nn(A3, B3, n3), res3))
-    if n3 > 0:
-        U_check, V_check = bezout_pair(A3, B3)
-        assert U_check == U3 and V_check == V3, "Bezout pair not the unique one"
-    return PointedRat(ring, A3, B3, U3, V3, res3)
+    if out.n != f.n + g.n or not ring.is_zero(ring.sub(out.res, res3)):
+        raise FieldError("oplus: degree or resultant is not that of the summands")
+    return out
 
 
 @dataclass(frozen=True)

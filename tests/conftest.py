@@ -132,15 +132,27 @@ def random_point(field, n, rng):
             continue
 
 
-def run_optimized(script, *args):
-    """stdout of `python -O -c script args...` with this p1h importable;
-    -O strips asserts, so checks that carry guarantees must not be one."""
+def solved_twin(f):
+    """f's (A, B, U, V, res) and those of the point mk_pointed solves from
+    (f.A, f.B) alone: equal when f was built from the right Bezout pair."""
+    g = mk_pointed(f.A, f.B)
+    return (f.A, f.B, f.U, f.V, f.res), (g.A, g.B, g.U, g.V, g.res)
+
+
+def p1h_env():
+    """The environment with this p1h first on PYTHONPATH, for subprocesses."""
     src = os.path.dirname(os.path.dirname(p1h.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_optimized(script, *args):
+    """stdout of `python -O -c script args...` with this p1h importable;
+    -O strips asserts, so checks that carry guarantees must not be one."""
     return subprocess.run(
         [sys.executable, "-O", "-c", script, *args],
-        capture_output=True, text=True, env=env, check=True, timeout=120,
+        capture_output=True, text=True, env=p1h_env(), check=True, timeout=120,
     ).stdout
 
 

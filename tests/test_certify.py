@@ -29,7 +29,8 @@ from p1h.certify import (
     verify,
 )
 from p1h.classify import PdPoint, mk_pd, pointed_invariant, unpointed_invariant
-from p1h.fields import GF, QQ, FieldError, factorize
+from p1h.fields import GF, QQ, FieldError, factorize, is_prime
+from p1h.bezout_hankel import SymMatrix
 from p1h.poly import Poly, PolyRing, X, const, poly_divmod, poly_gcd, zero
 from p1h.quadform import REAL_PLACE, hilbert_symbol
 from p1h.ratmap import (
@@ -45,7 +46,7 @@ from p1h.ratmap import (
     x_over,
 )
 
-from conftest import all_points, dlog, random_point
+from conftest import all_points, dlog, random_point, solved_twin
 
 
 class TestNormalForm:
@@ -413,7 +414,7 @@ class TestVerify:
         u2 = mk_unpointed(F3, [0, 1, 2], [1, 1, 2])
         calls = Counter()
         for module, name in ((ratmap, "bezout_pair"), (ratmap, "resultant_nn"),
-                             (certify, "resultant_nn"), (certify, "eval_path")):
+                             (certify, "resultant_nn"), (ratmap, "eval_path")):
             def spy(*args, _orig=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _orig(*args)
@@ -502,6 +503,123 @@ class TestUnpointedConnect:
                         assert r1 * pow(lam, 2 * n, p) % p == r2
                     else:
                         assert lam is None
+
+
+class TestLambdaWitnessQ:
+    @staticmethod
+    def _by_factoring(ratio, n):
+        """The witness from the prime factorizations of ratio's parts."""
+        lam = Fraction(1)
+        for part, sign in ((ratio.numerator, 1), (ratio.denominator, -1)):
+            for p, e in factorize(part).items():
+                if e % (2 * n):
+                    return None
+                lam *= Fraction(p) ** (sign * (e // (2 * n)))
+        return lam
+
+    def test_agrees_with_factoring(self, rng):
+        for _ in range(500):
+            n = rng.randrange(1, 4)
+            base = Fraction(rng.randrange(1, 40), rng.randrange(1, 40))
+            extra = Fraction(rng.choice([1, 1, 2, 3, 4, 9, 12]), rng.choice([1, 1, 2, 4, 8]))
+            r1 = Fraction(rng.choice([1, -1]) * rng.randrange(1, 30), rng.randrange(1, 30))
+            r2 = r1 * base ** (2 * n) * extra * rng.choice([1, 1, 1, -1])
+            lam = _lambda_witness(QQ, r1, r2, n)
+            assert lam == (None if r2 / r1 < 0 else self._by_factoring(r2 / r1, n))
+            if lam is not None:
+                assert lam > 0 and r1 * lam ** (2 * n) == r2
+
+    def test_none_on_non_powers(self):
+        assert _lambda_witness(QQ, Fraction(1), Fraction(2), 1) is None
+        assert _lambda_witness(QQ, Fraction(1), Fraction(4, 3), 1) is None
+        assert _lambda_witness(QQ, Fraction(1), Fraction(16), 2) == 2
+        assert _lambda_witness(QQ, Fraction(1), Fraction(8), 2) is None
+        assert _lambda_witness(QQ, Fraction(3), Fraction(-3), 1) is None
+        assert _lambda_witness(QQ, Fraction(2), Fraction(2 * (10**20 + 1) ** 2), 1) == 10**20 + 1
+
+    def test_large_prime_powers_need_no_factoring(self, monkeypatch):
+        import time
+
+        from p1h import certify
+
+        p = next(x for x in range(10**11 + 12345, 10**12) if is_prime(x))
+        q = next(x for x in range(3 * 10**11 + 6789, 10**12) if is_prime(x))
+        monkeypatch.setattr(certify, "factorize", lambda m: pytest.fail("factorize called"))
+        for n in (1, 2, 3):
+            t0 = time.perf_counter()
+            assert _lambda_witness(QQ, Fraction(5), Fraction(5 * (p * q) ** (2 * n), q ** (2 * n)), n) == p
+            assert _lambda_witness(QQ, Fraction(1), Fraction((p * q) ** (2 * n) * 2), n) is None
+            assert time.perf_counter() - t0 < 0.1
+
+
+class TestGeneratedStepsAreSolvedPoints:
+    @pytest.mark.parametrize("field", (GF(3), GF(5), GF(101), QQ), ids=str)
+    def test_normal_form_and_lift_steps(self, field, rng):
+        steps = []
+        for _ in range(5):
+            f = random_point(field, rng.randrange(2, 4), rng)
+            us, cert = normal_form_cert(f)
+            steps += cert.steps
+            # one move (u_0, u_1) -> (c, u_0 u_1 / c) with c = u_0 x^2 + u_1 y^2
+            x, y = field.coerce(rng.randrange(1, 4)), field.coerce(rng.randrange(1, 4))
+            c = field.add(field.mul(us[0], field.mul(x, x)), field.mul(us[1], field.mul(y, y)))
+            if field.is_zero(c):
+                continue
+            move = DiagMove(0, c, x, y)
+            steps += lift_chain_to_cert(field, us, (move,)).steps
+        assert len(steps) > 5
+        for step in steps:
+            got, solved = solved_twin(step)
+            assert got == solved
+
+    @pytest.mark.parametrize("field", (GF(3), GF(5), GF(101), QQ), ids=str)
+    def test_f2_iso_inv_paths(self, field, rng):
+        from p1h.bezout_hankel import f2_iso_inv
+        from p1h.quadform import oplog_to_path
+
+        kt = PolyRing(field)
+        for _ in range(4):
+            a, b = (field.coerce(rng.choice([1, 2, -1, -2])) for _ in range(2))
+            x = field.coerce(rng.randrange(-3, 4))
+            S = oplog_to_path(SymMatrix.diagonal(field, (a, b)), [("add", 0, 1, x)])
+            for t in (kt.zero, Poly.make(field, [rng.randrange(-3, 4), 1])):
+                G = f2_iso_inv(S, t)
+                got, solved = solved_twin(G)
+                assert got == solved
+
+
+class TestGenerationSolvesOnce:
+    def test_connect_solves_only_in_psi(self, monkeypatch):
+        """connect builds its k[T] points from pairs in hand: the only k[T]
+        Bezout solve is psi_n's, and no endpoint is rebuilt by eval_path."""
+        from collections import Counter
+
+        from p1h import bezout_hankel, certify, ratmap
+
+        F5 = GF(5)
+        f = mk_pointed(Poly.make(F5, [1, 4, 4, 1]), Poly.make(F5, [1, 2, 4]))
+        g = mk_pointed(Poly.make(F5, [3, 3, 3, 1]), Poly.make(F5, [4, 3, 1]))
+        calls = Counter()
+        for module in (ratmap, bezout_hankel):
+            def spy(A, B, _orig=module.bezout_pair):
+                calls["kt_pair" if isinstance(A.ring, PolyRing) else "pair"] += 1
+                return _orig(A, B)
+
+            monkeypatch.setattr(module, "bezout_pair", spy)
+        psi = bezout_hankel.psi_n
+        monkeypatch.setattr(bezout_hankel, "psi_n", lambda *a: calls.update(["psi"]) or psi(*a))
+        evp = ratmap.eval_path
+        spy_eval = lambda *a: calls.update(["eval_path"]) or evp(*a)
+        monkeypatch.setattr(ratmap, "eval_path", spy_eval)
+        monkeypatch.setattr(certify, "eval_path", spy_eval, raising=False)
+        for cache in (certify._normal_form_cert_cached, certify._diag_chain_cached,
+                      certify._lift_chain_cached):
+            cache.cache_clear()
+        cert = connect(f, g)
+        assert len(diag_chain(F5, normal_form_cert(f)[0], normal_form_cert(g)[0])) == 2
+        assert calls["psi"] == 2
+        assert calls["kt_pair"] == calls["psi"] and calls["eval_path"] == 0
+        assert verify(cert)
 
 
 def _random_pd_point(field, d, rng):

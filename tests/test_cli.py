@@ -16,7 +16,7 @@ from p1h.fields import GF, QQ
 from p1h.poly import X, const
 from p1h.ratmap import PointedRat, UnpointedRat, mk_pointed, oplus, x_over
 
-from conftest import random_point, run_optimized
+from conftest import p1h_env, random_point, run_optimized
 
 
 class TestParser:
@@ -194,6 +194,31 @@ class TestCommands:
         assert main(["oracle", "--field", "F3", "--n", "1", "--D", "1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["components"] == 2 and payload["agreement"] is True
+
+    @pytest.mark.parametrize(
+        "extra", [["--d", "3"], ["--d", "-1"], ["--d", "1"], ["--n", "-1"], ["--D", "-1"]]
+    )
+    def test_oracle_bad_parameters_are_input_errors(self, extra, capsys):
+        import time
+
+        args = {"--n": "2", "--D": "1", "--d": "2"}
+        args.update(zip(extra[::2], extra[1::2]))
+        argv = ["oracle", "--field", "F3", "--target", "pd"]
+        t0 = time.perf_counter()
+        assert main(argv + [x for kv in args.items() for x in kv]) == 2
+        assert time.perf_counter() - t0 < 2.0
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_python_dash_m(self):
+        import subprocess
+        import sys
+
+        out = subprocess.run(
+            [sys.executable, "-m", "p1h", "classify", "--field", "F5", "X/1"],
+            capture_output=True, text=True, env=p1h_env(), timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["degree"] == 1
 
     def test_pd_commands(self, tmp_path, capsys):
         assert main(["pd-equiv", "--field", "Q", "X^2 ; 1 ; 1", "X^2+1 ; X ; 1"]) == 0

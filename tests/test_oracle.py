@@ -76,6 +76,42 @@ class TestEnumeration:
         with pytest.raises(FieldError, match="oversize"):
             oc.EnumSpec(q=5, n=3, D=3)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(n=-1), dict(n=2, D=-1), dict(n=-1, D=1), dict(n=2, target="pd", d=-1),
+         dict(n=2, d=0), dict(n=2, target="pd", d=1)],
+    )
+    def test_invalid_parameters_rejected(self, kw):
+        with pytest.raises(FieldError, match=">= "):
+            oc.EnumSpec(q=3, **kw)
+
+    def test_pd_estimate_counts_d(self):
+        # d = 3 at q = 3, n = 2, D = 1 walks 9^8 = 4.3e7 candidates: over the cap
+        with pytest.raises(FieldError, match="oversize"):
+            oc.EnumSpec(q=3, n=2, D=1, target="pd", d=3)
+        assert oc.EnumSpec(q=3, n=2, D=1, target="pd", d=2).work_estimate() == 9.0**6
+
+    @pytest.mark.parametrize("q,n,D", [(2, 1, 1), (2, 2, 1), (3, 1, 2)])
+    def test_pd_estimate_is_the_edge_enumeration_total(self, q, n, D, monkeypatch):
+        totals = []
+        monkeypatch.setattr(oc, "_chunks", lambda total, workers: totals.append(total) or [])
+        for d in (2, 3, 4):
+            spec = oc.EnumSpec(q=q, n=n, D=D, target="pd", d=d)
+            assert oc.enumerate_edges(spec) == set()
+            assert totals[-1] == spec.work_estimate()
+        assert len(totals) == 3
+
+    def test_construction_enumerates_nothing(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("enumeration started")
+
+        for name in ("_rpolys", "enumerate_points", "enumerate_edges", "_chunks"):
+            monkeypatch.setattr(oc, name, boom)
+        for target in ("ratfun", "symmat", "pd"):
+            oc.EnumSpec(q=3, n=2, D=1, target=target)
+        with pytest.raises(FieldError, match="oversize"):
+            oc.EnumSpec(q=3, n=10**9, target="pd")
+
     def test_points_are_valid_objects(self):
         spec = oc.EnumSpec(q=3, n=2, D=1)
         for enc in oc.enumerate_points(spec):

@@ -23,6 +23,7 @@ from p1h.ratmap import (
     normalize_unpointed,
     oplus,
     phi_n,
+    pointed_from_pair,
     poly_point,
     reverse_path,
     sl2_elementary_factors,
@@ -30,7 +31,7 @@ from p1h.ratmap import (
     x_over,
 )
 
-from conftest import all_points, random_point
+from conftest import all_points, random_point, run_optimized, solved_twin
 
 
 def _kt_point(field, avecs, bvecs):
@@ -63,6 +64,93 @@ class TestMkPointed:
     def test_degree_zero_point(self):
         e = identity_point(QQ)
         assert e.n == 0 and e.res == 1
+
+
+FIELDS = (GF(3), GF(5), GF(101), QQ)
+
+
+def _random_path(field, n, rng):
+    """A random k[T] polynomial point P/b: P monic with T-linear coefficients."""
+    kt = PolyRing(field)
+    while True:
+        coeffs = [Poly.make(field, [rng.randrange(-3, 4), rng.randrange(-3, 4)]) for _ in range(n)]
+        b = field.coerce(rng.randrange(-3, 4))
+        if not field.is_zero(b):
+            return poly_point(Poly.make(kt, coeffs + [field.one]), b)
+
+
+class TestPointedFromPair:
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_oplus_and_poly_point_match_mk_pointed(self, field, rng):
+        for _ in range(12):
+            f = random_point(field, rng.randrange(0, 4), rng)
+            g = random_point(field, rng.randrange(1, 4), rng)
+            P = Poly.make(field, [rng.randrange(-4, 5) for _ in range(rng.randrange(1, 5))] + [1])
+            b = field.coerce(rng.choice([1, 2, -1, -2]))
+            for h in (oplus(f, g), oplus(g, f), poly_point(P, b)):
+                got, solved = solved_twin(h)
+                assert got == solved
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_path_sums_match_mk_pointed(self, field, rng):
+        for _ in range(4):
+            F = _random_path(field, rng.randrange(1, 3), rng)
+            G = _random_path(field, rng.randrange(1, 3), rng)
+            for H in (F, oplus(F, G), oplus(oplus(G, F), G)):
+                got, solved = solved_twin(H)
+                assert got == solved
+                assert H.res.is_constant()
+
+    def test_poly_point_rejects_as_mk_pointed(self):
+        kt = PolyRing(GF(5))
+        T = Poly.make(GF(5), [0, 1])
+        for P, b in ((X(QQ), 0), (X(kt), T), (X(kt), kt.zero)):
+            with pytest.raises(RejectedPoint) as got:
+                poly_point(P, b)
+            with pytest.raises(RejectedPoint) as want:
+                mk_pointed(P, const(P.ring, b))
+            assert type(got.value) is type(want.value)
+            assert got.value.resultant == want.value.resultant
+        with pytest.raises(FieldError, match="monic"):
+            poly_point(X(QQ).scale(2), 1)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_tampered_pairs_raise(self, field, rng):
+        for _ in range(10):
+            f = random_point(field, rng.randrange(2, 5), rng)
+            assert pointed_from_pair(f.A, f.B, f.U, f.V) == f
+            for name, bound in (("U", f.n - 2), ("V", f.n - 1)):
+                cs = [getattr(f, name).coeff(j) for j in range(bound + 1)]
+                i = rng.randrange(bound + 1)
+                cs[i] = field.add(cs[i], field.one)
+                pair = {"U": f.U, "V": f.V, name: Poly.make(field, cs)}
+                with pytest.raises(FieldError, match="Bezout"):
+                    pointed_from_pair(f.A, f.B, pair["U"], pair["V"])
+            # U + B c, V - A c keeps A U + B V = 1 but leaves the degree bounds
+            c = Poly.make(field, [rng.randrange(1, 3)])
+            with pytest.raises(FieldError, match="degree bounds"):
+                pointed_from_pair(f.A, f.B, f.U + f.B * c, f.V - f.A * c)
+            with pytest.raises(FieldError):
+                pointed_from_pair(f.A.scale(2), f.B, f.U, f.V)
+
+    def test_checks_survive_optimize(self):
+        script = (
+            "from p1h.fields import GF, FieldError\n"
+            "from p1h.poly import Poly\n"
+            "from p1h.ratmap import mk_pointed, pointed_from_pair\n"
+            "F = GF(5)\n"
+            "f = mk_pointed(Poly.make(F, [1, 4, 4, 1]), Poly.make(F, [1, 2, 4]))\n"
+            "one, x = Poly.make(F, [1]), Poly.make(F, [0, 1])\n"
+            "print(pointed_from_pair(f.A, f.B, f.U, f.V) == f)\n"
+            "for args in ((f.A, f.B, f.U, f.V + one), (f.A, f.B, f.U + x, f.V),\n"
+            "             (f.A, f.B, f.U + f.B, f.V - f.A)):\n"
+            "    try:\n"
+            "        pointed_from_pair(*args)\n"
+            "        print('accepted')\n"
+            "    except FieldError:\n"
+            "        print('refused')\n"
+        )
+        assert run_optimized(script).split() == ["True", "refused", "refused", "refused"]
 
 
 class TestOplus:
