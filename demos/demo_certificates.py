@@ -9,6 +9,7 @@ import json
 
 from p1h import GF, QQ, connect, normal_form_cert, parse_ratfun, verify
 from p1h.certify import reverse_certificate
+from p1h.expr import parse_ratfun_sum
 from p1h.ratmap import eval_path
 from p1h.serial import certificate_to_json
 
@@ -40,6 +41,13 @@ def main():
     payload = certificate_to_json(chain)
     blob = json.dumps(payload, sort_keys=True)
     print(f"certificate JSON is {len(blob)} bytes; first 120: {blob[:120]}...")
+    print()
+
+    print("== over Q the diagonal chain is constructed at every degree ==")
+    f4 = parse_ratfun_sum("X/-7+X/(1/2)+X/-1+X/13", QQ)
+    g4 = parse_ratfun_sum("X/5+X/-1+X/2+X/(-91/20)", QQ)
+    chain4 = connect(f4, g4)
+    print(f"degree 4 over Q: {len(chain4.steps)} steps; verified: {verify(chain4)}")
     print()
 
     print("== a non-equivalence is reported with the differing invariant ==")

@@ -9,6 +9,7 @@ re-verify a serialized certificate without trusting its generator.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +43,7 @@ from .poly import (
     resultant_nn,
     zero,
 )
-from .quadform import _sqrt_exact, oplog_to_path, stable_equal
+from .quadform import _sqrt_exact, is_isotropic, isotropic_at, oplog_to_path, stable_equal
 from .ratmap import (
     PointedRat,
     UnpointedRat,
@@ -65,7 +66,9 @@ from .ratmap import (
 
 
 class Exhausted:
-    """Search budget exhausted; the decision stands but no certificate."""
+    """A decision without a certificate.  No certificate path returns it
+    any more (diagonal chains are constructed at every degree); it stays
+    defined for callers that still compare results with it."""
 
     def __repr__(self):
         return "Exhausted"
@@ -471,25 +474,22 @@ def _sqrt_mod_squarefree(a: int, m: int):
     return t - m if 2 * t > m else t
 
 
-def diag_chain(field, us, vs, budget: int = 64):
-    """A chain of elementary SL_2 moves from us to vs, or EXHAUSTED.
+def diag_chain(field, us, vs):
+    """A chain of elementary SL_2 moves from us to vs.
 
     One left-to-right sweep: where position i differs from vs, the move
-    (u_i, u_i+1) -> (v_i, u_i u_i+1 / v_i) fixes it, and the equal
-    products fix the last entry, so the chain has at most n - 1 moves.
-    Each move's witness comes from _represent.  Over F_p every binary form
-    represents every unit, so the sweep always succeeds.  Over Q the last
-    move always exists when the forms are isometric (Witt cancellation);
-    an earlier one can fail at n >= 3, and then the rest of the chain is a
-    breadth-first search of at most `budget` expansions over rescalings,
-    swaps and Witt combinations.
+    (u_i, u_i+1) -> (v_i, u_i u_i+1 / v_i), witnessed by _represent, fixes
+    it, and the equal products fix the last entry.  Over F_p every binary
+    form represents every unit, so at most n - 1 moves.  Over Q that move
+    can fail to exist when n >= 3; a placement step (_place) then brings v_i
+    within reach by moves further right, at most n - 1 - i moves per
+    position and n(n-1)/2 in all.  Non-isometric forms raise FieldError.
     """
-    out = _diag_chain_cached(field, tuple(us), tuple(vs), budget)
-    return out if out is EXHAUSTED else list(out)
+    return list(_diag_chain_cached(field, tuple(us), tuple(vs)))
 
 
 @lru_cache(maxsize=65536)
-def _diag_chain_cached(field, us, vs, budget):
+def _diag_chain_cached(field, us, vs):
     n = len(us)
     if us == vs:
         return ()
@@ -509,68 +509,70 @@ def _diag_chain_cached(field, us, vs, budget):
             continue
         w = _represent(field, cur[i], cur[i + 1], vs[i])
         if w is None:
-            rest = _diag_chain_q(field, cur, vs, budget)
-            return rest if rest is EXHAUSTED else tuple(moves) + tuple(rest)
+            placed, cur = _place(field, cur, i, vs[i])
+            moves += placed
+            w = _represent(field, cur[i], cur[i + 1], vs[i])
+            if w is None:
+                raise FieldError(f"placement left <{cur[i]}, {cur[i + 1]}> without {vs[i]}")
         mv = DiagMove(i, vs[i], w[0], w[1])
         moves.append(mv)
         cur = apply_move(field, cur, mv)
     return tuple(moves)
 
 
-def _diag_chain_q(field, us, vs, budget):
-    from collections import deque
+def _place(field, cur, i, v):
+    """The moves at positions > i after which <cur_i, cur_i+1> represents
+    v, and the tuple they reach, for diagonal forms over Q with
+    <cur_i, ..., cur_n> representing v.
 
-    def candidates(state, i):
-        a, b = state[i], state[i + 1]
-        outs = []
-        s = field.add(a, b)
-        if not field.is_zero(s):
-            outs.append(s)
-        outs.append(b)
-        for tgt in vs:
-            outs.append(tgt)
-        for lam in (2, 3, 5):
-            for tgt in (vs[i], vs[i + 1]):
-                outs.append(field.mul(tgt, Fraction(lam * lam)))
-                outs.append(field.mul(tgt, Fraction(1, lam * lam)))
-        seen = []
-        for c in outs:
-            if not field.is_zero(c) and c not in seen:
-                seen.append(c)
-        return seen
-
-    frontier = deque([us])
-    parent = {us: None}
-    expansions = 0
-    while frontier and expansions < budget:
-        state = frontier.popleft()
-        if state == vs:
-            break
-        expansions += 1
-        for i in range(len(us) - 1):
-            a, b = state[i], state[i + 1]
-            for c in candidates(state, i):
-                w = _represent(field, a, b, c)
-                if w is None:
-                    continue
-                nxt = list(state)
-                nxt[i] = c
-                nxt[i + 1] = field.div(field.mul(a, b), c)
-                nxt = tuple(nxt)
-                if nxt in parent:
-                    continue
-                parent[nxt] = (state, DiagMove(i, c, w[0], w[1]))
-                frontier.append(nxt)
-    if vs not in parent:
-        return EXHAUSTED
+    Take the least j with <cur_i .. cur_j> representing v and walk j down to
+    i + 1: (a, b) = (cur_j-1, cur_j) becomes (t, ab/t), t = A x^2 + B y^2
+    with A, B the squarefree classes of a, b, for the first coprime (x, y)
+    by height with t != 0 and <cur_i .. cur_j-2, t> representing v.  An odd
+    prime p of A alone gives t the class of B at p unless p | y; where that
+    class fails, y runs over multiples of p (likewise for B and x).  The
+    scan ends: write v = sum cur_k z_k^2 over i <= k <= j.  Minimality of j
+    makes t0 = a z_j-1^2 + b z_j^2 nonzero, so <cur_i .. cur_j-2, t0>
+    represents v; the test depends only on t's square class, and the
+    primitive pair along (z_j-1 sqrt(a/A) : z_j sqrt(b/B)) meets every
+    forced divisibility, so the scan reaches it.  The move leaves
+    cur_i .. cur_j-2 alone, so j - 1 is again least.  f represents v iff
+    f + <-v> is isotropic, which is_isotropic decides exactly.
+    """
+    nv = (field.neg(v),)
+    top = next((j for j in range(i + 2, len(cur)) if is_isotropic(nv + cur[i : j + 1])), None)
+    if top is None:
+        raise FieldError(f"no tail of {cur[i:]} represents {v}: the forms are not isometric")
     moves = []
-    cur = vs
-    while parent[cur] is not None:
-        prev, mv = parent[cur]
+    for j in range(top, i + 1, -1):
+        a, b = cur[j - 1], cur[j]
+        A, B = field.square_class(a), field.square_class(b)
+        forced = [
+            p for p in factorize(int(abs(A * B)))
+            if p > 2 and (A % p == 0) != (B % p == 0)
+            and not isotropic_at(nv + cur[i : j - 1] + (B if A % p == 0 else A,), p)
+        ]
+        mx = math.prod(p for p in forced if B % p == 0)
+        my = math.prod(p for p in forced if A % p == 0)
+        for x, y in _coprime_pairs():
+            x, y = mx * x, my * y
+            t = A * x * x + B * y * y
+            if t and is_isotropic(nv + cur[i : j - 1] + (t,)):  # t last: factored last
+                break
+        mv = DiagMove(j - 1, t, x / _sqrt_exact(field, a / A), y / _sqrt_exact(field, b / B))
         moves.append(mv)
-        cur = prev
-    moves.reverse()
-    return moves
+        cur = apply_move(field, cur, mv)
+    return moves, cur
+
+
+def _coprime_pairs():
+    """Coprime (x, y) >= 0 by height max(x, y): (0, 1), (1, 1), (1, 2),
+    (2, 1), (1, 3), ...; (1, 0) would keep cur_j-1 and never passes."""
+    yield 0, 1
+    for h in itertools.count(1):
+        for k in range(1, h + 1):
+            if math.gcd(k, h) == 1:
+                yield from dict.fromkeys([(k, h), (h, k)])
 
 
 def lift_move_to_step(field, units, mv: DiagMove, kt=None):
@@ -639,16 +641,13 @@ def _invariant_diff(i1: PointedInvariant, i2: PointedInvariant) -> str:
     return "; ".join(parts) or "invariants differ"
 
 
-def connect(f: PointedRat, g: PointedRat, budget: int = 64):
-    """A certificate f ~ g, or NotEquivalent / EXHAUSTED.
+def connect(f: PointedRat, g: PointedRat):
+    """A certificate f ~ g, or NotEquivalent.
 
     The certificate runs from f to its monomial normal form, along the
     diagonal chain between the two normal forms, and back from g's normal
-    form.  The chain is constructed without search over finite fields and
-    over Q up to degree 2.  Over Q at degree >= 3 a sweep move that does not
-    exist falls back to a search of `budget` expansions, which reports
-    EXHAUSTED when it cannot realize the (correct) equivalence decision
-    constructively.
+    form.  The chain is constructed without search, over F_p and over Q at
+    every degree (diag_chain).
     """
     if f.ring != g.ring:
         raise FieldError("points over different fields")
@@ -660,20 +659,13 @@ def connect(f: PointedRat, g: PointedRat, budget: int = 64):
         return NotEquivalent(_invariant_diff(i1, i2))
     us, cert_f = normal_form_cert(f)
     vs, cert_g = normal_form_cert(g)
-    if us == vs:
-        middle = None
-    else:
-        chain = diag_chain(field, us, vs, budget)
-        if chain is EXHAUSTED:
-            return EXHAUSTED
-        middle = lift_chain_to_cert(field, us, chain)
+    out = cert_f
+    if us != vs:
+        middle = lift_chain_to_cert(field, us, diag_chain(field, us, vs))
         # the chain ends at vs exactly
         assert middle.target.key() == cert_g.target.key()
-    out = cert_f
-    if middle is not None:
         out = concat_certificates(out, middle)
-    out = concat_certificates(out, reverse_certificate(cert_g))
-    return out
+    return concat_certificates(out, reverse_certificate(cert_g))
 
 
 # ---------------------------------------------------------------------------
@@ -782,9 +774,9 @@ def _scaling_step(f: PointedRat, lam, kt) -> PairStep:
     return _apply_path(kt, f.n, PT, f.A, f.B)
 
 
-def unpointed_connect(u1: UnpointedRat, u2: UnpointedRat, budget: int = 64):
-    """Certificate for unpointed equivalence, via a lambda^2 rescaling
-    witness and a pointed certificate."""
+def unpointed_connect(u1: UnpointedRat, u2: UnpointedRat):
+    """Certificate for unpointed equivalence, or NotEquivalent, via a
+    lambda^2 rescaling witness and a pointed certificate."""
     if u1.field != u2.field:
         raise FieldError("points over different fields")
     field = u1.field
@@ -812,8 +804,8 @@ def unpointed_connect(u1: UnpointedRat, u2: UnpointedRat, budget: int = 64):
         return NotEquivalent("no rescaling witness exists")
     g2 = scale_pointed(f2, lam)
     assert pointed_invariant(f1) == pointed_invariant(g2)
-    pcert = connect(f1, g2, budget)
-    if pcert is EXHAUSTED or isinstance(pcert, NotEquivalent):
+    pcert = connect(f1, g2)
+    if isinstance(pcert, NotEquivalent):
         return pcert
     steps = []
     if mv1.factors:

@@ -135,17 +135,14 @@ def cmd_certify(args):
     if args.unpointed:
         u1 = _parse_fn(args, args.f, want_unpointed=True)
         u2 = _parse_fn(args, args.g, want_unpointed=True)
-        out = certify.unpointed_connect(u1, u2, args.budget)
+        out = certify.unpointed_connect(u1, u2)
     else:
         f = _parse_fn(args, args.f, allow_sum=True)
         g = _parse_fn(args, args.g, allow_sum=True)
-        out = certify.connect(f, g, args.budget)
+        out = certify.connect(f, g)
     if isinstance(out, certify.NotEquivalent):
         _emit(args, {"result": "not-equivalent", "reason": out.reason},
               f"not equivalent: {out.reason}")
-        return 1
-    if out is certify.EXHAUSTED:
-        _emit(args, {"result": "exhausted"}, "search budget exhausted")
         return 1
     if not _self_check(out):
         return 1
@@ -343,7 +340,6 @@ def build_parser():
     p = sub.add_parser("certify", help="produce a homotopy certificate")
     common(p)
     p.add_argument("--unpointed", action="store_true")
-    p.add_argument("--budget", type=int, default=64)
     p.add_argument("--out", help="write the certificate JSON to a file")
     p.add_argument("f")
     p.add_argument("g")

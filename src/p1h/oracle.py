@@ -745,8 +745,6 @@ def _matrix_bridge(Sa: SymMatrix, Sb: SymMatrix):
         # F_2: link both normal forms to a common shape via [[T,1],[1,0]]
         return _matrix_bridge_f2(Sa, Sb, fa, fb, opsa, opsb)
     chain = certify.diag_chain(field, fa.units, fb.units)
-    if chain is certify.EXHAUSTED:
-        return None
     steps = []
     if opsa:
         steps.append(quadform.oplog_to_path(Sa, opsa))

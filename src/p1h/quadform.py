@@ -304,6 +304,45 @@ def hilbert_symbol(a, b, place) -> int:
     return sign
 
 
+def is_isotropic(values) -> bool:
+    """Whether the diagonal form <a_1, ..., a_n> over Q has a nonzero zero,
+    by Hasse-Minkowski: both signs occur, and below rank 5 the form is
+    isotropic over Q_p at 2 and at each prime of an entry (at any other
+    prime all entries are units).  Entries are factored in order, each only
+    once the primes before it pass, so a caller puts a fresh entry last."""
+    values = [Fraction(a) for a in values]
+    if 0 in values:
+        raise FieldError("degenerate form")
+    if all(a > 0 for a in values) or all(a < 0 for a in values):
+        return False
+    primes = itertools.chain([2], itertools.chain.from_iterable(
+        factorize(m) for a in values for m in (abs(a.numerator), a.denominator)))
+    return len(values) >= 5 or all(isotropic_at(values, p) for p in primes)
+
+
+def isotropic_at(values, p: int) -> bool:
+    """Whether <a_1, ..., a_n>, nonzero rationals with n >= 2, is isotropic
+    over Q_p (Serre, A Course in Arithmetic, ch. IV, Thm. 6), with d the
+    determinant and e the Hasse symbol: rank 2 needs -d a square, rank 3
+    (-1, -d)_p = e, rank 4 d not a square or e = (-1, -1)_p."""
+    n, d = len(values), math.prod(values)
+    if n == 2:
+        return _is_local_square(-d, p)
+    if n == 3:
+        return hilbert_symbol(-1, -d, p) == _hasse(values, p)
+    return n >= 5 or not _is_local_square(d, p) or _hasse(values, p) == hilbert_symbol(-1, -1, p)
+
+
+def _is_local_square(a: Fraction, p: int) -> bool:
+    """Whether a nonzero rational is a square in Q_p."""
+    v, u = _val_unit(a, p)
+    if v % 2:
+        return False
+    if p == 2:
+        return u.numerator * pow(u.denominator, -1, 8) % 8 == 1
+    return _legendre_frac(u, p) == 1
+
+
 @dataclass(frozen=True)
 class WittInvariant:
     """Stable class data of a non-degenerate symmetric form.
@@ -380,15 +419,9 @@ def _relevant_primes_q(S: SymMatrix, det: Fraction) -> list[int]:
     return sorted(ps)
 
 
-def _hasse_from_values(values, primes):
-    out = []
-    for p in primes:
-        h = 1
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                h *= hilbert_symbol(values[i], values[j], p)
-        out.append((p, h))
-    return tuple(out)
+def _hasse(values, p) -> int:
+    """The Hasse symbol prod_{i<j} (a_i, a_j)_p of <a_1, ..., a_n>."""
+    return math.prod(hilbert_symbol(a, b, p) for a, b in itertools.combinations(values, 2))
 
 
 def invariant_from_values(field, values, relevant) -> WittInvariant:
@@ -401,7 +434,7 @@ def invariant_from_values(field, values, relevant) -> WittInvariant:
             det = field.mul(det, v)
         disc = field.square_class(det)
         pos = sum(1 for v in values if v > 0)
-        hasse = _hasse_from_values(values, sorted(set(relevant) | {2}))
+        hasse = tuple((p, _hasse(values, p)) for p in sorted(set(relevant) | {2}))
         return WittInvariant(
             field, rank, disc, (pos, rank - pos), hasse, tuple(values)
         )
@@ -497,7 +530,7 @@ def witt_tensor(i1: WittInvariant, i2: WittInvariant) -> WittInvariant:
         primes = sorted(
             {p for p, _ in (i1.hasse or ())} | {p for p, _ in (i2.hasse or ())} | {2}
         )
-        hasse = _hasse_from_values(list(t.units), primes)
+        hasse = tuple((p, _hasse(t.units, p)) for p in primes)
         return WittInvariant(field, r1 * r2, disc, sig, hasse, t.units)
     return invariant_from_values(field, list(t.units), None)
 

@@ -5,7 +5,7 @@ import hashlib
 import random
 from fractions import Fraction
 
-from p1h.certify import connect, normal_form_cert, pd_cert, unpointed_connect, verify
+from p1h.certify import _represent, connect, normal_form_cert, pd_cert, unpointed_connect, verify
 from p1h.classify import mk_pd, pointed_invariant, unpointed_invariant
 from p1h.fields import GF, QQ, FieldError
 from p1h.poly import Poly
@@ -17,6 +17,14 @@ from conftest import random_point
 # sha256 of the newline-joined `dumps(certificate_to_json(c))` texts below
 PINNED_SHA256 = "c110dd808ae1752b71743c4477f9418607e908bed26a7b133699448e7301ff87"
 PINNED_COUNT = 15
+# sha256 of the same texts for PLACEMENT_PAIRS, Q pairs whose first sweep
+# move does not exist, so their chains go through a placement step
+PLACEMENT_SHA256 = "b5f2c9b93e57ca863540a72650c3d79aa5e2202d304d410cbd3dbe87a9423561"
+PLACEMENT_PAIRS = [
+    ((1, 1, 1), (3, 2, "1/6")),
+    ((-7, "1/2", -1, 13), (5, -1, 2, "-91/20")),
+    ((5, -6, 3, -5, 10), (10, -11, 2, -3, "75/11")),
+]
 
 
 def _equivalent_pairs(points, key, k):
@@ -78,3 +86,14 @@ def test_pinned_certificate_bytes():
     assert sum(len(c.steps) for c in certs) > 2 * PINNED_COUNT
     text = "\n".join(dumps(certificate_to_json(c)) for c in certs)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SHA256
+
+
+def test_pinned_placement_certificate_bytes():
+    certs = []
+    for us, vs in PLACEMENT_PAIRS:
+        us, vs = tuple(map(Fraction, us)), tuple(map(Fraction, vs))
+        assert _represent(QQ, us[0], us[1], vs[0]) is None
+        certs.append(connect(monomial_sum(QQ, us), monomial_sum(QQ, vs)))
+    assert all(verify(c) for c in certs)
+    text = "\n".join(dumps(certificate_to_json(c)) for c in certs)
+    assert hashlib.sha256(text.encode()).hexdigest() == PLACEMENT_SHA256

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from p1h.certify import (
     EXHAUSTED,
@@ -25,10 +26,11 @@ from p1h.certify import (
     oplus_constant,
     pd_cert,
     reverse_certificate,
+    scale_pointed,
     unpointed_connect,
     verify,
 )
-from p1h.classify import PdPoint, mk_pd, pointed_invariant, unpointed_invariant
+from p1h.classify import PdPoint, mk_pd, pointed_equiv, pointed_invariant, unpointed_invariant
 from p1h.fields import GF, QQ, FieldError, factorize, is_prime
 from p1h.bezout_hankel import SymMatrix
 from p1h.poly import Poly, PolyRing, X, const, poly_divmod, poly_gcd, zero
@@ -46,7 +48,7 @@ from p1h.ratmap import (
     x_over,
 )
 
-from conftest import all_points, dlog, random_point, solved_twin
+from conftest import all_points, dlog, random_point, run_optimized, solved_twin
 
 
 class TestNormalForm:
@@ -258,6 +260,73 @@ class TestSearchFreeChains:
             assert isinstance(cert, Certificate)
             assert verify(cert)
             assert cert.source == f and cert.target == g
+
+
+# the probe pool of diagonal entries over Q
+_Q_POOL = [Fraction(s * k) for k in (1, 2, 3, 5, 6, 7, 10, 11, 13) for s in (1, -1)]
+_Q_POOL += [Fraction(1, 2), Fraction(-3, 5)]
+
+
+@st.composite
+def _isometric_q_pair(draw):
+    """Diagonal tuples us, vs over Q whose monomial sums pointed_equiv calls
+    equivalent; the last entry of vs makes the products agree."""
+    n = draw(st.integers(3, 6))
+    us = tuple(draw(st.lists(st.sampled_from(_Q_POOL), min_size=n, max_size=n)))
+    head = draw(st.lists(st.sampled_from(_Q_POOL), min_size=n - 1, max_size=n - 1))
+    vs = tuple(head + [math.prod(us) / math.prod(head)])
+    assume(pointed_equiv(monomial_sum(QQ, us), monomial_sum(QQ, vs)))
+    return us, vs
+
+
+class TestQChains:
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(_isometric_q_pair())
+    def test_chain_is_constructed_and_replays(self, pair):
+        us, vs = pair
+        n = len(us)
+        chain = diag_chain(QQ, us, vs)
+        assert isinstance(chain, list) and len(chain) <= n * (n - 1) // 2
+        cur = us
+        for mv in chain:
+            cur = apply_move(QQ, cur, mv)
+        assert cur == vs
+        if n <= 4:
+            assert verify(lift_chain_to_cert(QQ, us, chain))
+
+    def test_unpointed_degree_four(self):
+        # a degree-4 pair the budgeted search gave up on
+        f = monomial_sum(QQ, tuple(map(Fraction, (-7, Fraction(1, 2), -1, 13))))
+        g = monomial_sum(QQ, tuple(map(Fraction, (5, -1, 2, Fraction(-91, 20)))))
+        for u, w in [(f, g), (f, scale_pointed(g, Fraction(2)))]:
+            cert = unpointed_connect(unpointed_of_pointed(u), unpointed_of_pointed(w))
+            assert isinstance(cert, Certificate) and verify(cert)
+
+    def test_forms_that_are_not_isometric_raise(self):
+        # equal products, different signatures: no chain, and no EXHAUSTED
+        with pytest.raises(FieldError):
+            diag_chain(QQ, (Fraction(1), Fraction(1), Fraction(1)),
+                       (Fraction(-1), Fraction(-1), Fraction(1)))
+
+    def test_broken_isotropy_test_raises_under_optimize(self):
+        # a representation test that always answers False (no tail) or True
+        # (the walk leaves <1, 1>, which misses 3) breaks the placement
+        # invariant: the chain builder raises, without asserts, instead of
+        # returning a chain or EXHAUSTED; <1, 1, 1> = <3, 2, 6>
+        script = (
+            "from fractions import Fraction as F\n"
+            "from p1h import certify\n"
+            "from p1h.fields import QQ, FieldError\n"
+            "for answer in (False, True):\n"
+            "    certify.is_isotropic = lambda values: answer\n"
+            "    certify._diag_chain_cached.cache_clear()\n"
+            "    try:\n"
+            "        certify.diag_chain(QQ, (F(1), F(1), F(1)), (F(3), F(2), F(1, 6)))\n"
+            "    except FieldError:\n"
+            "        print('raised')\n"
+        )
+        assert run_optimized(script).split() == ["raised", "raised"]
 
 
 class TestLift:

@@ -155,6 +155,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mismatch" in out
 
+    def test_q_degree_four_certify_and_verify(self, tmp_path, capsys):
+        # the sweep's first move does not exist for this pair, so its chain
+        # needs a placement step
+        cert = tmp_path / "q4.json"
+        f, g = "X/-7+X/(1/2)+X/-1+X/13", "X/5+X/-1+X/2+X/(-91/20)"
+        assert main(["equiv", "--field", "Q", f, g]) == 0
+        assert main(["certify", "--field", "Q", f, g, "--out", str(cert)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(cert)]) == 0
+        assert "OK" in capsys.readouterr().out
+
+    def test_budget_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--budget", "5", "--field", "Q", "X/1", "X/4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
     def test_certify_not_equivalent_exit(self, capsys):
         assert main(["certify", "--field", "Q", "X/1", "X/2"]) == 1
 
@@ -264,14 +281,17 @@ class TestCommands:
             "    ['certify', '--field', 'F5', 'X/1+X/1', 'X/2+X/3', '--out', d + '/p.json'],\n"
             "    ['certify', '--unpointed', '--field', 'F5', 'X/1', 'X/4', '--out', d + '/u.json'],\n"
             "    ['pd-certify', '--field', 'F3', 'X^2 ; X ; 1', '--out', d + '/pd.json'],\n"
+            "    ['certify', '--field', 'Q', 'X/-7+X/(1/2)+X/-1+X/13',\n"
+            "     'X/5+X/-1+X/2+X/(-91/20)', '--out', d + '/q4.json'],\n"
             "    ['verify', d + '/p.json'],\n"
             "    ['verify', d + '/u.json'],\n"
             "    ['verify', d + '/pd.json'],\n"
+            "    ['verify', d + '/q4.json'],\n"
             "]\n"
             "print(*[main(argv) for argv in runs])\n"
         )
         out = run_optimized(script, str(tmp_path))
-        assert out.split()[-6:] == ["0"] * 6
+        assert out.split()[-8:] == ["0"] * 8
 
     def test_huge_exponent_is_input_error(self, capsys):
         import time

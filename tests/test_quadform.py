@@ -18,6 +18,7 @@ from p1h.quadform import (
     diagonalize,
     hermite_reduce,
     hilbert_symbol,
+    is_isotropic,
     kt_short_vector,
     oplog_matrix,
     oplog_to_path,
@@ -193,6 +194,58 @@ class TestHilbert:
             for v in places:
                 prod *= hilbert_symbol(a, b, v)
             assert prod == 1
+
+
+class TestIsotropy:
+    def test_rank_three_agrees_with_conic_solver(self, rng):
+        # a x^2 + b y^2 = c is solvable iff <a, b, -c> is isotropic; the exact
+        # conic solver (Legendre descent) is the independent oracle
+        from p1h.certify import _represent
+
+        for _ in range(1000):
+            a, b, c = (
+                Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 12))
+                for _ in range(3)
+            )
+            assert is_isotropic((a, b, -c)) == (_represent(QQ, a, b, c) is not None), (a, b, c)
+
+    @pytest.mark.parametrize("form", [
+        (1, 1, 1, 1),  # definite
+        (1, 1, 1, -7),  # fails at 2: 7 is not a sum of three rational squares
+        (1, 1, -3, -3),  # fails at 3: x^2 + y^2 = 0 mod 3 forces 3 | x, y; descend
+    ])
+    def test_rank_four_anisotropic(self, form):
+        assert not is_isotropic(form)
+
+    @pytest.mark.parametrize("form, zero", [
+        ((1, 1, 1, -3), (1, 1, 1, 1)),
+        ((1, 1, -2, 5), (1, 1, 1, 0)),
+        ((3, 5, 7, -15), (1, 1, 1, 1)),
+        ((5, -3, 13, -2), (1, 1, 0, 1)),
+        ((1, 2, -3, -6), (2, 1, 0, 1)),
+        ((Fraction(1, 2), 7, -Fraction(15, 2), 1), (1, 1, 1, 0)),
+    ])
+    def test_rank_four_isotropic_with_explicit_zero(self, form, zero):
+        assert sum(a * x * x for a, x in zip(form, zero)) == 0
+        assert is_isotropic(form)
+
+    def test_rank_two_and_one(self):
+        assert is_isotropic((1, -4)) and is_isotropic((Fraction(-2, 3), Fraction(3, 2)))
+        assert not is_isotropic((1, -2)) and not is_isotropic((1, 4))
+        assert not is_isotropic((-5,))
+
+    def test_rank_five_and_up_is_indefiniteness(self, rng):
+        for _ in range(200):
+            n = rng.randint(5, 8)
+            form = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 5))
+                    for _ in range(n)]
+            assert is_isotropic(form) == (min(form) < 0 < max(form)), form
+        assert is_isotropic((1, 1, 1, 1, -7)) and is_isotropic((1, 1, -3, -3, 1))
+        assert not is_isotropic((1, 1, 1, 1, 1)) and not is_isotropic((-1, -2, -3, -5, -7, -11))
+
+    def test_degenerate_form_is_refused(self):
+        with pytest.raises(FieldError):
+            is_isotropic((1, 0, -1))
 
 
 class TestStableInvariant:
