@@ -121,14 +121,24 @@ def cmd_equiv(args):
     return 0 if same else 1
 
 
-def _self_check(cert) -> bool:
-    """Verify a freshly built certificate before it is written anywhere;
-    on failure report the reason on stderr."""
+def _write_certificate(args, cert) -> int:
+    """Verify a freshly built certificate, then write it to --out or stdout;
+    on a failed verification report the reason on stderr, write nothing and
+    return 1."""
     res = certify.verify(cert)
     if not res:
         print(f"error: generated certificate fails verification: {res.reason}",
               file=sys.stderr)
-    return bool(res)
+        return 1
+    payload = serial.certificate_to_json(cert)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(dumps(payload))
+        _emit(args, {"result": "ok", "steps": len(cert.steps)},
+              f"certificate with {len(cert.steps)} steps written to {args.out}")
+    else:
+        _emit(args, payload, json.dumps(payload, sort_keys=True, indent=2))
+    return 0
 
 
 def cmd_certify(args):
@@ -144,19 +154,7 @@ def cmd_certify(args):
         _emit(args, {"result": "not-equivalent", "reason": out.reason},
               f"not equivalent: {out.reason}")
         return 1
-    if not _self_check(out):
-        return 1
-    payload = serial.certificate_to_json(out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps(payload))
-        if not args.json:
-            print(f"certificate with {len(out.steps)} steps written to {args.out}")
-        else:
-            sys.stdout.write(dumps({"result": "ok", "steps": len(out.steps)}))
-    else:
-        _emit(args, payload, json.dumps(payload, sort_keys=True, indent=2))
-    return 0
+    return _write_certificate(args, out)
 
 
 def cmd_verify(args):
@@ -261,9 +259,10 @@ def cmd_oracle(args):
             d=args.d,
             workers=args.workers,
         )
+        # an unsupported or oversize cell is refused before any enumeration
+        cc = oracle.cross_check(spec)
     except FieldError as exc:
         raise CliError(str(exc))
-    cc = oracle.cross_check(spec)
     payload = {
         "points": cc.report.points,
         "edges": cc.report.edges,
@@ -297,16 +296,7 @@ def cmd_pd_certify(args):
         cert = certify.pd_cert(p)
     except FieldError as exc:
         raise CliError(str(exc))
-    if not _self_check(cert):
-        return 1
-    payload = serial.certificate_to_json(cert)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dumps(payload))
-        print(f"certificate with {len(cert.steps)} steps written to {args.out}")
-    else:
-        _emit(args, payload, json.dumps(payload, sort_keys=True, indent=2))
-    return 0
+    return _write_certificate(args, cert)
 
 
 def build_parser():

@@ -7,9 +7,9 @@ computes naive connected components by union-find and cross-checks them
 against the invariant fibers, bridging any splits left by a too-small D
 with explicitly verified certificates.
 
-The enumeration layer works on raw tuples of ints (polynomials in T,
-ascending coefficients) for speed; everything it reports is re-checked at
-the exact object level where the acceptance tests demand it.
+Points are judged once each, by the library constructors (`mk_pointed`,
+`SymMatrix`, `mk_pd`).  The edge kernels work on raw tuples of ints
+(polynomials in T, ascending coefficients) for speed.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from . import certify, classify, quadform
 from .poly import Poly, PolyRing, const
 from .bezout_hankel import SymMatrix
 from .fields import GF, FieldError
-from .ratmap import mk_pointed, mk_unpointed, reflect
+from .ratmap import RejectedPoint, mk_pointed, mk_unpointed, projective_normal, reflect
 from .quadform import stable_invariant
 
 
@@ -133,7 +133,10 @@ def _rpolys(q, maxdeg):
 # Enumeration parameters
 # ---------------------------------------------------------------------------
 
-_WORK_CAP = 25_000_000
+_WORK_CAP = 25_000_000  # edge candidates enumerate_edges may walk
+# point candidates enumerate_points may build: each kept point holds about
+# 1 KB of library objects, and a candidate takes about 0.1 ms to judge
+_POINT_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -156,10 +159,6 @@ class EnumSpec:
         if self.target == "pd" and self.d < 2:
             raise FieldError("maps to P^d need d >= 2")
         object.__setattr__(self, "D", self.depth)
-        if self.work_estimate() > _WORK_CAP:
-            raise FieldError(
-                f"oversize enumeration: ~{self.work_estimate():.2e} candidates"
-            )
 
     @property
     def depth(self) -> int:
@@ -180,6 +179,13 @@ class EnumSpec:
         else:  # pd: (A, B_1, ..., B_d), (d+1) n coefficients of T-degree <= D
             e = (self.d + 1) * n * (D + 1)
         return _qpow(q, e)
+
+    def point_estimate(self) -> float:
+        """The number of candidates enumerate_points builds (inf when it is
+        beyond the float range)."""
+        n = self.n
+        per_point = {"ratfun": 2 * n, "symmat": n * (n + 1) // 2, "pd": (self.d + 1) * n}
+        return _qpow(self.q, per_point[self.target])
 
 
 def _qpow(q: int, e: int, times: int = 1) -> float:
@@ -232,91 +238,34 @@ class UnionFind:
 # ---------------------------------------------------------------------------
 
 
-def _res_field_ratfun(q, acoef, bcoef, n):
-    """res_{n,n} for monic X^n + sum a_i X^i and sum b_i X^i over F_q,
-    as the determinant of multiplication by B modulo A (ints)."""
-    if n == 1:
-        return bcoef[0] % q
-    if n == 2:
-        a0, a1 = acoef
-        b0, b1 = bcoef
-        return (b1 * b1 * a0 - b1 * b0 * a1 + b0 * b0) % q
-    # general n: reduce X^j B mod A
-    cols = []
-    cur = list(bcoef)
-    for _ in range(n):
-        cols.append(list(cur) + [0] * (n - len(cur)))
-        cur = [0] + cur
-        if len(cur) == n + 1:
-            lead = cur.pop()
-            if lead:
-                cur = [(c - lead * a) % q for c, a in zip(cur, list(acoef))]
-    M = [[cols[j][i] % q for j in range(n)] for i in range(n)]
-    return _int_det_mod(M, q)
-
-
-def _int_det_mod(M, q):
-    n = len(M)
-    M = [row[:] for row in M]
-    det = 1
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if M[i][k] % q:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            det = -det
-        inv = pow(M[k][k], -1, q)
-        det = (det * M[k][k]) % q
-        for i in range(k + 1, n):
-            f = (M[i][k] * inv) % q
-            if f:
-                M[i] = [(a - f * b) % q for a, b in zip(M[i], M[k])]
-    return det % q
-
-
-def enumerate_points(spec: EnumSpec):
-    """All valid points at the field level, as raw coefficient tuples."""
+def enumerate_points(spec: EnumSpec) -> dict:
+    """Every valid point at the field level: an insertion-ordered dict from
+    each raw coefficient encoding that point_object accepts to its object.
+    Raises FieldError, before any work, beyond _POINT_CAP candidates."""
+    if spec.point_estimate() > _POINT_CAP:
+        raise FieldError(
+            f"oversize enumeration: ~{spec.point_estimate():.2e} point candidates"
+        )
     q, n = spec.q, spec.n
+    coefs = tuple(itertools.product(range(q), repeat=n))
     if spec.target == "ratfun":
-        out = []
-        for acoef in itertools.product(range(q), repeat=n):
-            for bcoef in itertools.product(range(q), repeat=n):
-                if _res_field_ratfun(q, acoef, bcoef, n) != 0:
-                    out.append((acoef, bcoef))
-        return out
-    if spec.target == "symmat":
-        out = []
-        idx = [(i, j) for i in range(n) for j in range(i, n)]
-        for vals in itertools.product(range(q), repeat=len(idx)):
-            M = [[0] * n for _ in range(n)]
-            for (i, j), v in zip(idx, vals):
-                M[i][j] = M[j][i] = v
-            if _int_det_mod(M, q) != 0:
-                out.append(tuple(vals))
-        return out
-    # pd points: (A coeffs, B_1 coeffs, ..., B_d coeffs), gcd = 1
-    out = []
-    for acoef in itertools.product(range(q), repeat=n):
-        A = _rtrim(tuple(acoef) + (1,))
-        for bs in itertools.product(
-            itertools.product(range(q), repeat=n), repeat=spec.d
-        ):
-            g = A
-            for b in bs:
-                g = _rgcd(g, _rtrim(b), q)
-                if len(g) == 1:
-                    break
-            if len(g) == 1:
-                out.append((acoef, bs))
+        candidates = itertools.product(coefs, repeat=2)  # (A coeffs, B coeffs)
+    elif spec.target == "symmat":
+        candidates = itertools.product(range(q), repeat=n * (n + 1) // 2)
+    else:  # (A coeffs, (B_1 coeffs, ..., B_d coeffs))
+        candidates = itertools.product(coefs, itertools.product(coefs, repeat=spec.d))
+    out = {}
+    for enc in candidates:
+        try:
+            out[enc] = point_object(spec, enc)
+        except (FieldError, RejectedPoint):
+            pass
     return out
 
 
 def point_object(spec: EnumSpec, enc):
+    """The library object of a raw encoding; FieldError or RejectedPoint
+    when the encoding is not a point."""
     field = GF(spec.q)
     n = spec.n
     if spec.target == "ratfun":
@@ -329,7 +278,10 @@ def point_object(spec: EnumSpec, enc):
         M = [[0] * n for _ in range(n)]
         for (i, j), v in zip(idx, enc):
             M[i][j] = M[j][i] = v
-        return SymMatrix.make(field, M)
+        S = SymMatrix.make(field, M)
+        if not S.is_nondegenerate():
+            raise FieldError("degenerate symmetric matrix")
+        return S
     acoef, bs = enc
     A = Poly.make(field, list(acoef) + [1]) if n else const(field, field.one)
     Bs = [Poly.make(field, list(b)) for b in bs]
@@ -608,31 +560,46 @@ def _chunks(total, workers):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
+def _has_edge_kernel(target: str, q: int, n: int) -> bool:
+    """The one list of cells enumerate_edges has a kernel for, at n >= 1 and
+    D >= 1: ratfun up to n = 2, and n = 3 over F_2 (bit-packed); symmat and
+    pd up to n = 3, the largest determinant _rdet expands."""
+    if target == "ratfun":
+        return n <= 2 or (n, q) == (3, 2)
+    return n <= 3
+
+
 def enumerate_edges(spec: EnumSpec):
-    """All distinct endpoint pairs of valid paths with T-degree <= D."""
+    """All distinct endpoint pairs of valid paths with T-degree <= D.
+
+    Raises FieldError, before any work, for a cell beyond _WORK_CAP
+    candidates or one with no kernel."""
     q, n, D = spec.q, spec.n, spec.depth
-    if D == 0:
-        return set()  # constant paths carry no edges
+    if D == 0 or n == 0:
+        return set()  # constant paths, or a one-point scheme: no edges
+    if spec.work_estimate() > _WORK_CAP:
+        raise FieldError(
+            f"oversize enumeration: ~{spec.work_estimate():.2e} edge candidates"
+        )
+    if not _has_edge_kernel(spec.target, q, n):
+        raise FieldError(
+            f"unsupported oracle cell: no {spec.target} edge kernel at "
+            f"q = {q}, n = {n}; only D = 0 (no edges) runs there"
+        )
+    npolys = q ** (D + 1)
     if spec.target == "ratfun":
-        if n == 0:
-            return set()
         if n == 1:
             return set((min(a, b), max(a, b)) for a, b in _edges_ratfun_n1(q, D))
         if n == 2:
-            npolys = len(_rpolys(q, D))
             total = npolys * npolys
             worker, base_args = _edges_ratfun_n2_chunk, (q, D)
-        elif n == 3 and q == 2:
-            total = (2 ** (D + 1)) ** 6
-            worker, base_args = _edges_ratfun_n3_f2_chunk, (q, D)
         else:
-            raise FieldError("ratfun edge enumeration supports n <= 3 (n = 3: q = 2)")
+            total = npolys**6
+            worker, base_args = _edges_ratfun_n3_f2_chunk, (q, D)
     elif spec.target == "symmat":
-        npolys = len(_rpolys(q, D))
         total = npolys ** (n * (n + 1) // 2)
         worker, base_args = _edges_symmat_chunk, (q, n, D)
     else:
-        npolys = len(_rpolys(q, D))
         total = npolys ** (n * (1 + spec.d))
         worker, base_args = _edges_pd_chunk, (q, n, D, spec.d)
     workers = _worker_count(spec.workers)
@@ -657,13 +624,15 @@ def enumerate_edges(spec: EnumSpec):
 def components(spec: EnumSpec) -> ComponentReport:
     """Union-find partition of the points under D-bounded homotopies.
 
-    Every edge's endpoint invariants are asserted equal (the machine-checked
-    half of homotopy invariance)."""
-    points = enumerate_points(spec)
-    index = {enc: i for i, enc in enumerate(points)}
-    objects = [point_object(spec, enc) for enc in points]
-    invariants = [point_invariant_key(spec, obj) for obj in objects]
+    Every edge's endpoint invariants are compared (the machine-checked half
+    of homotopy invariance).  The edges come first, so that an unsupported or
+    oversize cell is refused before any enumeration."""
     edges = enumerate_edges(spec)
+    points = enumerate_points(spec)
+    encs = list(points)
+    index = {enc: i for i, enc in enumerate(encs)}
+    objects = list(points.values())
+    invariants = [point_invariant_key(spec, obj) for obj in objects]
     uf = UnionFind(len(points))
     agreement = True
     for a, b in edges:
@@ -678,7 +647,7 @@ def components(spec: EnumSpec) -> ComponentReport:
     comps = [
         {
             "size": len(members),
-            "representative": points[members[0]],
+            "representative": encs[members[0]],
             "invariant": invariants[members[0]],
         }
         for lab, members in sorted(comp.items())
@@ -698,19 +667,20 @@ def components(spec: EnumSpec) -> ComponentReport:
 def _bridge(spec: EnumSpec, obj_a, obj_b):
     """A verified homotopy between two same-fiber points found in different
     D-bounded components."""
+    if spec.target == "symmat":
+        return _matrix_bridge(obj_a, obj_b)
     if spec.target == "ratfun":
         cert = certify.connect(obj_a, obj_b)
         if not isinstance(cert, certify.Certificate):
             return None
-        return cert if certify.verify(cert) else None
-    if spec.target == "pd":
-        ca = certify.pd_cert(obj_a)
-        cb = certify.pd_cert(obj_b)
-        if not (certify.verify(ca) and certify.verify(cb)):
-            return None
-        cert = certify.concat_certificates(ca, certify.reverse_certificate(cb))
-        return cert if certify.verify(cert) else None
-    return _matrix_bridge(obj_a, obj_b)
+    else:
+        # both halves end at the standard point; verifying the whole chain
+        # checks every step and endpoint of each half (a reversed step is
+        # valid exactly when the step is)
+        cert = certify.concat_certificates(
+            certify.pd_cert(obj_a), certify.reverse_certificate(certify.pd_cert(obj_b))
+        )
+    return cert if certify.verify(cert) else None
 
 
 @dataclass(frozen=True)
@@ -878,27 +848,25 @@ def unpointed_components(q: int, n: int, D: int = None) -> UnpointedReport:
         edges_verified += 1
         uf.union(index[(u1.avec, u1.bvec)], index[(u2.avec, u2.bvec)])
 
-    # family 1: pointed homotopies, projectivized
+    # family 1: pointed homotopies, projectivized: (A, B) with A monic of
+    # degree n and deg B < n has the padded vectors (a.., 1), (b.., 0)
     pspec = EnumSpec(q=q, n=n, D=D if D is not None else n)
-    for enc_a, enc_b in enumerate_edges(pspec):
-        fa = point_object(pspec, enc_a)
-        fb = point_object(pspec, enc_b)
-        ua, ub = unpointed_of_pointed(fa), unpointed_of_pointed(fb)
-        uf.union(index[(ua.avec, ua.bvec)], index[(ub.avec, ub.bvec)])
-    # family 2: normalization paths
+    for (a1, b1), (a2, b2) in enumerate_edges(pspec):
+        ua = projective_normal(field, (a1 + (1,), b1 + (0,)))
+        ub = projective_normal(field, (a2 + (1,), b2 + (0,)))
+        uf.union(index[ua], index[ub])
+    # families 2 and 3: the normalization path from each point to its pointed
+    # representative f, and the rescaling paths f ~ lambda^2 f
     for up in pts:
         f, mv = normalize_unpointed(up)
+        fu = unpointed_of_pointed(f)
         if mv.factors:
-            step = _normalization_step(mv, kt)
-            link(up, unpointed_of_pointed(f), step)
-    # family 3: rescaling paths f ~ lambda^2 f on pointed representatives
-    for up in pts:
-        f, _ = normalize_unpointed(up)
+            link(up, fu, _normalization_step(mv, kt))
         for lam in range(2, q):
             step = _scaling_step(f, lam, kt)
             lam2 = field.mul(lam, lam)
             g = mk_pointed(f.A, f.B.scale(field.inv(lam2)))
-            link(unpointed_of_pointed(f), unpointed_of_pointed(g), step)
+            link(fu, unpointed_of_pointed(g), step)
     fibers: dict = {}
     for i, up in enumerate(pts):
         fibers.setdefault(classify.unpointed_invariant(up)._key(), []).append(i)

@@ -226,6 +226,28 @@ class TestCommands:
         assert time.perf_counter() - t0 < 2.0
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--field", "F3", "--n", "3", "--D", "1"],
+         ["--field", "F2", "--n", "4", "--D", "1", "--target", "symmat"],
+         ["--field", "F2", "--n", "4", "--D", "1", "--target", "pd"]],
+    )
+    def test_oracle_unsupported_cells_are_input_errors(self, argv, capsys, monkeypatch):
+        from p1h import oracle
+
+        monkeypatch.setattr(oracle, "enumerate_points", lambda spec: pytest.fail("enumerated"))
+        assert main(["oracle", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: unsupported oracle cell")
+
+    def test_certificate_written_with_json_prints_json(self, tmp_path, capsys):
+        for argv in (["certify", "--field", "F3", "(X^2-1)/X", "(X^2+1)/(2*X+2)"],
+                     ["pd-certify", "--field", "F3", "X^2 ; X ; 1"]):
+            out = tmp_path / "cert.json"
+            assert main([*argv, "--json", "--out", str(out)]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            assert printed["result"] == "ok"
+            assert printed["steps"] == len(json.loads(out.read_text())["steps"]) > 0
+
     def test_python_dash_m(self):
         import subprocess
         import sys
@@ -287,11 +309,14 @@ class TestCommands:
             "    ['verify', d + '/u.json'],\n"
             "    ['verify', d + '/pd.json'],\n"
             "    ['verify', d + '/q4.json'],\n"
+            "    ['oracle', '--field', 'F3', '--n', '2', '--D', '1'],\n"
+            "    ['oracle', '--field', 'F3', '--n', '1', '--D', '1', '--target', 'pd'],\n"
+            "    ['oracle', '--field', 'F3', '--n', '3', '--D', '1'],\n"
             "]\n"
             "print(*[main(argv) for argv in runs])\n"
         )
         out = run_optimized(script, str(tmp_path))
-        assert out.split()[-8:] == ["0"] * 8
+        assert out.split()[-11:] == ["0"] * 10 + ["2"]
 
     def test_huge_exponent_is_input_error(self, capsys):
         import time

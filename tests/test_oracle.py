@@ -8,13 +8,17 @@ import pytest
 from p1h import oracle as oc
 from p1h.bezout_hankel import SymMatrix
 from p1h.fields import GF, FieldError
-from p1h.poly import Poly, poly_divmod, poly_gcd
+from p1h.linalg import det
+from p1h.poly import Poly, PolyRing, poly_divmod, poly_gcd
 from p1h.ratmap import mk_pointed
 
 from conftest import run_optimized
 
 
 class TestRawLayer:
+    """The int-tuple kernel is the only copy of its arithmetic in the edge
+    kernels: every raw op is pinned to the library here."""
+
     def test_raw_ops_match_poly(self, rng):
         for q in (2, 3, 5):
             field = GF(q)
@@ -25,27 +29,43 @@ class TestRawLayer:
                 b = oc._rtrim(b)
                 pa, pb = Poly.make(field, a), Poly.make(field, b)
                 assert oc._radd(a, b, q) == (pa + pb).coeffs
+                assert oc._rsub(a, b, q) == (pa - pb).coeffs
+                assert oc._rneg(a, q) == (-pa).coeffs
                 assert oc._rmul(a, b, q) == (pa * pb).coeffs
+                c = rng.randrange(-q, 2 * q)
+                assert oc._rscale(a, c, q) == pa.scale(field.coerce(c)).coeffs
+                t = rng.randrange(q)
+                assert oc._reval(a, t, q) == pa.eval(t)
                 if b:
                     quo, rem = oc._rdivmod(a, b, q)
                     q2, r2 = poly_divmod(pa, pb)
                     assert quo == q2.coeffs and rem == r2.coeffs
                     assert oc._rgcd(a, b, q) == poly_gcd(pa, pb).coeffs
 
-    def test_raw_res_matches_library(self, rng):
-        from p1h.poly import resultant_nn
+    def test_rxgcd_is_a_bezout_identity(self, rng):
+        for q in (2, 3, 5, 7):
+            field = GF(q)
+            for _ in range(100):
+                a = oc._rtrim(tuple(rng.randrange(q) for _ in range(rng.randrange(0, 6))))
+                b = oc._rtrim(tuple(rng.randrange(q) for _ in range(rng.randrange(0, 6))))
+                g, s, t = oc._rxgcd(a, b, q)
+                lhs = oc._radd(oc._rmul(s, a, q), oc._rmul(t, b, q), q)
+                assert lhs == g
+                assert g == poly_gcd(Poly.make(field, a), Poly.make(field, b)).coeffs
 
+    def test_rdet_matches_linalg(self, rng):
         for q in (2, 3, 5):
             field = GF(q)
+            kt = PolyRing(field)
             for n in (1, 2, 3):
-                for _ in range(60):
-                    acoef = tuple(rng.randrange(q) for _ in range(n))
-                    bcoef = tuple(rng.randrange(q) for _ in range(n))
-                    A = Poly.make(field, list(acoef) + [1])
-                    B = Poly.make(field, list(bcoef))
-                    assert oc._res_field_ratfun(q, acoef, bcoef, n) == resultant_nn(
-                        A, B, n
-                    )
+                for _ in range(30):
+                    M = [
+                        [oc._rtrim(tuple(rng.randrange(q) for _ in range(rng.randrange(0, 4))))
+                         for _ in range(n)]
+                        for _ in range(n)
+                    ]
+                    P = [[Poly.make(field, e) for e in row] for row in M]
+                    assert oc._rdet(M, q) == det(kt, P).coeffs
 
 
 class TestEnumeration:
@@ -74,7 +94,7 @@ class TestEnumeration:
 
     def test_oversize_rejected(self):
         with pytest.raises(FieldError, match="oversize"):
-            oc.EnumSpec(q=5, n=3, D=3)
+            oc.enumerate_edges(oc.EnumSpec(q=5, n=3, D=3))
 
     @pytest.mark.parametrize(
         "kw",
@@ -88,7 +108,7 @@ class TestEnumeration:
     def test_pd_estimate_counts_d(self):
         # d = 3 at q = 3, n = 2, D = 1 walks 9^8 = 4.3e7 candidates: over the cap
         with pytest.raises(FieldError, match="oversize"):
-            oc.EnumSpec(q=3, n=2, D=1, target="pd", d=3)
+            oc.enumerate_edges(oc.EnumSpec(q=3, n=2, D=1, target="pd", d=3))
         assert oc.EnumSpec(q=3, n=2, D=1, target="pd", d=2).work_estimate() == 9.0**6
 
     @pytest.mark.parametrize("q,n,D", [(2, 1, 1), (2, 2, 1), (3, 1, 2)])
@@ -105,18 +125,66 @@ class TestEnumeration:
         def boom(*args):
             raise AssertionError("enumeration started")
 
+        enumerate_edges = oc.enumerate_edges
         for name in ("_rpolys", "enumerate_points", "enumerate_edges", "_chunks"):
             monkeypatch.setattr(oc, name, boom)
         for target in ("ratfun", "symmat", "pd"):
             oc.EnumSpec(q=3, n=2, D=1, target=target)
+        spec = oc.EnumSpec(q=3, n=10**9, target="pd")
         with pytest.raises(FieldError, match="oversize"):
-            oc.EnumSpec(q=3, n=10**9, target="pd")
+            enumerate_edges(spec)
+
+    def test_points_are_capped_by_their_own_count(self, monkeypatch):
+        # 512 point candidates, 1.34e8 edge candidates
+        spec = oc.EnumSpec(q=2, n=3, D=2, target="pd")
+        assert spec.point_estimate() == 512
+        with pytest.raises(FieldError, match="oversize"):
+            oc.enumerate_edges(spec)
+        F2 = GF(2)
+        expected = 0
+        for a, b1, b2 in itertools.product(itertools.product(range(2), repeat=3), repeat=3):
+            A, B1, B2 = Poly.make(F2, a + (1,)), Poly.make(F2, b1), Poly.make(F2, b2)
+            expected += poly_gcd(poly_gcd(A, B1), B2).degree == 0
+        assert len(oc.enumerate_points(spec)) == expected
+        monkeypatch.setattr(oc, "point_object", lambda *args: pytest.fail("enumeration started"))
+        with pytest.raises(FieldError, match="oversize"):
+            oc.enumerate_points(oc.EnumSpec(q=3, n=10**9, target="pd"))
+        with pytest.raises(FieldError, match="oversize"):
+            oc.enumerate_points(oc.EnumSpec(q=2, n=12, D=0, target="symmat"))
+
+    @pytest.mark.parametrize(
+        "q,n,target", [(3, 3, "ratfun"), (2, 4, "ratfun"), (2, 4, "symmat"), (2, 4, "pd")]
+    )
+    def test_unsupported_cell_refused_before_enumeration(self, q, n, target, monkeypatch):
+        spec = oc.EnumSpec(q=q, n=n, D=1, target=target)
+        for name in ("enumerate_points", "_chunks", "_rdet"):
+            monkeypatch.setattr(oc, name, lambda *args: pytest.fail("enumeration started"))
+        with pytest.raises(FieldError, match="unsupported oracle cell"):
+            oc.components(spec)
+        # D = 0 cells have no edges, and a degree-0 scheme has one point
+        assert oc.enumerate_edges(oc.EnumSpec(q=q, n=n, D=0, target=target)) == set()
+        assert oc.enumerate_edges(oc.EnumSpec(q=q, n=0, D=1, target=target)) == set()
+
+    def test_symmat_degree_zero_with_depth(self):
+        cc = oc.cross_check(oc.EnumSpec(q=3, n=0, D=1, target="symmat"))
+        assert cc.agreement and cc.report.points == 1
 
     def test_points_are_valid_objects(self):
         spec = oc.EnumSpec(q=3, n=2, D=1)
         for enc in oc.enumerate_points(spec):
             obj = oc.point_object(spec, enc)
             assert obj.n == 2
+
+    @pytest.mark.parametrize(
+        "spec", [oc.EnumSpec(q=3, n=2, D=1), oc.EnumSpec(q=3, n=2, D=1, target="symmat"),
+                 oc.EnumSpec(q=2, n=2, D=1, target="pd")],
+    )
+    def test_points_map_encodings_to_their_objects(self, spec):
+        pts = oc.enumerate_points(spec)
+        for enc, obj in pts.items():
+            assert obj == oc.point_object(spec, enc)
+        rep = oc.components(spec)
+        assert rep.objects == list(pts.values())
 
 
 class TestComponents:
@@ -195,6 +263,19 @@ class TestCrossCheck:
             assert cc.bridges > 0
 
 
+    def test_pd_bridge_verifies_once(self, monkeypatch):
+        from p1h import certify
+
+        spec = oc.EnumSpec(q=3, n=2, D=1, target="pd")
+        a, b = list(oc.enumerate_points(spec).values())[:2]
+        calls = []
+        verify = certify.verify
+        monkeypatch.setattr(certify, "verify", lambda cert: calls.append(cert) or verify(cert))
+        cert = oc._bridge(spec, a, b)
+        assert cert is not None and len(calls) == 1
+        assert (cert.source, cert.target) == (a, b) and cert.steps
+
+
 class TestDegenerateCases:
     def test_pd_degree_zero(self):
         spec = oc.EnumSpec(q=3, n=0, target="pd")
@@ -220,6 +301,16 @@ class TestUnpointedOracle:
     def test_f5_n1(self):
         rep = oc.unpointed_components(5, 1)
         assert rep.agreement and rep.components == 2
+
+    def test_edge_endpoints_are_not_rebuilt(self, monkeypatch):
+        calls = []
+        point_object = oc.point_object
+        monkeypatch.setattr(
+            oc, "point_object", lambda *args: calls.append(args) or point_object(*args)
+        )
+        rep = oc.unpointed_components(3, 2)
+        assert rep.agreement and (rep.points, rep.components) == (216, 2)
+        assert calls == []
 
     def test_rejected_edge_breaks_agreement_under_optimize(self):
         script = (
