@@ -26,7 +26,8 @@ class SymMatrix:
     rows: tuple  # tuple of tuples
 
     def __post_init__(self):
-        assert len(self.rows) == self.n and all(len(r) == self.n for r in self.rows)
+        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
+            raise FieldError("matrix is not square")
         if not linalg.is_symmetric(self.ring, self.rows):
             raise FieldError("matrix is not symmetric")
 

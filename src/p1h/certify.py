@@ -1,11 +1,12 @@
 """Constructive homotopy certificates and their exact verifier.
 
 A certificate is a chain of k[T]-points (pointed rational paths, unpointed
-projective paths, or paths of maps to P^d) whose endpoints match up: the
-T=1 evaluation of each step equals the T=0 evaluation of the next.  The
-verifier re-checks every step's validity from scratch (constant unit
-resultant, or an explicit unimodularity identity), so a third party can
-re-verify a serialized certificate without trusting its generator.
+projective paths, paths of maps to P^d, or symmetric k[T] matrices) whose
+endpoints match up: the T=1 evaluation of each step equals the T=0
+evaluation of the next.  The verifier re-checks every step's validity from
+scratch (constant unit resultant or determinant, or an explicit
+unimodularity identity), so a third party can re-verify a serialized
+certificate without trusting its generator.
 """
 from __future__ import annotations
 
@@ -100,7 +101,7 @@ class PairStep:
 
 @dataclass(frozen=True)
 class Certificate:
-    kind: str  # "pointed" | "unpointed" | "pd"
+    kind: str  # "pointed" | "unpointed" | "pd" | "symmat"
     field: object
     steps: tuple
     source: object
@@ -160,6 +161,13 @@ def _step_valid(kind, step, field):
         if not (total - const(kt, kt.one)).is_zero():
             return "cofactor identity fails"
         return None
+    if kind == "symmat":
+        if not isinstance(step, SymMatrix) or step.ring != kt:
+            return "step is not a symmetric matrix over k[T]"
+        d = step.det()
+        if d.is_zero() or not d.is_constant():
+            return "non-constant determinant"
+        return None
     return f"unknown kind {kind}"
 
 
@@ -168,7 +176,10 @@ def _coords(kind, field, p, t=None):
     form endpoint equality compares: lowest degree first, padded with zeros
     to length n+1, and for an unpointed point scaled so that the first
     nonzero coordinate is 1.  A point of a step that passes `_step_valid` is
-    valid by construction, so nothing is rebuilt."""
+    valid by construction, so nothing is rebuilt.  A symmetric matrix's
+    coordinates are its rows."""
+    if kind == "symmat":
+        return p.rows if t is None else p.eval(t).rows
     if isinstance(p, UnpointedRat):
         return p.avec, p.bvec  # stored padded and scaled
     polys = (p.A, *p.Bs) if kind == "pd" else (p.A, p.B)
@@ -217,6 +228,8 @@ def reverse_step(kind, step, field):
             tuple(B.map_coeffs(reflect, kt) for B in step.Bs),
             tuple(c.map_coeffs(reflect, kt) for c in step.cofactors),
         )
+    if kind == "symmat":
+        return SymMatrix.make(kt, [[reflect(c) for c in row] for row in step.rows])
     raise FieldError(f"unknown kind {kind}")
 
 

@@ -85,7 +85,7 @@ def _parse_kt_matrix(args, text):
             for rowtxt in text.split(";")
         ]
         return SymMatrix.make(kt, rows)
-    except (ParseError, FieldError, AssertionError) as exc:
+    except (ParseError, FieldError) as exc:
         raise CliError(f"bad matrix {text!r}: {exc}")
 
 

@@ -23,7 +23,7 @@ from . import certify, classify, quadform
 from .poly import Poly, PolyRing, const
 from .bezout_hankel import SymMatrix
 from .fields import GF, FieldError
-from .ratmap import RejectedPoint, mk_pointed, mk_unpointed, projective_normal, reflect
+from .ratmap import RejectedPoint, mk_pointed, mk_unpointed, projective_normal
 from .quadform import stable_invariant
 
 
@@ -668,8 +668,8 @@ def _bridge(spec: EnumSpec, obj_a, obj_b):
     """A verified homotopy between two same-fiber points found in different
     D-bounded components."""
     if spec.target == "symmat":
-        return _matrix_bridge(obj_a, obj_b)
-    if spec.target == "ratfun":
+        cert = _matrix_bridge(obj_a, obj_b)
+    elif spec.target == "ratfun":
         cert = certify.connect(obj_a, obj_b)
         if not isinstance(cert, certify.Certificate):
             return None
@@ -683,114 +683,52 @@ def _bridge(spec: EnumSpec, obj_a, obj_b):
     return cert if certify.verify(cert) else None
 
 
-@dataclass(frozen=True)
-class MatrixHomotopy:
-    """A chain of symmetric k[T] matrices with constant unit determinant."""
-
-    field: object
-    steps: tuple  # of SymMatrix over k[T]
-    source: SymMatrix
-    target: SymMatrix
-
-
-def verify_matrix_homotopy(h: MatrixHomotopy) -> bool:
-    cur = h.source
-    for step in h.steps:
-        d = step.det()
-        if d.is_zero() or not d.is_constant():
-            return False
-        if step.eval(0).rows != cur.rows:
-            return False
-        cur = step.eval(1)
-    return cur.rows == h.target.rows
-
-
-def _matrix_bridge(Sa: SymMatrix, Sb: SymMatrix):
-    """Diagonalize both, chain the diagonals by elementary SL_2 moves, and
-    T-scale everything into matrix homotopies."""
+def _matrix_bridge(Sa: SymMatrix, Sb: SymMatrix) -> certify.Certificate:
+    """A symmat certificate from Sa to Sb of equal determinant and stable
+    class: the normal-form certificate of Sa, the T-scaled diagonal chain
+    between the two normal forms, and the reversed normal-form certificate
+    of Sb."""
     field = Sa.ring
-    fa, opsa = quadform.diagonalize(Sa)
-    fb, opsb = quadform.diagonalize(Sb)
-    if isinstance(fa, quadform.BlockNormalForm):
-        # F_2: link both normal forms to a common shape via [[T,1],[1,0]]
-        return _matrix_bridge_f2(Sa, Sb, fa, fb, opsa, opsb)
-    chain = certify.diag_chain(field, fa.units, fb.units)
+    us, cert_a = _matrix_nf_cert(Sa)
+    vs, cert_b = _matrix_nf_cert(Sb)
     steps = []
-    if opsa:
-        steps.append(quadform.oplog_to_path(Sa, opsa))
-    cur = list(fa.units)
-    n = Sa.n
-    for mv in chain:
+    cur = us
+    for mv in certify.diag_chain(field, us, vs):
         P = certify.move_matrix(field, cur[mv.i], cur[mv.i + 1], mv)
-        full_ops = [
+        ops = [
             (kind, mv.i + i, mv.i + j, v)
             for kind, i, j, v in certify.sl2_elementary_factors(field, P)
         ]
-        D = SymMatrix.diagonal(field, cur)
-        steps.append(quadform.oplog_to_path(D, full_ops))
-        cur = list(certify.apply_move(field, cur, mv))
-    if opsb:
-        back = quadform.oplog_to_path(Sb, opsb)
-        steps.append(_reverse_matrix_path(back))
-    h = MatrixHomotopy(field, tuple(steps), Sa, Sb)
-    return h if verify_matrix_homotopy(h) else None
+        steps.append(quadform.oplog_to_path(SymMatrix.diagonal(field, cur), ops))
+        cur = certify.apply_move(field, cur, mv)
+    back = certify.reverse_certificate(cert_b).steps
+    return certify.Certificate("symmat", field, cert_a.steps + tuple(steps) + back, Sa, Sb)
 
 
-def _reverse_matrix_path(S: SymMatrix) -> SymMatrix:
-    return SymMatrix.make(S.ring, [[reflect(c) for c in row] for row in S.rows])
-
-
-def _matrix_bridge_f2(Sa, Sb, fa, fb, opsa, opsb):
-    """Over F_2 all non-degenerate forms of equal rank are connected: turn
-    each hyperbolic block [[0,1],[1,0]] into <1,1> through [[T,1],[1,T]]
-    ... more precisely via the pencil [[T,1],[1,0]] -> [[1,1],[1,0]] and
-    exhaustive small chains; rank is the only invariant, so it suffices to
-    link both to the common block shape."""
-    field = Sa.ring
-    if fa.rank != fb.rank:
-        return None
-    steps = []
-    if opsa:
-        steps.append(quadform.oplog_to_path(Sa, opsa))
-    na = quadform.replay_oplog(Sa, opsa)
-    nb = quadform.replay_oplog(Sb, opsb)
-    mid_a, steps_a = _f2_blocks_to_ones(na)
-    mid_b, steps_b = _f2_blocks_to_ones(nb)
-    steps.extend(steps_a)
-    if mid_a.rows != mid_b.rows:
-        return None
-    for s in reversed(steps_b):
-        steps.append(_reverse_matrix_path(s))
-    if opsb:
-        steps.append(_reverse_matrix_path(quadform.oplog_to_path(Sb, opsb)))
-    h = MatrixHomotopy(field, tuple(steps), Sa, Sb)
-    return h if verify_matrix_homotopy(h) else None
-
-
-def _f2_blocks_to_ones(S: SymMatrix):
-    """Drive a block-normal F_2 matrix to the identity: turn each
-    [[0,1],[1,0]] block's corner on via the path [[T,1],[1,0]], then
-    re-normalize (the block with a unit diagonal entry diagonalizes)."""
+def _matrix_nf_cert(S: SymMatrix):
+    """(units, certificate) from S to the diagonal matrix of units: the
+    T-scaled oplog of diagonalize.  Over F_2 each hyperbolic block
+    [[0,1],[1,0]] then has its corner switched on along [[T,1],[1,0]] and is
+    diagonalized again, so every F_2 form ends at the identity."""
     field = S.ring
     kt = PolyRing(field)
-    rows = [list(r) for r in S.rows]
     steps = []
+    cur = S
     while True:
-        i = next(
-            (i for i in range(len(rows)) if field.is_zero(rows[i][i])), None
-        )
+        _, ops = quadform.diagonalize(cur)
+        if ops:
+            steps.append(quadform.oplog_to_path(cur, ops))
+            cur = quadform.replay_oplog(cur, ops)
+        i = next((i for i in range(cur.n) if field.is_zero(cur.rows[i][i])), None)
         if i is None:
             break
-        path = [[const(field, x) for x in row] for row in rows]
+        path = [[const(field, x) for x in row] for row in cur.rows]
         path[i][i] = Poly.make(field, [0, 1])
-        steps.append(SymMatrix.make(kt, path))
-        rows[i][i] = field.one
-        Scur = SymMatrix.make(field, rows)
-        form, ops = quadform.diagonalize(Scur)
-        if ops:
-            steps.append(quadform.oplog_to_path(Scur, ops))
-            rows = [list(r) for r in quadform.replay_oplog(Scur, ops).rows]
-    return SymMatrix.make(field, rows), steps
+        step = SymMatrix.make(kt, path)
+        steps.append(step)
+        cur = step.eval(1)
+    units = tuple(cur.rows[i][i] for i in range(cur.n))
+    return units, certify.Certificate("symmat", field, tuple(steps), S, cur)
 
 
 @dataclass
@@ -863,10 +801,8 @@ def unpointed_components(q: int, n: int, D: int = None) -> UnpointedReport:
         if mv.factors:
             link(up, fu, _normalization_step(mv, kt))
         for lam in range(2, q):
-            step = _scaling_step(f, lam, kt)
-            lam2 = field.mul(lam, lam)
-            g = mk_pointed(f.A, f.B.scale(field.inv(lam2)))
-            link(fu, unpointed_of_pointed(g), step)
+            g = certify.scale_pointed(f, lam)
+            link(fu, unpointed_of_pointed(g), _scaling_step(f, lam, kt))
     fibers: dict = {}
     for i, up in enumerate(pts):
         fibers.setdefault(classify.unpointed_invariant(up)._key(), []).append(i)

@@ -60,42 +60,28 @@ class BlockNormalForm:
         return len(self.diag) + 2 * self.hblocks
 
 
-# An op is ("add", i, j, lam): columns j += lam * column i and rows likewise,
-# or ("scale2", i, j, lam): column/row i scaled by lam, j by 1/lam (det 1).
+# An op is ("add", i, j, lam): column j += lam * column i, and rows likewise
+# (a det-1 congruence).
 Op = tuple
 
 
 def apply_op(field, M, op):
     kind, i, j, lam = op
-    n = len(M)
-    if kind == "add":
-        for r in range(n):
-            M[r][j] = field.add(M[r][j], field.mul(lam, M[r][i]))
-        for c in range(n):
-            M[j][c] = field.add(M[j][c], field.mul(lam, M[i][c]))
-    elif kind == "scale2":
-        inv = field.inv(lam)
-        for r in range(n):
-            M[r][i] = field.mul(lam, M[r][i])
-            M[r][j] = field.mul(inv, M[r][j])
-        for c in range(n):
-            M[i][c] = field.mul(lam, M[i][c])
-            M[j][c] = field.mul(inv, M[j][c])
-    else:
+    if kind != "add":
         raise FieldError(f"unknown op {kind}")
+    n = len(M)
+    for r in range(n):
+        M[r][j] = field.add(M[r][j], field.mul(lam, M[r][i]))
+    for c in range(n):
+        M[j][c] = field.add(M[j][c], field.mul(lam, M[i][c]))
 
 
 def oplog_matrix(field, n, ops):
     """The det-1 matrix P with P^T S P = (result of replaying ops on S)."""
     P = linalg.mat_identity(field, n)
-    for op in ops:
-        kind, i, j, lam = op
+    for _, i, j, lam in ops:
         E = linalg.mat_identity(field, n)
-        if kind == "add":
-            E[i][j] = lam
-        else:
-            E[i][i] = lam
-            E[j][j] = field.inv(lam)
+        E[i][j] = lam
         P = linalg.mat_mul(field, P, E)
     return P
 
@@ -106,44 +92,17 @@ def _swap_ops(field, i, j):
     return [("add", j, i, one), ("add", i, j, field.neg(one)), ("add", j, i, one)]
 
 
-def _scale2_elementary_ops(field, i, j, lam):
-    """diag(lam at i, 1/lam at j) as six elementary additions.
-
-    Uses [[lam,0],[0,1/lam]] = E12(lam) E21(-1/lam) E12(lam) * [[0,-1],[1,0]],
-    where E12(v) = I + v e_{ij} and E21(v) = I + v e_{ji}.
-    """
-    inv = field.inv(lam)
-    ops = [
-        ("add", i, j, lam),
-        ("add", j, i, field.neg(inv)),
-        ("add", i, j, lam),
-    ]
-    ops += _swap_ops(field, i, j)
-    return ops
-
-
-def expand_op_to_adds(field, op):
-    """Rewrite any op as elementary additions (needed for T-scaled paths)."""
-    if op[0] == "add":
-        return [op]
-    _, i, j, lam = op
-    return _scale2_elementary_ops(field, i, j, lam)
-
-
 def diagonalize(S: SymMatrix):
     """Diagonalize (char != 2) or block-normalize (F_2) by det-1 congruences.
 
     Returns (form, oplog): replaying oplog on S reproduces the result
-    exactly, and the accumulated matrix has determinant 1.  Over fields of
-    characteristic != 2, diagonal entries 1..n-1 are canonicalized to their
-    square classes; the last entry absorbs the determinant correction
-    (the exact determinant is an SL-congruence invariant).
+    exactly, and the accumulated matrix has determinant 1, so the diagonal
+    multiplies to det S.  Raises FieldError when a row runs out of pivots,
+    which happens exactly when S is degenerate.
     """
     field = S.ring
     if isinstance(field, PolyRing):
         raise FieldError("diagonalize is the field-level routine; see hermite_reduce")
-    if not S.is_nondegenerate():
-        raise FieldError("degenerate form")
     n = S.n
     M = [list(r) for r in S.rows]
     ops: list[Op] = []
@@ -151,6 +110,12 @@ def diagonalize(S: SymMatrix):
     def do(op):
         ops.append(op)
         apply_op(field, M, op)
+
+    def partner(k):
+        j = next((j for j in range(k + 1, n) if not field.is_zero(M[k][j])), None)
+        if j is None:
+            raise FieldError("degenerate form")
+        return j
 
     if field.char != 2:
         for k in range(n):
@@ -162,21 +127,11 @@ def diagonalize(S: SymMatrix):
                     for op in _swap_ops(field, k, j):
                         do(op)
                 else:
-                    j = next(
-                        j for j in range(k + 1, n) if not field.is_zero(M[k][j])
-                    )
-                    do(("add", j, k, field.one))  # M[k][k] becomes 2 M[k][j]
+                    do(("add", partner(k), k, field.one))  # M[k][k] becomes 2 M[k][j]
             piv = M[k][k]
             for j in range(k + 1, n):
                 if not field.is_zero(M[k][j]):
                     do(("add", k, j, field.neg(field.div(M[k][j], piv))))
-        # canonicalize entries 1..n-1 to square classes, pushing junk right
-        for k in range(n - 1):
-            cls = field.square_class(M[k][k])
-            ratio = field.div(M[k][k], cls)
-            lam = _sqrt_exact(field, ratio)
-            if lam is not None and not field.is_zero(field.sub(lam, field.one)):
-                do(("scale2", k, k + 1, field.inv(lam)))
         form = DiagForm(field, tuple(M[k][k] for k in range(n)))
         return form, tuple(ops)
 
@@ -198,7 +153,7 @@ def diagonalize(S: SymMatrix):
             k += 1
             continue
         # alternating block: all remaining diagonal entries vanish
-        j = next(j for j in range(k + 1, n) if not field.is_zero(M[k][j]))
+        j = partner(k)
         if j != k + 1:
             for op in _swap_ops(field, k + 1, j):
                 do(op)
@@ -245,8 +200,7 @@ def oplog_to_path(S: SymMatrix, ops) -> SymMatrix:
     elementary addition's off-diagonal entry by T: S(0) = S, S(1) = replay."""
     field = S.ring
     kt = PolyRing(field)
-    adds = [add for op in ops for add in expand_op_to_adds(field, op)]
-    P = elementary_path(field, S.n, adds)
+    P = elementary_path(field, S.n, ops)
     ST = [[const(field, x) for x in row] for row in S.rows]
     M = linalg.mat_mul(kt, linalg.mat_transpose(P), linalg.mat_mul(kt, ST, P))
     return SymMatrix.make(kt, M)
@@ -376,33 +330,6 @@ class WittInvariant:
         return hash(self._key())
 
 
-def _diag_values(S: SymMatrix) -> list:
-    """Diagonal values of some congruent diagonal form over Q (plain
-    symmetric elimination, no logging, no canonicalization).
-
-    The individual values can be large minor ratios, but every downstream
-    use extracts only signs and p-adic valuations from them, and their
-    product telescopes back to det(S).
-    """
-    field = S.ring
-    n = S.n
-    M = [list(r) for r in S.rows]
-    for k in range(n):
-        if field.is_zero(M[k][k]):
-            j = next((j for j in range(k + 1, n) if not field.is_zero(M[j][j])), None)
-            if j is None:
-                j = next(j for j in range(k + 1, n) if not field.is_zero(M[k][j]))
-                apply_op(field, M, ("add", j, k, field.one))
-            else:
-                for op in _swap_ops(field, k, j):
-                    apply_op(field, M, op)
-        piv = M[k][k]
-        for j in range(k + 1, n):
-            if not field.is_zero(M[k][j]):
-                apply_op(field, M, ("add", k, j, field.neg(field.div(M[k][j], piv))))
-    return [M[k][k] for k in range(n)]
-
-
 def _relevant_primes_q(S: SymMatrix, det: Fraction) -> list[int]:
     """Primes where the form can have a nontrivial Hasse symbol: 2 plus the
     primes of the common denominator and of the (moderate) nonzero
@@ -448,15 +375,15 @@ def invariant_from_values(field, values, relevant) -> WittInvariant:
 
 
 def stable_invariant(S: SymMatrix) -> WittInvariant:
-    """Complete stable-equivalence invariant of a non-degenerate form."""
+    """Complete stable-equivalence invariant of a non-degenerate form.
+
+    Over Q the diagonal values can be large minor ratios, but only their
+    signs and p-adic valuations are used, and they multiply to det S
+    exactly, so no separate determinant is taken."""
     field = S.ring
-    if isinstance(field, Rationals):
-        det = S.det()
-        if det == 0:
-            raise FieldError("degenerate form")
-        values = _diag_values(S)
-        return invariant_from_values(field, values, _relevant_primes_q(S, det))
     form, _ = diagonalize(S)
+    if isinstance(field, Rationals):
+        return invariant_from_values(field, form.units, _relevant_primes_q(S, form.det()))
     if isinstance(form, BlockNormalForm):
         # F_2: rank determines the stable class; an all-ones payload keeps
         # tensor bookkeeping meaningful
@@ -612,7 +539,7 @@ def kt_short_vector(S: SymMatrix):
         raise FieldError("short-vector reduction did not converge over Q[T]")
     for bound in range(0, 7):
         for x in _vectors_of_degree(base, n, bound):
-            val = _form_value(kt, S.rows, x)
+            val = _pairing(kt, S, x, x)
             if _deg(val) <= 0:
                 return _primitive(kt, x)
     raise AssertionError("Hermite bound violated: no short vector found")
@@ -639,15 +566,6 @@ def _vectors_of_degree(base, n, bound):
         if all(p.is_zero() for p in x):
             continue
         yield x
-
-
-def _form_value(kt, rows, x):
-    acc = kt.zero
-    n = len(x)
-    for i in range(n):
-        for j in range(n):
-            acc = acc + rows[i][j] * x[i] * x[j]
-    return acc
 
 
 def _content(kt, x):
@@ -705,9 +623,7 @@ def complete_unimodular(kt: PolyRing, x):
         E = linalg.mat_mul(kt, P, E)
     c = linalg.mat_vec(kt, E, x)[0]
     assert c.is_constant() and not c.is_zero()
-    M = linalg.adjugate(kt, E)  # E^{-1} since det E = +-1... use exact inverse
-    dE = linalg.det(kt, E)
-    M = [[kt.exact_div(e, dE) for e in row] for row in M]
+    M = _inverse_det_one(kt, E)
     # first column of M is x / c; rescale column 0 by c and column 1 by 1/c
     for r in range(n):
         M[r][0] = M[r][0] * c
@@ -744,7 +660,7 @@ def hermite_reduce(S: SymMatrix):
         return linalg.mat_identity(kt, n), S
     x = kt_short_vector(S)
     x = _primitive(kt, x)
-    lam = _form_value(kt, S.rows, x)
+    lam = _pairing(kt, S, x, x)
     if lam.is_zero():
         xz = _hyperbolic_pair(kt, S, x)
         if base.char != 2:
@@ -752,13 +668,13 @@ def hermite_reduce(S: SymMatrix):
             # 2 b(x,z) = 2, a unit: split a unit instead of a block (whose
             # determinant -1 would clash with the exact determinant)
             xv, zv = xz
-            alpha = _form_value(kt, S.rows, zv)
+            alpha = _pairing(kt, S, zv, zv)
             half = const(base, base.inv(base.add(base.one, base.one)))
             corr = alpha * half
             zv = [zc - corr * xc for zc, xc in zip(zv, xv)]
-            assert _form_value(kt, S.rows, zv).is_zero()
+            assert _pairing(kt, S, zv, zv).is_zero()
             x = _primitive(kt, [a + b for a, b in zip(xv, zv)])
-            lam = _form_value(kt, S.rows, x)
+            lam = _pairing(kt, S, x, x)
             assert kt.is_unit(lam)
         else:
             return _split_block(S, xz)
@@ -866,6 +782,7 @@ def _basis_with_pair(kt, S, x, z):
 
 
 def _inverse_det_one(kt, W):
+    """The exact inverse of a k[T] matrix whose determinant is a constant unit."""
     d = linalg.det(kt, W)
     adj = linalg.adjugate(kt, W)
     return [[kt.exact_div(e, d) for e in row] for row in adj]

@@ -298,6 +298,7 @@ class TestCommands:
         script = (
             "import sys\n"
             "from p1h.cli import main\n"
+            "sys.stderr = sys.stdout\n"
             "d = sys.argv[1]\n"
             "runs = [\n"
             "    ['certify', '--field', 'F5', 'X/1+X/1', 'X/2+X/3', '--out', d + '/p.json'],\n"
@@ -311,12 +312,17 @@ class TestCommands:
             "    ['verify', d + '/q4.json'],\n"
             "    ['oracle', '--field', 'F3', '--n', '2', '--D', '1'],\n"
             "    ['oracle', '--field', 'F3', '--n', '1', '--D', '1', '--target', 'pd'],\n"
+            "    ['oracle', '--field', 'F3', '--n', '2', '--D', '1', '--target', 'symmat'],\n"
             "    ['oracle', '--field', 'F3', '--n', '3', '--D', '1'],\n"
+            "    ['reduce-kt', '--field', 'F3', 'T;1'],\n"
+            "    ['reduce-kt', '--field', 'F3', 'T,1;1'],\n"
             "]\n"
             "print(*[main(argv) for argv in runs])\n"
         )
         out = run_optimized(script, str(tmp_path))
-        assert out.split()[-11:] == ["0"] * 10 + ["2"]
+        assert out.splitlines()[-1].split() == ["0"] * 11 + ["2"] * 3
+        assert "components equal fibers after 5 verified bridges" in out
+        assert "bad matrix 'T;1'" in out and "bad matrix 'T,1;1'" in out
 
     def test_huge_exponent_is_input_error(self, capsys):
         import time

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from p1h import oracle as oc
+from p1h import certify, oracle as oc, serial
 from p1h.bezout_hankel import SymMatrix
 from p1h.fields import GF, FieldError
 from p1h.linalg import det
@@ -264,8 +264,6 @@ class TestCrossCheck:
 
 
     def test_pd_bridge_verifies_once(self, monkeypatch):
-        from p1h import certify
-
         spec = oc.EnumSpec(q=3, n=2, D=1, target="pd")
         a, b = list(oc.enumerate_points(spec).values())[:2]
         calls = []
@@ -288,9 +286,69 @@ class TestDegenerateCases:
         F2 = GF(2)
         Sa = SymMatrix.make(F2, [[0, 1], [1, 0]])
         Sb = SymMatrix.make(F2, [[1, 0], [0, 1]])
-        h = oc._matrix_bridge(Sa, Sb)
-        assert h is not None and h.steps
-        assert oc.verify_matrix_homotopy(h)
+        cert = oc._matrix_bridge(Sa, Sb)
+        assert cert.kind == "symmat" and cert.steps
+        assert certify.verify(cert)
+
+
+class TestMatrixBridge:
+    """Matrix bridges are symmat certificates that certify.verify re-checks."""
+
+    @staticmethod
+    def _pairs(q, n, count):
+        spec = oc.EnumSpec(q=q, n=n, D=1, target="symmat")
+        fibers = {}
+        for S in oc.enumerate_points(spec).values():
+            fibers.setdefault(oc.point_invariant_key(spec, S), []).append(S)
+        pairs = [(m[0], m[k]) for m in fibers.values() for k in range(1, len(m))]
+        return pairs[:: max(1, len(pairs) // count)]
+
+    def test_bridges_verify_over_f2_f3_f5(self):
+        F2 = GF(2)
+        alternating = SymMatrix.make(F2, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        diagonal = SymMatrix.diagonal(F2, [1, 1, 1])
+        pairs = [(alternating, diagonal), (diagonal, alternating)]
+        pairs += self._pairs(2, 3, 6) + self._pairs(3, 2, 6) + self._pairs(5, 2, 6)
+        pairs += self._pairs(3, 3, 4)
+        for Sa, Sb in pairs:
+            cert = oc._matrix_bridge(Sa, Sb)
+            assert isinstance(cert, certify.Certificate) and cert.kind == "symmat"
+            assert (cert.source, cert.target) == (Sa, Sb)
+            assert certify.verify(cert), (Sa, Sb)
+            assert certify.verify(certify.reverse_certificate(cert)), (Sa, Sb)
+        # symmat certificates live in memory only: JSON refuses them
+        with pytest.raises(FieldError):
+            serial.certificate_to_json(cert)
+
+    def test_bad_steps_rejected_with_their_index(self):
+        Sa, Sb = self._pairs(5, 2, 1)[0]
+        cert = oc._matrix_bridge(Sa, Sb)
+        field, steps = cert.field, list(cert.steps)
+        kt = PolyRing(field)
+        k = len(steps) // 2
+        # scale row and column 0 of step k by 1 + T: the T = 0 end is kept,
+        # but the determinant picks up (1 + T)^2
+        grow = Poly.make(field, [1, 1])
+        rows = [list(r) for r in steps[k].rows]
+        for j in range(len(rows)):
+            rows[0][j] = rows[0][j] * grow
+            rows[j][0] = rows[j][0] * grow
+        bad = certify.Certificate(
+            "symmat", field, tuple(steps[:k] + [SymMatrix.make(kt, rows)] + steps[k + 1:]),
+            Sa, Sb,
+        )
+        res = certify.verify(bad)
+        assert not res and res.step == k and "determinant" in res.reason
+        # a constant step at another point is valid but does not chain
+        assert steps[k].eval(0) != Sb
+        shifted = SymMatrix.make(kt, [[Poly.make(field, [x]) for x in row] for row in Sb.rows])
+        bad = certify.Certificate(
+            "symmat", field, tuple(steps[:k] + [shifted] + steps[k:]), Sa, Sb
+        )
+        res = certify.verify(bad)
+        assert not res and res.step == k and "endpoint" in res.reason
+        res = certify.verify(certify.Certificate("symmat", field, cert.steps, Sb, Sb))
+        assert not res and res.step == 0 and "endpoint" in res.reason
 
 
 class TestUnpointedOracle:

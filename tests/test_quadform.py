@@ -98,9 +98,8 @@ class TestDiagonalize:
                         M,
                         [list(r) for r in SymMatrix.diagonal(field, form.units).rows],
                     )
-                    # first n-1 entries canonical
-                    for u in form.units[:-1]:
-                        assert u == field.square_class(u)
+                    # every op has determinant 1: the diagonal multiplies to det S
+                    assert form.det() == perm_det(field, [list(r) for r in S.rows])
 
     def test_oplog_path_is_matrix_homotopy(self, rng):
         for field in (QQ, GF(3)):
@@ -116,6 +115,42 @@ class TestDiagonalize:
     def test_degenerate_rejected(self):
         with pytest.raises(FieldError):
             diagonalize(_sym(QQ, [[1, 1], [1, 1]]))
+
+    def test_elimination_finds_degeneracy(self, rng, monkeypatch):
+        """The elimination itself raises FieldError on a singular matrix, with
+        no determinant taken, also where the zero row only appears partway."""
+        calls = []
+        monkeypatch.setattr(la, "det", lambda ring, M: calls.append(len(M)))
+        F2 = GF(2)
+        partway = [
+            _sym(QQ, [[1, 2, 3], [2, 4, 6], [3, 6, 1]]),  # row 1 dies at k = 1
+            _sym(QQ, [[0, 1, 1], [1, 0, 0], [1, 0, 0]]),  # pivot made by an add
+            _sym(GF(3), [[0, 1, 1], [1, 0, 1], [1, 1, 2]]),
+            _sym(F2, [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),  # after an alternating block
+            _sym(F2, [[1, 1, 0], [1, 1, 0], [0, 0, 1]]),
+        ]
+        for S in partway:
+            assert S.rows[0] != (S.ring.zero,) * S.n
+            with pytest.raises(FieldError):
+                diagonalize(S)
+        for field in (QQ, F2, GF(3), GF(5)):
+            for _ in range(40):
+                n = rng.randrange(2, 6)
+                # P^T diag(d_1, .., 0, .., d_n) P for a random P has rank < n
+                d = [field.coerce(rng.randint(1, 4)) for _ in range(n)]
+                d[rng.randrange(n)] = field.zero
+                P = [[field.coerce(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+                M = [
+                    [
+                        sum((field.mul(field.mul(P[k][i], d[k]), P[k][j]) for k in range(n)),
+                            field.zero)
+                        for j in range(n)
+                    ]
+                    for i in range(n)
+                ]
+                with pytest.raises(FieldError):
+                    diagonalize(_sym(field, M))
+        assert calls == []
 
 
 class TestElementaryPath:
@@ -264,18 +299,17 @@ class TestStableInvariant:
         with pytest.raises(FieldError):
             stable_invariant(_sym(QQ, [[1, 2], [2, 4]]))
 
-    def test_q_takes_one_determinant(self, monkeypatch):
+    def test_takes_no_determinant(self, monkeypatch):
+        """The diagonal multiplies to det S exactly, so no field computes one."""
         calls = []
-        det = la.det
-
-        def counting_det(ring, M):
-            calls.append(len(M))
-            return det(ring, M)
-
-        monkeypatch.setattr(la, "det", counting_det)
+        monkeypatch.setattr(la, "det", lambda ring, M: calls.append(len(M)))
         inv = stable_invariant(_sym(QQ, [[2, 1, 0], [1, 3, 1], [0, 1, 5]]))
-        assert calls == [3]
         assert inv.rank == 3 and inv.disc == 23  # det 23
+        inv = stable_invariant(_sym(GF(3), [[0, 1, 0], [1, 0, 1], [0, 1, 1]]))
+        assert inv.rank == 3 and inv.disc == 2  # det -1, a non-square mod 3
+        inv = stable_invariant(_sym(GF(2), [[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+        assert inv.rank == 3
+        assert calls == []
 
     def test_f5_squares(self):
         F5 = GF(5)
