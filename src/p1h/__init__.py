@@ -34,6 +34,7 @@ from .ratmap import (
     UnpointedRat,
     cf_assemble,
     cf_expand,
+    cf_values,
     compose,
     eval_path,
     ga_act,

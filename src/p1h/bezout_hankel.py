@@ -121,7 +121,9 @@ def bezout_coeffs(A: Poly, B: Poly, n: int):
 
 
 def bezout_form(f: PointedRat) -> SymMatrix:
-    """The Bezout form of f; det = (-1)^{n(n-1)/2} res(f), asserted exactly."""
+    """The Bezout form of f.  Its determinant is checked exactly against
+    (-1)^{n(n-1)/2} res(f), the resultant the point carries (over a field
+    read off the Euclidean remainder sequence); FieldError if they differ."""
     n = f.n
     if n < 1:
         raise FieldError("Bezout form needs degree >= 1")
@@ -129,7 +131,8 @@ def bezout_form(f: PointedRat) -> SymMatrix:
     rows = bezout_coeffs(f.A, f.B, n)
     S = SymMatrix.make(ring, rows)
     expected = f.res if (n * (n - 1) // 2) % 2 == 0 else ring.neg(f.res)
-    assert ring.is_zero(ring.sub(S.det(), expected)), "determinant formula failed"
+    if not ring.is_zero(ring.sub(S.det(), expected)):
+        raise FieldError("Bezout determinant formula failed: det Bez != +-res")
     return S
 
 

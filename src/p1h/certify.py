@@ -49,6 +49,7 @@ from .ratmap import (
     PointedRat,
     UnpointedRat,
     cf_expand,
+    cf_values,
     elementary_path,
     identity_point,
     mk_pointed,
@@ -363,6 +364,8 @@ def _normal_form_cert_cached(f: PointedRat):
             push(i, G, [x_over(field, u)])
     # every slot is now X/u_i, so cur is the fold monomial_sum(units) computes
     units = tuple(g.B.constant() for g in slots)
+    if units != cf_values(f):
+        raise FieldError("normal form units differ from the continued-fraction values")
     return units, Certificate("pointed", field, tuple(steps), f, cur)
 
 

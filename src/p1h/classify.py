@@ -3,8 +3,13 @@
 A pointed rational function is classified by its degree, the stable Witt
 class of its Bezout form, and the exact determinant of that form (carried
 here as the exact resultant, from which det = (-1)^{n(n-1)/2} res).  The
-pair (Witt class, determinant) ranges over the fiber product cut out by
-the discriminant, which is the coherence condition asserted below.
+Witt class is read off the continued-fraction values (ratmap.cf_values), a
+diagonal form in the stable class of the Bezout form (isometric to it
+outside characteristic 2), and the resultant off the Euclidean remainder
+sequence, so a decision takes O(n^2) field operations and builds no n x n
+matrix.  The pair (Witt class, determinant) ranges over the fiber product
+cut out by the discriminant; the coherence check below is the stronger
+statement that the values multiply to the exact determinant.
 
 Unpointed classes reduce the determinant further modulo 2n-th powers;
 maps to higher-dimensional projective spaces are classified by the degree
@@ -15,18 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .bezout_hankel import bezout_form
 from .fields import FieldError, Rationals, factorize
 from .poly import Poly, PolyRing, poly_xgcd, const, zero
 from .quadform import (
     WittInvariant,
-    stable_invariant,
+    invariant_from_values,
+    relevant_primes_q,
     witt_sum,
     witt_tensor,
 )
-from .ratmap import PointedRat, UnpointedRat, normalize_unpointed
+from .ratmap import PointedRat, UnpointedRat, cf_values, normalize_unpointed
 
 
 def _detbez_sign(n: int) -> int:
@@ -76,11 +81,15 @@ def pointed_invariant(f: PointedRat) -> PointedInvariant:
 @lru_cache(maxsize=65536)
 def _pointed_invariant_cached(f: PointedRat) -> PointedInvariant:
     field = f.ring
-    witt = stable_invariant(bezout_form(f))
-    inv = PointedInvariant(f.n, witt, f.res, field)
-    # coherence: the form's discriminant (already a canonical square class)
-    # matches the exact determinant
-    assert witt.disc == field.square_class(inv.detbez())
+    values = cf_values(f)
+    relevant = None
+    if isinstance(field, Rationals):
+        relevant = relevant_primes_q(f.A.coeffs + f.B.coeffs, f.res)
+    inv = PointedInvariant(f.n, invariant_from_values(field, values, relevant), f.res, field)
+    # coherence: the values multiply to the exact determinant (so the
+    # discriminant is that of the determinant)
+    if not field.is_zero(field.sub(reduce(field.mul, values), inv.detbez())):
+        raise FieldError("continued-fraction values do not multiply to det Bez")
     return inv
 
 

@@ -342,16 +342,44 @@ def resultant_nn(a: Poly, b: Poly, n: int):
     B-rows, coefficients descending; this layout makes the determinant
     formula for the coefficient matrix of (A(X)B(Y)-A(Y)B(X))/(X-Y) hold
     with sign (-1)^{n(n-1)/2} (validated exhaustively in the test suite).
-    For monic a the determinant is computed as det of the multiplication-
-    by-b matrix on the quotient by a, which is the same scalar.
+    For monic a of degree n this is prod b(alpha) over the roots of a: over
+    a field it is read off the Euclidean remainder sequence in O(n^2)
+    operations (see _euclid_resultant); over k[T] it is the determinant of
+    the multiplication-by-b matrix on the quotient by a, the same scalar.
     """
     if n < max(a.degree, b.degree):
         raise FieldError("formal degree below an actual degree")
     if n == 0:
         return a.ring.one
     if a.degree == n and a.is_monic():
+        if not isinstance(a.ring, PolyRing):
+            return _euclid_resultant(a, poly_divmod(b, a)[1])
         return linalg.det(a.ring, _mult_matrix(a, b, n))
     return linalg.det(a.ring, sylvester_nn(a, b, n))
+
+
+def _euclid_resultant(a: Poly, b: Poly):
+    """prod b(alpha) over the roots alpha of a, for a monic of degree >= 1
+    and deg b < deg a over a field.
+
+    With m = deg b, c = lc(b) and r = a mod b, the roots beta of b give
+    prod b(alpha) = (-1)^{nm} c^n prod a(beta) = (-1)^{nm} c^n prod r(beta),
+    and prod r(beta) is the same product for the monic b/c and r: one
+    division per step of the remainder sequence.
+    """
+    R = a.ring
+    acc = R.one
+    while True:
+        if b.is_zero():
+            return R.zero
+        n, m, c = a.degree, b.degree, b.lead
+        acc = R.mul(acc, R.pow(c, n))
+        if (n * m) % 2:
+            acc = R.neg(acc)
+        if m == 0:
+            return acc
+        monic = b.scale(R.inv(c))
+        a, b = monic, poly_divmod(a, monic)[1]
 
 
 def _mult_matrix(a: Poly, b: Poly, n: int):

@@ -330,25 +330,31 @@ class WittInvariant:
         return hash(self._key())
 
 
-def _relevant_primes_q(S: SymMatrix, det: Fraction) -> list[int]:
-    """Primes where the form can have a nontrivial Hasse symbol: 2 plus the
-    primes of the common denominator and of the (moderate) nonzero
-    determinant det of S.  At any other odd prime the matrix is p-adically
+def relevant_primes_q(entries, det: Fraction) -> list[int]:
+    """Primes where a form can have a nontrivial Hasse symbol: 2 plus the
+    primes of the common denominator of `entries` and of the nonzero
+    determinant det.  `entries` are rationals whose integer polynomials
+    give the matrix (its own entries, or a function's coefficients for its
+    Bezout form); at any other odd prime the matrix is p-adically
     unimodular."""
-    den = 1
-    for row in S.rows:
-        for x in row:
-            den = math.lcm(den, x.denominator)
-    ps = {2}
-    ps |= set(factorize(den)) if den > 1 else set()
-    ps |= set(factorize(abs(det.numerator)))
-    ps |= set(factorize(det.denominator))
-    return sorted(ps)
+    den = math.lcm(1, *(Fraction(x).denominator for x in entries))
+    return sorted({2} | set(factorize(den)) | set(factorize(abs(det.numerator)))
+                  | set(factorize(det.denominator)))
 
 
 def _hasse(values, p) -> int:
-    """The Hasse symbol prod_{i<j} (a_i, a_j)_p of <a_1, ..., a_n>."""
-    return math.prod(hilbert_symbol(a, b, p) for a, b in itertools.combinations(values, 2))
+    """The Hasse symbol prod_{i<j} (a_i, a_j)_p of <a_1, ..., a_n>, as the
+    cocycle prod_j (a_1 ... a_{j-1}, a_j)_p: linear in n.  The running
+    product enters the symbol only through its class modulo squares of
+    Q_p, so it is kept as p^(v mod 2) times its unit part reduced modulo
+    8 (p = 2) or p, which fixes that class."""
+    m = 8 if p == 2 else p
+    h, d = 1, Fraction(1)
+    for a in values:
+        h *= hilbert_symbol(d, a, p)
+        v, u = _val_unit(d * a, p)
+        d = Fraction(p ** (v % 2) * (u.numerator * pow(u.denominator, -1, m) % m))
+    return h
 
 
 def invariant_from_values(field, values, relevant) -> WittInvariant:
@@ -383,7 +389,8 @@ def stable_invariant(S: SymMatrix) -> WittInvariant:
     field = S.ring
     form, _ = diagonalize(S)
     if isinstance(field, Rationals):
-        return invariant_from_values(field, form.units, _relevant_primes_q(S, form.det()))
+        entries = (x for row in S.rows for x in row)
+        return invariant_from_values(field, form.units, relevant_primes_q(entries, form.det()))
     if isinstance(form, BlockNormalForm):
         # F_2: rank determines the stable class; an all-ones payload keeps
         # tensor bookkeeping meaningful

@@ -239,8 +239,28 @@ def cf_expand(f: PointedRat) -> CFExpansion:
         terms.append((Q.scale(b), b))
         A, B = B.scale(ring.inv(b)), R.scale(ring.neg(b))
     terms.append((A, B.constant()))
-    assert sum(P.degree for P, _ in terms) == f.n
+    if sum(P.degree for P, _ in terms) != f.n:
+        raise FieldError("cf expansion: block degrees do not add up to the degree")
     return CFExpansion(ring, tuple(terms))
+
+
+def cf_values(f: PointedRat) -> tuple:
+    """Diagonal values of a form in the stable class of the Bezout form of
+    f (isometric to it outside characteristic 2); they multiply to its
+    determinant.
+
+    f is naively homotopic to the sum of its blocks P/b, and a block of
+    degree d to the monomial sum [1]*(d//2) + [b]*(d%2) + [-b^2]*(d//2)
+    (normal_form_cert builds these homotopies and emits its units in this
+    order), whose Bezout form is congruent to that diagonal form by a
+    det-1 matrix.
+    """
+    ring = f.ring
+    out = []
+    for P, b in cf_expand(f):
+        half, odd = divmod(P.degree, 2)
+        out += [ring.one] * half + [b] * odd + [ring.neg(ring.mul(b, b))] * half
+    return tuple(out)
 
 
 def cf_assemble(exp: CFExpansion) -> PointedRat:

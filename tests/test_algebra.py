@@ -120,9 +120,35 @@ class TestResultant:
         with pytest.raises(FieldError):
             resultant_nn(X(QQ).shift(3), X(QQ), 2)
 
+    def test_euclidean_branch_matches_permutation_determinant(self, rng):
+        """Over a field, monic A takes the Euclidean remainder sequence; the
+        defining Sylvester determinant, expanded by permutations, agrees for
+        B of every degree below n (the zero B included), at the formal degree
+        n itself, and on zero resultants."""
+        zeros = 0
+        for field in (GF(2), GF(3), GF(5), QQ):
+            for n in (1, 2, 3):
+                for m in range(-1, n + 1):
+                    for _ in range(12 if n == 3 else 25):
+                        A = _rand_poly(field, rng, n, monic=True)
+                        B = _rand_poly(field, rng, m) if m >= 0 else zero(field)
+                        if m >= 0 and B.degree < m:
+                            B = B + const(field, 1).shift(m)  # force degree m
+                        if rng.random() < 0.2 and n >= 2 and m >= 1:
+                            # a shared linear factor: the resultant is 0
+                            r = _rand_poly(field, rng, 0)
+                            lin = X(field) - r
+                            A = _rand_poly(field, rng, n - 1, monic=True) * lin
+                            B = _rand_poly(field, rng, m - 1, monic=True) * lin
+                        assert (A.degree, B.degree) == (n, max(m, -1))
+                        got = resultant_nn(A, B, n)
+                        assert got == perm_det(field, sylvester_nn(A, B, n))
+                        zeros += field.is_zero(got)
+        assert zeros >= 20
+
     def test_matches_permutation_determinant(self, rng):
-        # fast route (multiplication matrix) vs the defining Sylvester
-        # determinant, expanded by permutations
+        # the Euclidean route vs the defining Sylvester determinant,
+        # expanded by permutations
         F3 = GF(3)
         for n in (1, 2):
             for acoef in itertools.product(range(3), repeat=n):

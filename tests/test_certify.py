@@ -37,6 +37,7 @@ from p1h.poly import Poly, PolyRing, X, const, poly_divmod, poly_gcd, zero
 from p1h.quadform import REAL_PLACE, hilbert_symbol
 from p1h.ratmap import (
     PointedRat,
+    cf_values,
     eval_path,
     identity_point,
     mk_pointed,
@@ -82,6 +83,31 @@ class TestNormalForm:
                 assert cert.source == f
                 assert cert.target == monomial_sum(field, units)
                 assert pointed_invariant(f) == pointed_invariant(cert.target)
+
+
+    def test_units_are_the_continued_fraction_values(self, rng):
+        """Blocks of degree d give [1]*(d//2) + [b]*(d%2) + [-b^2]*(d//2),
+        in block order; the decision reads the same values."""
+        for field in (QQ, GF(3), GF(5)):
+            for _ in range(15):
+                f = identity_point(field)
+                for d in rng.sample(range(1, 5), rng.randrange(1, 3)):
+                    b = field.from_int(rng.choice([1, 2, -1, -2]))
+                    cs = [rng.randrange(-2, 3) for _ in range(d)]
+                    f = oplus(f, poly_point(Poly.make(field, cs + [1]), b))
+                units, cert = normal_form_cert(f)
+                assert units == cf_values(f)
+                assert cert.target == monomial_sum(field, units)
+
+    def test_units_disagreeing_with_values_is_a_field_error(self, monkeypatch):
+        from p1h import certify
+
+        f = poly_point(X(QQ).shift(2), Fraction(3))
+        certify._normal_form_cert_cached.cache_clear()
+        monkeypatch.setattr(certify, "cf_values", lambda f: (QQ.one,) * f.n)
+        with pytest.raises(FieldError, match="continued-fraction values"):
+            normal_form_cert(f)
+        certify._normal_form_cert_cached.cache_clear()
 
 
 class TestDiagChain:

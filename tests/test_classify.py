@@ -1,7 +1,9 @@
 """Invariants and equivalence decisions: the monoid morphism, coherence,
 composition law, unpointed classes, maps to P^d."""
+import dataclasses
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,7 @@ from p1h.ratmap import (
     cf_expand,
     compose,
     ga_act,
+    identity_point,
     mk_pointed,
     mk_unpointed,
     monomial_sum,
@@ -83,6 +86,89 @@ class TestPointedInvariant:
         g = x_over(QQ, 3)
         assert oplus(f, g) != oplus(g, f)
         assert pointed_invariant(oplus(f, g)) == pointed_invariant(oplus(g, f))
+
+
+def _block_sum(field, rng, nmax):
+    """An oplus sum of poly_point blocks P/b of degree 1-4 and total degree
+    at most nmax, so that blocks of degree above 1 occur."""
+    f = identity_point(field)
+    while True:
+        d = rng.randrange(1, 5)
+        if f.n + d > nmax:
+            return f
+        if field is QQ:
+            cs = [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3])) for _ in range(d)]
+            b = Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5]), rng.choice([1, 2, 7]))
+        else:
+            cs = [rng.randrange(field.p) for _ in range(d)]
+            b = rng.randrange(1, field.p)
+        f = oplus(f, poly_point(Poly.make(field, cs + [1]), b))
+        if f.n and rng.random() < 0.3:
+            return f
+
+
+def _patch_everywhere(monkeypatch, obj, replacement):
+    """Rebind obj to replacement in every p1h module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("p1h") and module is not None:
+            for attr, val in list(vars(module).items()):
+                if val is obj:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+class TestAgainstBezoutRoute:
+    """The decision reads the Witt class off the continued-fraction values;
+    the Bezout form, eliminated by stable_invariant, is the oracle."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7)], ids=str)
+    def test_agrees_with_stable_invariant_of_bezout_form(self, field, rng):
+        blocks = 0
+        for k in range(1000):
+            if k % 2:
+                f = random_point(field, rng.randrange(1, 11), rng)
+            else:
+                f = _block_sum(field, rng, 10)
+                blocks += any(P.degree > 1 for P, _ in cf_expand(f))
+            inv = pointed_invariant(f)
+            S = bezout_form(f)  # checks det S against the carried resultant
+            assert inv.witt == stable_invariant(S)
+            assert inv.detbez() == S.det() and inv.res == f.res
+        assert blocks >= 250
+
+    def test_decision_builds_no_matrix(self, rng, monkeypatch):
+        """Neither building the points (mk_pointed, oplus) nor deciding
+        them calls bezout_form, diagonalize or linalg.det."""
+        from p1h import bezout_hankel, classify, linalg, quadform
+
+        calls = []
+        for module, name in ((bezout_hankel, "bezout_form"), (quadform, "diagonalize"),
+                             (linalg, "det")):
+            orig = getattr(module, name)
+            _patch_everywhere(monkeypatch, orig,
+                              lambda *a, _name=name, _orig=orig: calls.append(_name) or _orig(*a))
+        classify._pointed_invariant_cached.cache_clear()
+        for field in (QQ, GF(3), GF(2)):
+            for _ in range(30):
+                f = random_point(field, rng.randrange(1, 8), rng)
+                g = _block_sum(field, rng, 8)
+                assert pointed_invariant(f).n == f.n
+                assert pointed_equiv(g, g)
+        assert calls == []
+
+    def test_coherence_failure_is_a_field_error(self, monkeypatch):
+        from p1h import classify
+
+        f = oplus(x_over(QQ, 2), x_over(QQ, 3))
+        classify._pointed_invariant_cached.cache_clear()
+        monkeypatch.setattr(classify, "cf_values", lambda f: (QQ.one, Fraction(5)))
+        with pytest.raises(FieldError, match="det Bez"):
+            pointed_invariant(f)
+        classify._pointed_invariant_cached.cache_clear()
+
+    def test_bezout_form_rejects_a_wrong_resultant(self):
+        f = oplus(x_over(QQ, 2), x_over(QQ, 3))
+        with pytest.raises(FieldError, match="determinant formula"):
+            bezout_form(dataclasses.replace(f, res=Fraction(7)))
 
 
 class TestFactorOnce:

@@ -3,6 +3,7 @@ codes, and the certificate file round-trip."""
 import copy
 import functools
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,6 +18,19 @@ from p1h.poly import X, const
 from p1h.ratmap import PointedRat, UnpointedRat, mk_pointed, oplus, x_over
 
 from conftest import p1h_env, random_point, run_optimized
+
+
+def _block_sum_60():
+    """A degree-60 sum of blocks P/b over Q, deg P in 1-4, |b| in {1, 2, 3}."""
+    rng = random.Random(60)
+    parts, n = [], 0
+    while n < 60:
+        d = min(rng.randrange(1, 5), 60 - n)
+        cs = rng.choices(range(-3, 4), k=d)
+        terms = "".join(f"{c:+d}*X^{k}" for k, c in enumerate(cs) if c)
+        parts.append(f"(X^{d}{terms})/({rng.choice([-3, -2, -1, 1, 2, 3])})")
+        n += d
+    return "+".join(parts)
 
 
 class TestParser:
@@ -310,6 +324,8 @@ class TestCommands:
             "    ['verify', d + '/u.json'],\n"
             "    ['verify', d + '/pd.json'],\n"
             "    ['verify', d + '/q4.json'],\n"
+            "    ['classify', '--field', 'Q', 'X/3+X^2/5+X/(1/7)'],\n"
+            "    ['equiv', '--field', 'Q', '(X^2+3*X)/5', 'X/1+X/-25'],\n"
             "    ['oracle', '--field', 'F3', '--n', '2', '--D', '1'],\n"
             "    ['oracle', '--field', 'F3', '--n', '1', '--D', '1', '--target', 'pd'],\n"
             "    ['oracle', '--field', 'F3', '--n', '2', '--D', '1', '--target', 'symmat'],\n"
@@ -320,9 +336,23 @@ class TestCommands:
             "print(*[main(argv) for argv in runs])\n"
         )
         out = run_optimized(script, str(tmp_path))
-        assert out.splitlines()[-1].split() == ["0"] * 11 + ["2"] * 3
+        assert out.splitlines()[-1].split() == ["0"] * 13 + ["2"] * 3
         assert "components equal fibers after 5 verified bridges" in out
         assert "bad matrix 'T;1'" in out and "bad matrix 'T,1;1'" in out
+
+    @pytest.mark.parametrize(
+        "expr,n,cap",
+        [("X^200/1", 200, 1.0), ("X^1000/1", 1000, 5.0), (_block_sum_60(), 60, 2.0)],
+        ids=["X^200", "X^1000", "blocks-60"],
+    )
+    def test_large_degree_classify_over_q(self, expr, n, cap, capsys):
+        """One Euclidean pass per decision: no n x n matrix is built."""
+        import time
+
+        t0 = time.perf_counter()
+        assert main(["classify", "--field", "Q", expr]) == 0
+        assert time.perf_counter() - t0 < cap
+        assert json.loads(capsys.readouterr().out)["degree"] == n
 
     def test_huge_exponent_is_input_error(self, capsys):
         import time

@@ -25,6 +25,7 @@ from p1h.quadform import (
     replay_oplog,
     stable_equal,
     stable_invariant,
+    _hasse,
     _sqrt_exact,
     tensor_diag,
     witt_sum,
@@ -281,6 +282,23 @@ class TestIsotropy:
     def test_degenerate_form_is_refused(self):
         with pytest.raises(FieldError):
             is_isotropic((1, 0, -1))
+
+
+class TestHasseCocycle:
+    def test_cocycle_equals_pairwise_product(self, rng):
+        """_hasse takes prod_j (a_1 ... a_{j-1}, a_j)_p; the definition is
+        the product of (a_i, a_j)_p over all pairs i < j."""
+        for _ in range(3000):
+            n = rng.randrange(1, 8)
+            values = [
+                Fraction(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 30))
+                for _ in range(n)
+            ]
+            for p in (2, 3, 5, 7, 11, 13):
+                pairwise = 1
+                for a, b in itertools.combinations(values, 2):
+                    pairwise *= hilbert_symbol(a, b, p)
+                assert _hasse(values, p) == pairwise
 
 
 class TestStableInvariant:
