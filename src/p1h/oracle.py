@@ -9,7 +9,17 @@ with explicitly verified certificates.
 
 Points are judged once each, by the library constructors (`mk_pointed`,
 `SymMatrix`, `mk_pd`).  The edge kernels work on raw tuples of ints
-(polynomials in T, ascending coefficients) for speed.
+(polynomials in T, ascending coefficients) for speed, and judge paths with
+their own exact tests over F_q[T]: a resultant, determinant or gcd of minors
+that must be a nonzero constant.
+
+The brute-force kernels screen each candidate path before that test.  They
+read its field point at every t in F_q from tables of the T-polynomials'
+values, and look it up in a table of field points that the same exact test
+builds at T-degree 0.  Evaluation T -> t is a ring map, so it keeps a
+nonzero constant nonzero and a unit gcd a unit: a valid path is a point at
+every t.  A candidate that is not, whose ends agree, or whose endpoint pair
+is already an edge, cannot change the edge set, and skips the exact test.
 """
 from __future__ import annotations
 
@@ -373,91 +383,126 @@ def _edges_ratfun_n2_chunk(args):
     return edges
 
 
+def _screened_edges(q, m, polys, vals, consts, exact, shape, lo, hi):
+    """The edges of candidates lo..hi-1 of a brute-force kernel, screened as
+    the module docstring says.
+
+    A candidate is m T-polynomials: code sum_k r_k npolys^k picks polys[r_k]
+    for coordinate k.  vals[r] are the values of polys[r] at t = 0..q-1,
+    consts[v] is the constant v, and exact(coords) is the kernel's test over
+    F_q[T], which on constants tabulates the field points.  A field point is
+    numbered by its coordinates in base q, the first most significant, so
+    numbers order like encodings; shape builds the encoding from the
+    coordinates."""
+    npolys = len(polys)
+    weights = [q ** (m - 1 - k) for k in range(m)]
+    flats = list(itertools.product(range(q), repeat=m))
+    point = [exact(tuple(consts[v] for v in flat)) for flat in flats]
+    # the first h coordinates, the low digits of the code, run innermost
+    h = m // 2
+    inner_size = npolys**h
+    inner = []
+    for digits in itertools.product(range(npolys), repeat=h):
+        rs = digits[::-1]
+        inner.append((
+            tuple(polys[r] for r in rs),
+            tuple(sum(vals[r][t] * w for r, w in zip(rs, weights)) for t in range(q)),
+        ))
+    pairs = set()
+    for o in range(lo // inner_size, (hi - 1) // inner_size + 1):
+        rs, c = [], o
+        for _ in range(h, m):
+            c, r = divmod(c, npolys)
+            rs.append(r)
+        outer = tuple(polys[r] for r in rs)
+        H = [sum(vals[r][t] * w for r, w in zip(rs, weights[h:])) for t in range(q)]
+        h0, h1, hrest = H[0], H[1], H[2:]
+        base = o * inner_size
+        for coords, L in inner[max(lo - base, 0) : min(hi - base, inner_size)]:
+            p0, p1 = h0 + L[0], h1 + L[1]
+            if p0 == p1 or not (point[p0] and point[p1]):
+                continue
+            pair = (p0, p1) if p0 < p1 else (p1, p0)
+            if pair in pairs:
+                continue
+            if hrest and not all(point[x + y] for x, y in zip(hrest, L[2:])):
+                continue
+            if exact(coords + outer):
+                pairs.add(pair)
+    return {(shape(flats[a]), shape(flats[b])) for a, b in pairs}
+
+
 def _edges_ratfun_n3_f2_chunk(args):
-    """Brute force for q = 2, n = 3 with carry-less bit-packed T-polynomials."""
+    """Brute force for q = 2, n = 3 with carry-less bit-packed T-polynomials
+    (bit i is the coefficient of T^i)."""
     _q, D, lo, hi = args
-    mask = (1 << (D + 1)) - 1
+    size = 1 << (D + 1)
+    polys = range(size)
+    vals = [(x & 1, x.bit_count() & 1) for x in polys]
+    return _screened_edges(
+        2, 6, polys, vals, (0, 1), lambda c: _f2_n3_det(*c) == 1,
+        lambda flat: (flat[:3], flat[3:]), lo, hi,
+    )
 
-    def clmul(x, y):
-        acc = 0
-        while y:
-            if y & 1:
-                acc ^= x
-            x <<= 1
-            y >>= 1
-        return acc
 
-    def ev1(x):
-        return x.bit_count() & 1
+def _clmul(x, y):
+    acc = 0
+    while y:
+        if y & 1:
+            acc ^= x
+        x <<= 1
+        y >>= 1
+    return acc
 
-    edges = set()
-    size = mask + 1
-    for code in range(lo, hi):
-        rest, a0 = divmod(code, size)
-        rest, a1 = divmod(rest, size)
-        rest, a2 = divmod(rest, size)
-        rest, b0 = divmod(rest, size)
-        rest, b1 = divmod(rest, size)
-        b2 = rest
-        # columns of multiplication by B modulo A = X^3 + a2 X^2 + a1 X + a0
-        r3 = (a0, a1, a2)  # X^3 mod A (char 2: minus = plus)
-        r4 = (
-            clmul(a2, a0),
-            a0 ^ clmul(a2, a1),
-            a1 ^ clmul(a2, a2),
-        )
-        c0 = (b0, b1, b2)
-        c1 = (
-            clmul(b2, r3[0]),
-            b0 ^ clmul(b2, r3[1]),
-            b1 ^ clmul(b2, r3[2]),
-        )
-        c2 = (
-            clmul(b1, r3[0]) ^ clmul(b2, r4[0]),
-            clmul(b1, r3[1]) ^ clmul(b2, r4[1]),
-            b0 ^ clmul(b1, r3[2]) ^ clmul(b2, r4[2]),
-        )
-        det = (
-            clmul(c0[0], clmul(c1[1], c2[2]) ^ clmul(c1[2], c2[1]))
-            ^ clmul(c1[0], clmul(c0[1], c2[2]) ^ clmul(c0[2], c2[1]))
-            ^ clmul(c2[0], clmul(c0[1], c1[2]) ^ clmul(c0[2], c1[1]))
-        )
-        if det != 1:  # constant unit of F_2[T]
-            continue
-        p0 = ((a0 & 1, a1 & 1, a2 & 1), (b0 & 1, b1 & 1, b2 & 1))
-        p1 = (
-            (ev1(a0), ev1(a1), ev1(a2)),
-            (ev1(b0), ev1(b1), ev1(b2)),
-        )
-        if p0 != p1:
-            edges.add((min(p0, p1), max(p0, p1)))
-    return edges
+
+def _f2_n3_det(a0, a1, a2, b0, b1, b2):
+    """The resultant of X^3 + a2 X^2 + a1 X + a0 and b2 X^2 + b1 X + b0 over
+    F_2[T]: the determinant of multiplication by B modulo A."""
+    clmul = _clmul
+    # columns of multiplication by B modulo A (char 2: minus = plus)
+    r3 = (a0, a1, a2)  # X^3 mod A
+    r4 = (
+        clmul(a2, a0),
+        a0 ^ clmul(a2, a1),
+        a1 ^ clmul(a2, a2),
+    )
+    c0 = (b0, b1, b2)
+    c1 = (
+        clmul(b2, r3[0]),
+        b0 ^ clmul(b2, r3[1]),
+        b1 ^ clmul(b2, r3[2]),
+    )
+    c2 = (
+        clmul(b1, r3[0]) ^ clmul(b2, r4[0]),
+        clmul(b1, r3[1]) ^ clmul(b2, r4[1]),
+        b0 ^ clmul(b1, r3[2]) ^ clmul(b2, r4[2]),
+    )
+    return (
+        clmul(c0[0], clmul(c1[1], c2[2]) ^ clmul(c1[2], c2[1]))
+        ^ clmul(c1[0], clmul(c0[1], c2[2]) ^ clmul(c0[2], c2[1]))
+        ^ clmul(c2[0], clmul(c0[1], c1[2]) ^ clmul(c0[2], c1[1]))
+    )
+
+
+def _raw_tables(q, D):
+    """The T-polynomials of degree <= D in code order, their values at
+    t = 0..q-1, and the constants."""
+    polys = _rpolys(q, D)
+    vals = [tuple(_reval(p, t, q) for t in range(q)) for p in polys]
+    return polys, vals, [_rtrim((v,)) for v in range(q)]
 
 
 def _edges_symmat_chunk(args):
     q, n, D, lo, hi = args
-    polys = _rpolys(q, D)
-    npolys = len(polys)
     idx = [(i, j) for i in range(n) for j in range(i, n)]
-    m = len(idx)
-    edges = set()
-    for code in range(lo, hi):
-        vals = []
-        c = code
-        for _ in range(m):
-            c, r = divmod(c, npolys)
-            vals.append(polys[r])
+
+    def exact(coords):
         M = [[()] * n for _ in range(n)]
-        for (i, j), v in zip(idx, vals):
+        for (i, j), v in zip(idx, coords):
             M[i][j] = M[j][i] = v
-        det = _rdet(M, q)
-        if len(det) != 1:
-            continue
-        e0 = tuple(_reval(v, 0, q) for v in vals)
-        e1 = tuple(_reval(v, 1, q) for v in vals)
-        if e0 != e1:
-            edges.add((min(e0, e1), max(e0, e1)))
-    return edges
+        return len(_rdet(M, q)) == 1
+
+    return _screened_edges(q, len(idx), *_raw_tables(q, D), exact, tuple, lo, hi)
 
 
 def _rdet(M, q):
@@ -479,46 +524,14 @@ def _rdet(M, q):
 
 def _edges_pd_chunk(args):
     q, n, D, d, lo, hi = args
-    polys = _rpolys(q, D)
-    npolys = len(polys)
-    m = n * (1 + d)
-    edges = set()
-    for code in range(lo, hi):
-        vals = []
-        c = code
-        for _ in range(m):
-            c, r = divmod(c, npolys)
-            vals.append(polys[r])
-        acoef = vals[:n]
-        bs = [vals[n * (1 + k) : n * (2 + k)] for k in range(d)]
-        # quick necessary test: field-level unimodularity at each t
-        ok = True
-        for t in range(q):
-            A_t = _rtrim(tuple(_reval(a, t, q) for a in acoef) + (1,))
-            g = A_t
-            for b in bs:
-                bt = _rtrim(tuple(_reval(x, t, q) for x in b))
-                g = _rgcd(g, bt, q)
-                if len(g) == 1:
-                    break
-            if len(g) != 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        if not _pd_unimodular_kt(q, n, acoef, bs):
-            continue
-        p0 = (
-            tuple(_reval(a, 0, q) for a in acoef),
-            tuple(tuple(_reval(x, 0, q) for x in b) for b in bs),
-        )
-        p1 = (
-            tuple(_reval(a, 1, q) for a in acoef),
-            tuple(tuple(_reval(x, 1, q) for x in b) for b in bs),
-        )
-        if p0 != p1:
-            edges.add((min(p0, p1), max(p0, p1)))
-    return edges
+
+    def split(coords):
+        return coords[:n], tuple(coords[n * (1 + k) : n * (2 + k)] for k in range(d))
+
+    return _screened_edges(
+        q, n * (1 + d), *_raw_tables(q, D),
+        lambda c: _pd_unimodular_kt(q, n, *split(c)), split, lo, hi,
+    )
 
 
 def _pd_unimodular_kt(q, n, acoef, bs):
@@ -572,8 +585,12 @@ def _has_edge_kernel(target: str, q: int, n: int) -> bool:
 def enumerate_edges(spec: EnumSpec):
     """All distinct endpoint pairs of valid paths with T-degree <= D.
 
-    Raises FieldError, before any work, for a cell beyond _WORK_CAP
-    candidates or one with no kernel."""
+    The n = 1 and n = 2 ratfun cells solve for their paths.  The others walk
+    every candidate, and run the exact test only on those that are field
+    points at every t and join a new pair of distinct points; the rest are
+    not valid paths or add no edge, so the set is the one the exact test on
+    every candidate gives.  Raises FieldError, before any work, for a cell
+    beyond _WORK_CAP candidates or one with no kernel."""
     q, n, D = spec.q, spec.n, spec.depth
     if D == 0 or n == 0:
         return set()  # constant paths, or a one-point scheme: no edges

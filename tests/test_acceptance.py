@@ -121,10 +121,13 @@ def test_criterion_3_main_classification_grid():
 
 def test_criterion_4_symmetric_matrices():
     # naive components of the matrix scheme match the stable-class fibers
+    edges = {(2, 3, 2): 378, (3, 3, 1): 7488}
     for q, n, D in [(2, 1, 2), (2, 2, 2), (2, 3, 2), (3, 1, 2), (3, 2, 2), (3, 3, 1)]:
         cc = oc.cross_check(oc.EnumSpec(q=q, n=n, D=D, target="symmat"))
         assert cc.agreement
         assert cc.fibers == (1 if q == 2 else q - 1)
+        if (q, n, D) in edges:
+            assert cc.report.edges == edges[q, n, D]
     # constructive reduction over F_3[T]: 100 random matrices, n <= 4
     F3 = GF(3)
     kt = PolyRing(F3)
@@ -323,6 +326,8 @@ def test_criterion_9_projective_targets():
         for n in (1, 2):
             cc = oc.cross_check(oc.EnumSpec(q=q, n=n, D=1, target="pd", d=2))
             assert cc.agreement and cc.components == 1
+            if (q, n) == (3, 2):
+                assert cc.report.edges == 178776
             spec = oc.EnumSpec(q=q, n=n, D=1, target="pd", d=2)
             for enc in oc.enumerate_points(spec):
                 p = oc.point_object(spec, enc)

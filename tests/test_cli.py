@@ -329,6 +329,7 @@ class TestCommands:
             "    ['oracle', '--field', 'F3', '--n', '2', '--D', '1'],\n"
             "    ['oracle', '--field', 'F3', '--n', '1', '--D', '1', '--target', 'pd'],\n"
             "    ['oracle', '--field', 'F3', '--n', '2', '--D', '1', '--target', 'symmat'],\n"
+            "    ['oracle', '--field', 'F2', '--n', '3', '--D', '1'],\n"
             "    ['oracle', '--field', 'F3', '--n', '3', '--D', '1'],\n"
             "    ['reduce-kt', '--field', 'F3', 'T;1'],\n"
             "    ['reduce-kt', '--field', 'F3', 'T,1;1'],\n"
@@ -336,7 +337,7 @@ class TestCommands:
             "print(*[main(argv) for argv in runs])\n"
         )
         out = run_optimized(script, str(tmp_path))
-        assert out.splitlines()[-1].split() == ["0"] * 13 + ["2"] * 3
+        assert out.splitlines()[-1].split() == ["0"] * 14 + ["2"] * 3
         assert "components equal fibers after 5 verified bridges" in out
         assert "bad matrix 'T;1'" in out and "bad matrix 'T,1;1'" in out
 

@@ -218,6 +218,13 @@ class TestComponents:
         assert rep.agreement
 
     def test_workers_agree(self):
+        # each chunk of a screened kernel builds its own tables; one pool of
+        # two processes at a time
+        for kw in (dict(q=3, n=2, D=2), dict(q=2, n=2, D=1, target="pd"),
+                   dict(q=2, n=3, D=1)):
+            seq = oc.enumerate_edges(oc.EnumSpec(**kw, workers=1))
+            par = oc.enumerate_edges(oc.EnumSpec(**kw, workers=2))
+            assert seq == par, kw
         seq = oc.components(oc.EnumSpec(q=3, n=2, D=2, workers=1))
         par = oc.components(oc.EnumSpec(q=3, n=2, D=2, workers=2))
         assert seq.edges == par.edges
@@ -233,6 +240,90 @@ class TestComponents:
         assert oc._worker_count(8) == 1
         monkeypatch.setattr(oc.os, "cpu_count", lambda: 4)
         assert oc._worker_count(3) == 3 and oc._worker_count(64) == 4
+
+
+def _naive_edges(spec):
+    """Every candidate through its kernel's exact test, with no screen."""
+    q, n, D, d = spec.q, spec.n, spec.depth, spec.d
+    if spec.target == "ratfun":  # n = 3 over F_2, on bit-packed polynomials
+        m = 6
+
+        def exact(c):
+            return oc._f2_n3_det(*(sum(b << i for i, b in enumerate(p)) for p in c)) == 1
+
+        def shape(v):
+            return v[:3], v[3:]
+    elif spec.target == "symmat":
+        idx = [(i, j) for i in range(n) for j in range(i, n)]
+        m, shape = len(idx), tuple
+
+        def exact(c):
+            M = [[()] * n for _ in range(n)]
+            for (i, j), v in zip(idx, c):
+                M[i][j] = M[j][i] = v
+            return len(oc._rdet(M, q)) == 1
+    else:
+        m = n * (1 + d)
+
+        def shape(c):
+            return c[:n], tuple(c[n * (1 + k) : n * (2 + k)] for k in range(d))
+
+        def exact(c):
+            return oc._pd_unimodular_kt(q, n, *shape(c))
+    edges = set()
+    for coords in itertools.product(oc._rpolys(q, D), repeat=m):
+        if exact(coords):
+            p0, p1 = (shape(tuple(oc._reval(p, t, q) for p in coords)) for t in (0, 1))
+            if p0 != p1:
+                edges.add((min(p0, p1), max(p0, p1)))
+    return edges
+
+
+class TestScreenedKernels:
+    """The brute-force kernels skip the exact test on candidates that cannot
+    add an edge; the edge set is the one every candidate gives."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(q=2, n=3, D=1), dict(q=3, n=2, D=1, target="symmat"),
+         dict(q=2, n=2, D=2, target="symmat"), dict(q=2, n=1, D=1, target="pd"),
+         dict(q=3, n=1, D=1, target="pd"), dict(q=2, n=2, D=1, target="pd")],
+        ids=["ratfun-2-3-1", "symmat-3-2-1", "symmat-2-2-2", "pd-2-1-1", "pd-3-1-1",
+             "pd-2-2-1"],
+    )
+    def test_screen_matches_naive_loop(self, kw):
+        spec = oc.EnumSpec(**kw)
+        assert spec.work_estimate() <= 4096
+        edges = oc.enumerate_edges(spec)
+        assert edges and edges == _naive_edges(spec)
+
+    def test_chunks_cover_every_candidate(self):
+        # three bit-packed F_2 coordinates of T-degree <= 1, where the only
+        # valid non-constant candidate is the one with code `code`: a chunk
+        # finds its edge exactly when it holds that code
+        polys = range(4)
+        vals = [(x & 1, x.bit_count() & 1) for x in polys]
+        for code in range(64):
+            coords = (code % 4, code // 4 % 4, code // 16)
+            ends = tuple(tuple(vals[r][t] for r in coords) for t in (0, 1))
+            edge = {(min(ends), max(ends))} if ends[0] != ends[1] else set()
+
+            def exact(c):
+                return c == coords or max(c) < 2
+
+            for lo, hi in ((0, 64), (0, code), (code, code + 1), (code + 1, 64), (1, 63)):
+                got = oc._screened_edges(2, 3, polys, vals, (0, 1), exact, tuple, lo, hi)
+                assert got == (edge if lo <= code < hi else set()), (code, lo, hi)
+
+    @pytest.mark.parametrize(
+        "target,q,n,D,count",
+        [("ratfun", 7, 1, 2, 126), ("ratfun", 7, 2, 1, 23814), ("ratfun", 2, 3, 2, 366),
+         ("symmat", 5, 2, 1, 240), ("pd", 3, 1, 2, 276), ("pd", 2, 2, 1, 1062)],
+    )
+    def test_benchmark_grid_edge_counts(self, target, q, n, D, count):
+        # the edge counts of the benchmark's grid cells, as the unscreened
+        # kernels gave them
+        assert len(oc.enumerate_edges(oc.EnumSpec(q=q, n=n, D=D, target=target))) == count
 
 
 class TestCrossCheck:
