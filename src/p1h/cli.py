@@ -230,11 +230,7 @@ def cmd_cfrac(args):
 
 def cmd_reduce_kt(args):
     S = _parse_kt_matrix(args, args.matrix)
-    try:
-        P, N = quadform.hermite_reduce(S)
-    except FieldError as exc:
-        raise CliError(str(exc))
-    kt = S.ring
+    P, N = quadform.hermite_reduce(S)
     payload = {
         "P": [[serial.poly_to_json(e) for e in row] for row in P],
         "N": [[serial.poly_to_json(e) for e in row] for row in N.rows],
@@ -250,19 +246,16 @@ def cmd_oracle(args):
     field = _field(args)
     if not hasattr(field, "p"):
         raise CliError("the oracle enumerates prime fields only")
-    try:
-        spec = oracle.EnumSpec(
-            q=field.p,
-            n=args.n,
-            D=args.D,
-            target=args.target,
-            d=args.d,
-            workers=args.workers,
-        )
-        # an unsupported or oversize cell is refused before any enumeration
-        cc = oracle.cross_check(spec)
-    except FieldError as exc:
-        raise CliError(str(exc))
+    spec = oracle.EnumSpec(
+        q=field.p,
+        n=args.n,
+        D=args.D,
+        target=args.target,
+        d=args.d,
+        workers=args.workers,
+    )
+    # an unsupported or oversize cell is refused before any enumeration
+    cc = oracle.cross_check(spec)
     payload = {
         "points": cc.report.points,
         "edges": cc.report.edges,
@@ -291,12 +284,7 @@ def cmd_pd_equiv(args):
 
 
 def cmd_pd_certify(args):
-    p = _parse_pd(args, args.p)
-    try:
-        cert = certify.pd_cert(p)
-    except FieldError as exc:
-        raise CliError(str(exc))
-    return _write_certificate(args, cert)
+    return _write_certificate(args, certify.pd_cert(_parse_pd(args, args.p)))
 
 
 def build_parser():
@@ -403,7 +391,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn_(args)
-    except CliError as exc:
+    except (CliError, FieldError) as exc:
+        # a FieldError that reaches here is a refusal of the input (a degree
+        # a command does not take, mismatched targets, an unsupported cell)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RejectedPoint as exc:

@@ -304,8 +304,9 @@ class WittInvariant:
     Over Q: rank, discriminant square class, signature, and the Hasse
     symbols at the finite relevant primes (all other symbols are +1).
     Over odd F_p: rank and discriminant class.  Over F_2: rank only.
-    The classes tuple is a diagonalization's square classes, kept as a
-    working payload for tensor products; it does not enter equality.
+    The classes tuple holds a diagonalization's values themselves, not
+    their square classes; sums and tensor products rebuild the invariant
+    from them.  It does not enter equality.
     """
 
     field: object
@@ -361,23 +362,17 @@ def invariant_from_values(field, values, relevant) -> WittInvariant:
     """Stable invariant of the diagonal form with the given entries; over Q
     the Hasse map is taken on the supplied relevant prime set."""
     rank = len(values)
-    if isinstance(field, Rationals):
-        det = field.one
-        for v in values:
-            det = field.mul(det, v)
-        disc = field.square_class(det)
-        pos = sum(1 for v in values if v > 0)
-        hasse = tuple((p, _hasse(values, p)) for p in sorted(set(relevant) | {2}))
-        return WittInvariant(
-            field, rank, disc, (pos, rank - pos), hasse, tuple(values)
-        )
-    if field.p == 2:
-        return WittInvariant(field, rank, field.one, None, None, tuple(values))
     det = field.one
     for v in values:
         det = field.mul(det, v)
-    disc = field.square_class(det)
-    return WittInvariant(field, rank, disc, None, None, tuple(values))
+    if isinstance(field, Rationals):
+        pos = sum(1 for v in values if v > 0)
+        hasse = tuple((p, _hasse(values, p)) for p in sorted(set(relevant) | {2}))
+        return WittInvariant(field, rank, field.square_class(det), (pos, rank - pos),
+                             hasse, tuple(values))
+    if field.p == 2:
+        return WittInvariant(field, rank, field.one, None, None, tuple(values))
+    return WittInvariant(field, rank, field.square_class(det), None, None, tuple(values))
 
 
 def stable_invariant(S: SymMatrix) -> WittInvariant:
@@ -394,8 +389,7 @@ def stable_invariant(S: SymMatrix) -> WittInvariant:
     if isinstance(form, BlockNormalForm):
         # F_2: rank determines the stable class; an all-ones payload keeps
         # tensor bookkeeping meaningful
-        values = tuple([field.one] * form.rank)
-        return WittInvariant(field, form.rank, field.one, None, None, values)
+        return invariant_from_values(field, [field.one] * form.rank, None)
     return invariant_from_values(field, list(form.units), None)
 
 
@@ -406,35 +400,20 @@ def stable_equal(i1: WittInvariant, i2: WittInvariant) -> bool:
     return i1 == i2
 
 
+def _hasse_primes(i1: WittInvariant, i2: WittInvariant):
+    """The union of the two relevant prime sets (None off Q).  Outside it
+    every entry of either form is a p-adic unit, so a sum's or a tensor
+    product's Hasse symbols stay +1 there."""
+    if not isinstance(i1.field, Rationals):
+        return None
+    return {p for p, _ in i1.hasse} | {p for p, _ in i2.hasse}
+
+
 def witt_sum(i1: WittInvariant, i2: WittInvariant) -> WittInvariant:
-    """Invariant of the orthogonal sum: ranks and signatures add, the
-    discriminants multiply, and the Hasse symbols compose by the cocycle
-    h(b1 + b2) = h(b1) h(b2) (disc b1, disc b2)_v."""
+    """Invariant of the orthogonal sum: the concatenated diagonal values."""
     if i1.field != i2.field:
         raise FieldError("invariants over different fields")
-    field = i1.field
-    values = i1.classes + i2.classes
-    if isinstance(field, Rationals):
-        disc = field.square_class(field.mul(i1.disc, i2.disc))
-        sig = (
-            i1.signature[0] + i2.signature[0],
-            i1.signature[1] + i2.signature[1],
-        )
-        h1, h2 = dict(i1.hasse), dict(i2.hasse)
-        primes = sorted(set(h1) | set(h2) | {2})
-        hasse = tuple(
-            (
-                p,
-                h1.get(p, 1)
-                * h2.get(p, 1)
-                * hilbert_symbol(i1.disc, i2.disc, p),
-            )
-            for p in primes
-        )
-        return WittInvariant(
-            field, i1.rank + i2.rank, disc, sig, hasse, values
-        )
-    return invariant_from_values(field, values, None)
+    return invariant_from_values(i1.field, i1.classes + i2.classes, _hasse_primes(i1, i2))
 
 
 def tensor_diag(d1: DiagForm, d2: DiagForm) -> DiagForm:
@@ -448,25 +427,10 @@ def tensor_diag(d1: DiagForm, d2: DiagForm) -> DiagForm:
 
 
 def witt_tensor(i1: WittInvariant, i2: WittInvariant) -> WittInvariant:
-    """Invariant of the tensor product, from the pairwise value products.
-    Outside the union of the two relevant prime sets all entries are
-    p-adic units, so the Hasse symbols stay +1 there."""
+    """Invariant of the tensor product: the pairwise value products."""
     field = i1.field
     t = tensor_diag(DiagForm(field, i1.classes), DiagForm(field, i2.classes))
-    r1, r2 = i1.rank, i2.rank
-    if isinstance(field, Rationals):
-        disc = field.square_class(
-            field.mul(field.pow(i1.disc, r2), field.pow(i2.disc, r1))
-        )
-        p1, q1 = i1.signature
-        p2, q2 = i2.signature
-        sig = (p1 * p2 + q1 * q2, p1 * q2 + q1 * p2)
-        primes = sorted(
-            {p for p, _ in (i1.hasse or ())} | {p for p, _ in (i2.hasse or ())} | {2}
-        )
-        hasse = tuple((p, _hasse(t.units, p)) for p in primes)
-        return WittInvariant(field, r1 * r2, disc, sig, hasse, t.units)
-    return invariant_from_values(field, list(t.units), None)
+    return invariant_from_values(field, t.units, _hasse_primes(i1, i2))
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +619,9 @@ def hermite_reduce(S: SymMatrix):
     """Block-diagonalize S over k[T] by a det-1 congruence.
 
     Returns (P, N) with P^T S P = N, P in SL_n(k[T]), and N block diagonal
-    with constant unit entries and [[0,1],[1,alpha(T)]] blocks.  Evaluating
-    N (equivalently S) at T=0 and T=1 yields forms with equal stable
-    invariants, which is the computational content of the homotopy
+    with constant unit entries and (over F_2) [[0,1],[1,alpha(T)]] blocks.
+    Evaluating N (equivalently S) at T=0 and T=1 yields forms with equal
+    stable invariants, which is the computational content of the homotopy
     invariance of the Witt class.
     """
     kt = _kt_check(S)
@@ -665,127 +629,55 @@ def hermite_reduce(S: SymMatrix):
     n = S.n
     if n <= 1:
         return linalg.mat_identity(kt, n), S
-    x = kt_short_vector(S)
-    x = _primitive(kt, x)
-    lam = _pairing(kt, S, x, x)
-    if lam.is_zero():
-        xz = _hyperbolic_pair(kt, S, x)
-        if base.char != 2:
-            # normalize z to be isotropic, then v = x + z has value
-            # 2 b(x,z) = 2, a unit: split a unit instead of a block (whose
-            # determinant -1 would clash with the exact determinant)
-            xv, zv = xz
-            alpha = _pairing(kt, S, zv, zv)
-            half = const(base, base.inv(base.add(base.one, base.one)))
-            corr = alpha * half
-            zv = [zc - corr * xc for zc, xc in zip(zv, xv)]
-            assert _pairing(kt, S, zv, zv).is_zero()
-            x = _primitive(kt, [a + b for a, b in zip(xv, zv)])
-            lam = _pairing(kt, S, x, x)
-            assert kt.is_unit(lam)
-        else:
-            return _split_block(S, xz)
-    return _split_unit(S, x, lam)
-
-
-def _split_unit(S: SymMatrix, x, lam):
-    """P^T S P = <lam> (+) complement, recursing on the complement."""
-    kt = S.ring
-    n = S.n
+    x = _primitive(kt, kt_short_vector(S))
     C = complete_unimodular(kt, x)
-    G = linalg.mat_mul(
-        kt, linalg.mat_transpose(C), linalg.mat_mul(kt, [list(r) for r in S.rows], C)
-    )
-    assert G[0][0] == lam and lam.is_constant()
-    lam_inv = kt.inv(lam)
-    Clear = linalg.mat_identity(kt, n)
-    for j in range(1, n):
-        Clear[0][j] = kt.neg(G[0][j] * lam_inv)
-    P1 = linalg.mat_mul(kt, C, Clear)
-    G1 = linalg.mat_mul(kt, linalg.mat_transpose(Clear), linalg.mat_mul(kt, G, Clear))
-    sub = SymMatrix.make(kt, [[G1[i][j] for j in range(1, n)] for i in range(1, n)])
-    Psub, Nsub = hermite_reduce(sub)
-    P = linalg.mat_mul(kt, P1, _block_one(kt, Psub, top=1))
-    N = SymMatrix.make(kt, _embed_block(kt, [[lam]], [list(r) for r in Nsub.rows]))
-    _check_hermite(S, P, N)
-    return P, N
-
-
-def _hyperbolic_pair(kt, S, x):
-    """(x, z) with b(x,x) = 0, b(x,z) = 1 (z found by a contragredient
-    completion of the pairing row, which has gcd 1 by non-degeneracy)."""
-    n = S.n
-    C = complete_unimodular(kt, x)
-    G = linalg.mat_mul(
-        kt, linalg.mat_transpose(C), linalg.mat_mul(kt, [list(r) for r in S.rows], C)
-    )
-    r = [G[0][j] for j in range(1, n)]
-    if n == 2:
-        assert kt.is_unit(r[0])
-        zcoords = [kt.zero, kt.inv(r[0])]
-    else:
-        W = complete_unimodular(kt, r)
-        Winv = _inverse_det_one(kt, W)
-        # first row of W^{-1} pairs to 1 against r
-        zcoords = [kt.zero] + list(Winv[0])
-    z = linalg.mat_vec(kt, C, zcoords)
-    assert _pairing(kt, S, x, z) == kt.one
-    return x, z
-
-
-def _split_block(S: SymMatrix, xz):
-    """F_2 path: split [[0,1],[1,alpha(T)]] and recurse (units are trivial,
-    so determinant bookkeeping is automatic)."""
-    kt = S.ring
-    n = S.n
-    x, z = xz
-    M = _basis_with_pair(kt, S, x, z)
-    G = linalg.mat_mul(
-        kt, linalg.mat_transpose(M), linalg.mat_mul(kt, [list(r) for r in S.rows], M)
-    )
-    # clear b(z, w) and b(x, w) against the block for complement columns
-    binv = [[kt.neg(G[1][1]), kt.one], [kt.one, kt.zero]]  # inverse of [[0,1],[1,a]]
-    E = linalg.mat_identity(kt, n)
-    for j in range(2, n):
-        c1, c2 = G[0][j], G[1][j]
-        E[0][j] = kt.neg(binv[0][0] * c1 + binv[0][1] * c2)
-        E[1][j] = kt.neg(binv[1][0] * c1 + binv[1][1] * c2)
-    M = linalg.mat_mul(kt, M, E)
-    G = linalg.mat_mul(
-        kt, linalg.mat_transpose(M), linalg.mat_mul(kt, [list(r) for r in S.rows], M)
-    )
-    assert G[0][0].is_zero() and G[0][1] == kt.one
-    for j in range(2, n):
-        assert G[0][j].is_zero() and G[1][j].is_zero()
-    d = linalg.det(kt, M)
-    assert d.is_constant() and kt.base.is_zero(kt.base.sub(d.constant(), kt.base.one))
-    sub = SymMatrix.make(kt, [[G[i][j] for j in range(2, n)] for i in range(2, n)])
-    Psub, Nsub = hermite_reduce(sub)
-    P = linalg.mat_mul(kt, M, _block_one(kt, Psub, top=2))
-    block = [[G[0][0], G[0][1]], [G[1][0], G[1][1]]]
-    N = SymMatrix.make(kt, _embed_block(kt, block, [list(r) for r in Nsub.rows]))
-    _check_hermite(S, P, N)
-    return P, N
-
-
-def _basis_with_pair(kt, S, x, z):
-    """Unimodular matrix with first two columns x, z."""
-    n = S.n
-    C = complete_unimodular(kt, x)
-    Cinv = _inverse_det_one(kt, C)
-    zc = linalg.mat_vec(kt, Cinv, z)  # z in C-coordinates; zc[0] pairs freely
-    # Build V with columns e0, zc, e2..: requires zc to extend; since
-    # b(x, z) = 1 the vector (zc[1], ..., zc[n-1]) is unimodular over k[T]
-    # only up to the pairing; instead extend via completion of zc's tail.
-    tail = zc[1:]
-    W = complete_unimodular(kt, tail)
+    if not _pairing(kt, S, x, x).is_zero():
+        return _split(S, C, 1)
+    # x is isotropic.  Its pairing row r against the other columns of C is
+    # unimodular (S is non-degenerate), and W = complete_unimodular(r) has r
+    # as first column, so adj(W) W = det(W) I makes the transposed adjugate
+    # send r to det(W) e_0: in the new basis x pairs with the second vector
+    # by the unit u = det(W) and with every later one by 0.
+    r = linalg.mat_vec(kt, linalg.mat_transpose(C), linalg.mat_vec(kt, S.rows, x))[1:]
+    adj_t = linalg.mat_transpose(linalg.adjugate(kt, complete_unimodular(kt, r)))
+    C = linalg.mat_mul(kt, C, _block_one(kt, adj_t, top=1))
+    if base.char == 2:
+        return _split(S, C, 2)  # the block [[0,1],[1,alpha]] (u = 1 over F_2)
+    # elsewhere N has constant units only: v = s e_0 + e_1 with
+    # s = (2 - alpha) / (2u) has b(v, v) = 2su + alpha = 2, and (v, -e_0)
+    # is a det-1 basis of the plane
+    e1 = [row[1] for row in C]
+    u, alpha = _pairing(kt, S, x, e1), _pairing(kt, S, e1, e1)
+    two = const(base, base.add(base.one, base.one))
     V = linalg.mat_identity(kt, n)
-    for i in range(n - 1):
-        V[1 + i][1] = tail[i]
-        for j in range(2, n):
-            V[1 + i][j] = W[i][j - 1]
-    V[0][1] = zc[0]
-    return linalg.mat_mul(kt, C, V)
+    V[0][0], V[0][1] = (two - alpha) * kt.inv(two * u), -kt.one
+    V[1][0], V[1][1] = kt.one, kt.zero
+    return _split(S, linalg.mat_mul(kt, C, V), 1)
+
+
+def _split(S: SymMatrix, C, k):
+    """P^T S P = B (+) complement, recursing on the complement.
+
+    C is a det-1 basis whose first k columns span a block B of unit
+    determinant; the other columns are cleared against B with B^{-1}."""
+    kt = S.ring
+    n = S.n
+    G = _congruence(kt, S, C)
+    B = [row[:k] for row in G[:k]]
+    if not kt.is_unit(linalg.det(kt, B)):
+        raise AssertionError("split block does not have unit determinant")
+    Binv = _inverse_det_one(kt, B)
+    E = linalg.mat_identity(kt, n)
+    for j in range(k, n):
+        for i in range(k):
+            E[i][j] = -sum((Binv[i][m] * G[m][j] for m in range(k)), kt.zero)
+    G = linalg.mat_mul(kt, linalg.mat_transpose(E), linalg.mat_mul(kt, G, E))
+    sub = SymMatrix.make(kt, [row[k:] for row in G[k:]])
+    Psub, Nsub = hermite_reduce(sub)
+    P = linalg.mat_mul(kt, linalg.mat_mul(kt, C, E), _block_one(kt, Psub, top=k))
+    N = SymMatrix.make(kt, _embed_block(kt, B, [list(r) for r in Nsub.rows]))
+    _check_hermite(S, P, N)
+    return P, N
 
 
 def _inverse_det_one(kt, W):
@@ -795,14 +687,21 @@ def _inverse_det_one(kt, W):
     return [[kt.exact_div(e, d) for e in row] for row in adj]
 
 
-def _check_hermite(S, P, N):
-    kt = S.ring
-    lhs = linalg.mat_mul(
+def _congruence(kt, S, P):
+    """P^T S P over k[T]."""
+    return linalg.mat_mul(
         kt, linalg.mat_transpose(P), linalg.mat_mul(kt, [list(r) for r in S.rows], P)
     )
-    assert linalg.mat_eq(kt, lhs, [list(r) for r in N.rows])
-    d = linalg.det(kt, P)
-    assert d.is_constant() and kt.base.is_zero(kt.base.sub(d.constant(), kt.base.one))
+
+
+def _check_hermite(S, P, N):
+    """Raise unless P^T S P = N and det P = 1 (an explicit raise, so the
+    check survives python -O)."""
+    kt = S.ring
+    if not linalg.mat_eq(kt, _congruence(kt, S, P), [list(r) for r in N.rows]):
+        raise AssertionError("block reduction: P^T S P differs from N")
+    if linalg.det(kt, P) != kt.one:
+        raise AssertionError("block reduction: det P is not 1")
 
 
 def _block_one(kt, Psub, top):

@@ -220,6 +220,20 @@ class TestCommands:
         assert main(["reduce-kt", "--field", "F3", "T,1;1,0", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "N" in payload and "P" in payload
+        # the README example
+        assert main(["reduce-kt", "--field", "F3", "T,1;1,0"]) == 0
+        assert capsys.readouterr().out == "N =\n[2, 0]\n[0, 1]\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["cfrac", "--field", "F3", "1/0"], "cf expansion needs degree >= 1"),
+        (["bezout", "1/0"], "Bezout form needs degree >= 1"),
+        (["hankel", "1/0"], "Hankel matrix needs degree >= 1"),
+        (["compose", "X/1", "1/0"], "compose needs degrees >= 1"),
+        (["pd-equiv", "--field", "F3", "X;1;1", "X;1;1;1"], "different target dimensions"),
+    ], ids=["cfrac", "bezout", "hankel", "compose", "pd-equiv"])
+    def test_refused_input_is_an_input_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_oracle_command(self, capsys):
         assert main(["oracle", "--field", "F3", "--n", "1", "--D", "1", "--json"]) == 0
@@ -331,15 +345,21 @@ class TestCommands:
             "    ['oracle', '--field', 'F3', '--n', '2', '--D', '1', '--target', 'symmat'],\n"
             "    ['oracle', '--field', 'F2', '--n', '3', '--D', '1'],\n"
             "    ['oracle', '--field', 'F3', '--n', '3', '--D', '1'],\n"
+            "    ['reduce-kt', '--field', 'F2', 'T,1,0;1,0,0;0,0,1'],\n"
+            "    ['reduce-kt', '--field', 'F5', 'T,2;2,0'],\n"
             "    ['reduce-kt', '--field', 'F3', 'T;1'],\n"
             "    ['reduce-kt', '--field', 'F3', 'T,1;1'],\n"
+            "    ['cfrac', '--field', 'F3', '1/0'],\n"
             "]\n"
             "print(*[main(argv) for argv in runs])\n"
         )
         out = run_optimized(script, str(tmp_path))
-        assert out.splitlines()[-1].split() == ["0"] * 14 + ["2"] * 3
+        assert out.splitlines()[-1].split() == ["0"] * 14 + ["2", "0", "0"] + ["2"] * 3
         assert "components equal fibers after 5 verified bridges" in out
+        assert "N =\n[0, 1, 0]\n[1, T, 0]\n[0, 0, 1]\n" in out
+        assert "N =\n[2, 0]\n[0, 3]\n" in out
         assert "bad matrix 'T;1'" in out and "bad matrix 'T,1;1'" in out
+        assert "error: cf expansion needs degree >= 1" in out
 
     @pytest.mark.parametrize(
         "expr,n,cap",

@@ -29,10 +29,11 @@ from p1h.quadform import (
     _sqrt_exact,
     tensor_diag,
     witt_sum,
+    witt_tensor,
 )
 from p1h.ratmap import elementary_path
 
-from conftest import perm_det
+from conftest import perm_det, run_optimized
 
 
 def _sym(field, rows):
@@ -473,6 +474,65 @@ class TestTensor:
             assert t.rank == d1.rank * d2.rank
 
 
+def _witt_reference(field, rank, disc, sig, hasse):
+    """(rank, disc class, signature, Hasse map) for comparing invariants."""
+    if field is QQ:
+        return rank, QQ.square_class(disc), sig, hasse
+    return rank, (None if field.p == 2 else field.square_class(disc)), None, None
+
+
+def _sum_reference(i1, i2):
+    """Closed formulas for an orthogonal sum, independent of the library's
+    construction: ranks and signatures add, discriminants multiply, and the
+    Hasse symbols follow the cocycle h(b1 + b2) = h1 h2 (d1, d2)_p."""
+    field = i1.field
+    hasse = sig = None
+    if field is QQ:
+        h1, h2 = dict(i1.hasse), dict(i2.hasse)
+        hasse = {p: h1.get(p, 1) * h2.get(p, 1) * hilbert_symbol(i1.disc, i2.disc, p)
+                 for p in set(h1) | set(h2)}
+        sig = (i1.signature[0] + i2.signature[0], i1.signature[1] + i2.signature[1])
+    disc = field.mul(i1.disc, i2.disc)
+    return _witt_reference(field, i1.rank + i2.rank, disc, sig, hasse)
+
+
+def _tensor_reference(i1, i2):
+    """Closed formulas for a tensor product of ranks n and m: the
+    discriminant d1^m d2^n, the signature products, and the Hasse symbol
+    h1^m h2^n (d1, d2)^(nm-1) (d1, -1)^(m(m-1)/2) (d2, -1)^(n(n-1)/2)
+    (expand prod_j b_j q1 with the sum cocycle and (c, c) = (c, -1))."""
+    field = i1.field
+    n, m = i1.rank, i2.rank
+    d1, d2 = i1.disc, i2.disc
+    hasse = sig = None
+    if field is QQ:
+        h1, h2 = dict(i1.hasse), dict(i2.hasse)
+        hasse = {
+            p: h1.get(p, 1) ** m * h2.get(p, 1) ** n
+            * hilbert_symbol(d1, d2, p) ** (n * m - 1)
+            * hilbert_symbol(d1, -1, p) ** (m * (m - 1) // 2)
+            * hilbert_symbol(d2, -1, p) ** (n * (n - 1) // 2)
+            for p in set(h1) | set(h2)
+        }
+        (p1, q1), (p2, q2) = i1.signature, i2.signature
+        sig = (p1 * p2 + q1 * q2, p1 * q2 + q1 * p2)
+    disc = field.mul(field.pow(d1, m), field.pow(d2, n))
+    return _witt_reference(field, n * m, disc, sig, hasse)
+
+
+class TestWittAgainstClosedFormulas:
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=["Q", "F2", "F3", "F5"])
+    def test_sum_and_tensor(self, field):
+        rng = random.Random(31 + (0 if field is QQ else field.p))
+        for _ in range(60):
+            i1 = stable_invariant(_rand_sym(field, rng.randrange(1, 4), rng))
+            i2 = stable_invariant(_rand_sym(field, rng.randrange(1, 4), rng))
+            for got, want in ((witt_sum(i1, i2), _sum_reference(i1, i2)),
+                              (witt_tensor(i1, i2), _tensor_reference(i1, i2))):
+                hasse = dict(got.hasse) if got.hasse is not None else None
+                assert _witt_reference(field, got.rank, got.disc, got.signature, hasse) == want
+
+
 def _kt(field):
     return PolyRing(field)
 
@@ -639,3 +699,129 @@ class TestHermiteReduce:
                             if j not in (i, i + 1)
                         )
                         i += 2
+
+
+def _kt_matrix(field, text):
+    """A k[T] matrix in the `reduce-kt` syntax: rows ';', entries ','."""
+    from p1h.expr import parse_poly
+
+    rows = [[parse_poly(e, field, var="T") for e in r.split(",")] for r in text.split(";")]
+    return SymMatrix.make(_kt(field), rows)
+
+
+def _random_kt_form(field, n, degT, rng):
+    """Q(T)^T D Q(T) with Q a product of five random elementary matrices and
+    D a block sum of constant units and [[0,u],[u,a(T)]] blocks, so that
+    isotropic short vectors occur at every size."""
+    kt = _kt(field)
+
+    def coef():
+        return Fraction(rng.randint(-2, 2)) if field is QQ else rng.randrange(field.p)
+
+    def unit():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) if field is QQ else rng.randrange(1, field.p)
+
+    D = la.mat_identity(kt, n)
+    i = 0
+    while i < n:
+        if i + 1 < n and rng.random() < 0.4:
+            D[i][i + 1] = D[i + 1][i] = _cpoly(field, [unit()])
+            D[i][i] = kt.zero
+            D[i + 1][i + 1] = _cpoly(field, [coef() for _ in range(degT + 1)])
+            i += 2
+        else:
+            D[i][i] = _cpoly(field, [unit()])
+            i += 1
+    Q = la.mat_identity(kt, n)
+    for _ in range(5):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            E = la.mat_identity(kt, n)
+            E[a][b] = _cpoly(field, [coef() for _ in range(degT + 1)])
+            Q = la.mat_mul(kt, Q, E)
+    return SymMatrix.make(kt, la.mat_mul(kt, la.mat_transpose(Q), la.mat_mul(kt, D, Q)))
+
+
+def _assert_reduced(S, P, N):
+    """P^T S P = N exactly, det P = 1, N in block normal form (constant
+    units, plus [[0,1],[1,alpha(T)]] blocks in characteristic 2 only), and
+    N has equal stable invariants at T = 0 and T = 1."""
+    kt, n = S.ring, S.n
+    lhs = la.mat_mul(kt, la.mat_transpose(P), la.mat_mul(kt, [list(r) for r in S.rows], P))
+    assert la.mat_eq(kt, lhs, [list(r) for r in N.rows])
+    assert perm_det(kt, P) == kt.one
+    i = 0
+    while i < n:
+        width = 1 if not N.rows[i][i].is_zero() else 2
+        if width == 1:
+            assert kt.is_unit(N.rows[i][i])
+        else:
+            assert kt.base.char == 2 and N.rows[i][i + 1] == kt.one
+        block = range(i, i + width)
+        assert all(N.rows[r][c].is_zero() for r in block for c in range(n) if c not in block)
+        i += width
+    assert stable_equal(stable_invariant(N.eval(0)), stable_invariant(N.eval(1)))
+
+
+class TestReductionProperties:
+    @pytest.mark.parametrize("field,nmax,count", [
+        (GF(2), 5, 150), (GF(3), 5, 150), (GF(5), 5, 150), (GF(7), 5, 150), (QQ, 4, 100),
+    ], ids=["F2", "F3", "F5", "F7", "Q"])
+    def test_random_forms(self, field, nmax, count):
+        rng = random.Random(1300 + (field.p if field is not QQ else 0))
+        for _ in range(count):
+            S = _random_kt_form(field, rng.randrange(1, nmax + 1), rng.randrange(0, 3), rng)
+            _assert_reduced(S, *hermite_reduce(S))
+
+    def test_isotropic_pairing_unit_not_one(self):
+        # x = e_1 is isotropic and pairs with e_0 by 2: the completion of the
+        # one-entry row (2) has det 2, and the split unit is b(v, v) = 2
+        F5 = GF(5)
+        S = _kt_matrix(F5, "T,2;2,0")
+        P, N = hermite_reduce(S)
+        _assert_reduced(S, P, N)
+        assert N == _kt_matrix(F5, "2,0;0,3")
+
+    def test_f2_block_at_n3(self):
+        F2 = GF(2)
+        S = _kt_matrix(F2, "T,1,0;1,0,0;0,0,1")
+        P, N = hermite_reduce(S)
+        _assert_reduced(S, P, N)
+        assert N == _kt_matrix(F2, "0,1,0;1,T,0;0,0,1")
+
+    def test_one_entry_completion_at_n2(self):
+        # the short vector (1, 2T) is isotropic and not a coordinate vector,
+        # so both completions (of x, then of its one-entry pairing row) act
+        F3 = GF(3)
+        S = _kt_matrix(F3, "T^3+2*T,T^2+1;T^2+1,T")
+        kt = S.ring
+        x = kt_short_vector(S)
+        assert x == [kt.one, _cpoly(F3, [0, 2])] and _form_val(kt, S, x).is_zero()
+        P, N = hermite_reduce(S)
+        _assert_reduced(S, P, N)
+        assert N == _kt_matrix(F3, "2,0;0,1")
+
+    def test_self_checks_survive_optimize(self):
+        # python -O strips asserts; the reduction's self-checks must still raise
+        script = (
+            "from p1h import linalg, quadform\n"
+            "from p1h.bezout_hankel import SymMatrix\n"
+            "from p1h.fields import GF\n"
+            "from p1h.poly import PolyRing, X\n"
+            "kt = PolyRing(GF(3))\n"
+            "T = X(GF(3))\n"
+            "S = SymMatrix.make(kt, [[T, kt.one], [kt.one, kt.zero]])\n"
+            "def run(f):\n"
+            "    try:\n"
+            "        f()\n"
+            "    except AssertionError as exc:\n"
+            "        print('raised:', exc)\n"
+            "    else:\n"
+            "        print('passed')\n"
+            "run(lambda: quadform._split(S, linalg.mat_identity(kt, 2), 1))\n"
+            "linalg.mat_eq = lambda ring, A, B: False\n"
+            "run(lambda: quadform.hermite_reduce(S))\n"
+        )
+        out = run_optimized(script).splitlines()
+        assert out == ["raised: split block does not have unit determinant",
+                       "raised: block reduction: P^T S P differs from N"]
