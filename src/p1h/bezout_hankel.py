@@ -123,7 +123,7 @@ def bezout_coeffs(A: Poly, B: Poly, n: int):
 def bezout_form(f: PointedRat) -> SymMatrix:
     """The Bezout form of f.  Its determinant is checked exactly against
     (-1)^{n(n-1)/2} res(f), the resultant the point carries (over a field
-    read off the Euclidean remainder sequence); FieldError if they differ."""
+    read off poly.remainder_sequence); FieldError if they differ."""
     n = f.n
     if n < 1:
         raise FieldError("Bezout form needs degree >= 1")

@@ -300,7 +300,8 @@ def _normal_form_cert_cached(f: PointedRat):
         return (), Certificate("pointed", field, (), f, f)
     slots = [poly_point(P, b) for P, b in cf_expand(f)]
     cur = _fold(field, slots)
-    assert cur.A == f.A and cur.B == f.B
+    if cur.A != f.A or cur.B != f.B:
+        raise FieldError("the continued-fraction blocks do not sum to the point")
     steps = []
 
     def push(i, G, new_slots_i):
@@ -869,7 +870,8 @@ def _crt_selectors(field, moduli):
     for Q in moduli:
         rest = poly_divmod(A, Q)[0]
         g, s, t = poly_xgcd(rest, Q)
-        assert g.degree == 0
+        if g.degree != 0:
+            raise FieldError("CRT moduli are not pairwise coprime")
         e = poly_divmod(rest * s, A)[1]
         outs.append(e)
     return outs
@@ -945,7 +947,8 @@ def pd_cert(p: PdPoint) -> Certificate:
         inv_locals = []
         for Q, j in pieces:
             g, s, t = poly_xgcd(p.Bs[j], Q)
-            assert g.degree == 0
+            if g.degree != 0:
+                raise FieldError("a piece's B_j is not a unit modulo the piece")
             inv_locals.append(poly_divmod(s, Q)[1])
         # step 1: slide slot 2 to W (slot 1 in 0-based indexing)
         if p.Bs[1] != W:
@@ -957,10 +960,10 @@ def pd_cert(p: PdPoint) -> Certificate:
             total = zero(kt)
             for cof, BT in zip(slot_cof, Bs_T):
                 total = total + lift(cof) * BT
-            c0 = -poly_divmod(total - const(kt, kt.one), lift(p.A))[0]
-            rem = poly_divmod(total - const(kt, kt.one), lift(p.A))[1]
-            assert rem.is_zero()
-            cofactors = (c0,) + tuple(lift(c) for c in slot_cof)
+            quo, rem = poly_divmod(total - const(kt, kt.one), lift(p.A))
+            if not rem.is_zero():
+                raise FieldError("slot cofactors do not give 1 modulo A")
+            cofactors = (-quo,) + tuple(lift(c) for c in slot_cof)
             new_Bs = list(p.Bs)
             new_Bs[1] = W
             cur = push(lift(p.A), tuple(Bs_T), cofactors, mk_pd(p.A, new_Bs))
@@ -968,7 +971,8 @@ def pd_cert(p: PdPoint) -> Certificate:
             cur = mk_pd(p.A, p.Bs)
         # step 2: slide slot 1 to 1 (W is a global unit mod A)
         g, s, t = poly_xgcd(W, p.A)
-        assert g.degree == 0
+        if g.degree != 0:
+            raise FieldError("W is not a unit modulo A")
         winv = s
         if cur.Bs[0] != one:
             Bs_T = [lift(B) for B in cur.Bs]

@@ -5,11 +5,12 @@ class of its Bezout form, and the exact determinant of that form (carried
 here as the exact resultant, from which det = (-1)^{n(n-1)/2} res).  The
 Witt class is read off the continued-fraction values (ratmap.cf_values), a
 diagonal form in the stable class of the Bezout form (isometric to it
-outside characteristic 2), and the resultant off the Euclidean remainder
-sequence, so a decision takes O(n^2) field operations and builds no n x n
-matrix.  The pair (Witt class, determinant) ranges over the fiber product
-cut out by the discriminant; the coherence check below is the stronger
-statement that the values multiply to the exact determinant.
+outside characteristic 2).  The values and the point's resultant come from
+one Euclidean remainder sequence each (poly.remainder_sequence), so a
+decision takes O(n^2) field operations and builds no n x n matrix.  The
+pair (Witt class, determinant) ranges over the fiber product cut out by
+the discriminant; the coherence check below is the stronger statement that
+the values multiply to the exact determinant.
 
 Unpointed classes reduce the determinant further modulo 2n-th powers;
 maps to higher-dimensional projective spaces are classified by the degree

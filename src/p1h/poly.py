@@ -289,39 +289,75 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return Poly.trimmed(R, q), Poly.trimmed(R, rem[:db])
 
 
-def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended gcd over a field: returns monic g and (s, t) with a*s + b*t = g.
-
-    Degree bounds: deg s < deg b - deg g and deg t < deg a - deg g whenever
-    both inputs are nonzero and neither divides the other.
-    """
+def remainder_sequence(a: Poly, b: Poly) -> tuple[tuple, Poly]:
+    """The Euclidean remainder sequence of (a, b) over a field, the one pass
+    behind resultants, gcds, Bezout cofactors and continued fractions.  Step
+    i divides a_i by the monic m_i = b_i/c_i, c_i = lc(b_i), records
+    (q_i, c_i, deg a_i) and goes on with (m_i, r_i); returns the steps and
+    the monic gcd (zero for a = b = 0).  Nothing is scaled in the loop."""
     R = a.ring
     if isinstance(R, PolyRing):
-        raise FieldError("xgcd needs field coefficients")
+        raise FieldError("the remainder sequence needs field coefficients")
+    steps = []
+    while not b.is_zero():
+        c = b.lead
+        if b.degree == 0:  # m = 1: q = a, r = 0, and the gcd is 1
+            steps.append((a, c, a.degree))
+            return tuple(steps), Poly(R, (R.one,))
+        m = b.scale(R.inv(c))
+        q, r = poly_divmod(a, m)
+        steps.append((q, c, a.degree))
+        a, b = m, r
+    return tuple(steps), (a if steps or a.is_zero() else a.monic())
+
+
+def sequence_resultant(steps: tuple, g: Poly):
+    """res_{n,n}(a, b) = prod b(alpha) over the roots alpha of a, for a monic
+    of degree n >= deg b, from remainder_sequence(a, b) = (steps, g): with
+    n_i = deg a_i, prod b_i(alpha) = (-1)^{n_i n_{i+1}} c_i^{n_i} prod
+    r_i(beta) over the roots beta of a_{i+1} = m_i, down to the gcd 1."""
+    R = g.ring
+    if g.degree != 0:
+        return R.zero
+    acc, odd, prev = R.one, 0, 0
+    for _, c, n in steps:
+        acc = R.mul(acc, R.pow(c, n))
+        odd ^= prev & n & 1
+        prev = n
+    return R.neg(acc) if odd else acc
+
+
+def sequence_cofactors(steps: tuple, g: Poly) -> tuple[Poly, Poly]:
+    """(s, t) with a*s + b*t = g from remainder_sequence(a, b) = (steps, g),
+    b nonzero, by one fold from the last step: g = x*a_{i+1} + y*b_{i+1}
+    gives g = y*a_i + ((x - y*q_i)/c_i)*b_i.  When deg a > deg b it checks
+    the classical bounds deg s < deg b - deg g and deg t < deg a - deg g.
+    """
+    R = g.ring
+    s, t = const(R, R.one), zero(R)
+    for q, c, _ in reversed(steps):
+        s, t = t, (s - t * q).scale(R.inv(c))
+    deg_a = steps[0][2]
+    deg_b = steps[1][2] if len(steps) > 1 else g.degree  # deg a_1 = deg b
+    if deg_a > deg_b and (s.degree >= deg_b - g.degree or t.degree >= deg_a - g.degree):
+        raise AssertionError("Euclidean cofactor degree bounds violated")
+    return s, t
+
+
+def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """Extended gcd over a field: monic g and (s, t) with a*s + b*t = g,
+    read off one remainder_sequence by sequence_cofactors."""
     if a.is_zero() and b.is_zero():
         raise FieldError("xgcd(0, 0)")
-    r0, r1 = a, b
-    s0, s1 = const(R, R.one), zero(R)
-    t0, t1 = zero(R), const(R, R.one)
-    while not r1.is_zero():
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lead_inv = R.inv(r0.lead)
-    return r0.scale(lead_inv), s0.scale(lead_inv), t0.scale(lead_inv)
+    steps, g = remainder_sequence(a, b)
+    if not steps:  # b = 0: g = a/lc(a)
+        R = a.ring
+        return g, const(R, R.inv(a.lead)), zero(R)
+    return (g, *sequence_cofactors(steps, g))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    R = a.ring
-    if a.is_zero() and b.is_zero():
-        return zero(R)
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    g, _, _ = poly_xgcd(a, b)
-    return g
+    return remainder_sequence(a, b)[1]
 
 
 def sylvester_nn(a: Poly, b: Poly, n: int):
@@ -343,9 +379,9 @@ def resultant_nn(a: Poly, b: Poly, n: int):
     formula for the coefficient matrix of (A(X)B(Y)-A(Y)B(X))/(X-Y) hold
     with sign (-1)^{n(n-1)/2} (validated exhaustively in the test suite).
     For monic a of degree n this is prod b(alpha) over the roots of a: over
-    a field it is read off the Euclidean remainder sequence in O(n^2)
-    operations (see _euclid_resultant); over k[T] it is the determinant of
-    the multiplication-by-b matrix on the quotient by a, the same scalar.
+    a field it is read off remainder_sequence(a, b) in O(n^2) operations
+    (sequence_resultant); over k[T] it is the determinant of the
+    multiplication-by-b matrix on the quotient by a, the same scalar.
     """
     if n < max(a.degree, b.degree):
         raise FieldError("formal degree below an actual degree")
@@ -353,33 +389,9 @@ def resultant_nn(a: Poly, b: Poly, n: int):
         return a.ring.one
     if a.degree == n and a.is_monic():
         if not isinstance(a.ring, PolyRing):
-            return _euclid_resultant(a, poly_divmod(b, a)[1])
+            return sequence_resultant(*remainder_sequence(a, b))
         return linalg.det(a.ring, _mult_matrix(a, b, n))
     return linalg.det(a.ring, sylvester_nn(a, b, n))
-
-
-def _euclid_resultant(a: Poly, b: Poly):
-    """prod b(alpha) over the roots alpha of a, for a monic of degree >= 1
-    and deg b < deg a over a field.
-
-    With m = deg b, c = lc(b) and r = a mod b, the roots beta of b give
-    prod b(alpha) = (-1)^{nm} c^n prod a(beta) = (-1)^{nm} c^n prod r(beta),
-    and prod r(beta) is the same product for the monic b/c and r: one
-    division per step of the remainder sequence.
-    """
-    R = a.ring
-    acc = R.one
-    while True:
-        if b.is_zero():
-            return R.zero
-        n, m, c = a.degree, b.degree, b.lead
-        acc = R.mul(acc, R.pow(c, n))
-        if (n * m) % 2:
-            acc = R.neg(acc)
-        if m == 0:
-            return acc
-        monic = b.scale(R.inv(c))
-        a, b = monic, poly_divmod(a, monic)[1]
 
 
 def _mult_matrix(a: Poly, b: Poly, n: int):
@@ -402,10 +414,11 @@ def bezout_pair(A: Poly, B: Poly) -> tuple[Poly, Poly]:
     """The unique (U, V) with A*U + B*V = 1, deg U <= n-2, deg V <= n-1.
 
     A must be monic of degree n >= 1 with deg B < n and res_{n,n}(A, B) a
-    unit; raises FieldError otherwise.  Over a field this runs through the
-    extended Euclidean algorithm; over k[T] V = 1/B modulo A solves the
-    n x n system of multiplication by B by Cramer's rule (the determinant is
-    the resultant, a nonzero constant, so every division is exact).
+    unit; raises FieldError otherwise.  Over a field (U, V) are read off
+    remainder_sequence(A, B) by sequence_cofactors; over k[T] V = 1/B
+    modulo A solves the n x n system of multiplication by B by Cramer's rule
+    (the determinant is the resultant, a nonzero constant, so every division
+    is exact).
     """
     R = A.ring
     n = A.degree
@@ -413,16 +426,10 @@ def bezout_pair(A: Poly, B: Poly) -> tuple[Poly, Poly]:
         raise FieldError("bezout_pair expects monic A with deg B < deg A")
     if isinstance(R, PolyRing):
         return _bezout_pair_kt(A, B, n)
-    if B.is_zero():
-        raise FieldError("not coprime / not a point of F_n")
-    g, s, t = poly_xgcd(A, B)
+    steps, g = remainder_sequence(A, B)
     if g.degree != 0:
         raise FieldError("not coprime / not a point of F_n")
-    U, V = s, t
-    if U.degree > n - 2 or V.degree > n - 1:
-        # xgcd bounds already guarantee this; keep the check as a tripwire.
-        raise AssertionError("bezout degree bounds violated")
-    return U, V
+    return sequence_cofactors(steps, g)
 
 
 def _bezout_pair_kt(A: Poly, B: Poly, n: int) -> tuple[Poly, Poly]:
@@ -436,7 +443,8 @@ def _bezout_pair_kt(A: Poly, B: Poly, n: int) -> tuple[Poly, Poly]:
         raise FieldError("not coprime / not a point of F_n") from exc
     V = Poly.make(R, sol)
     U, rem = poly_divmod(const(R, R.one) - B * V, A)
-    assert rem.is_zero()
+    if not rem.is_zero():
+        raise FieldError("A does not divide 1 - B V: the solved V is not 1/B mod A")
     return U, V
 
 

@@ -23,7 +23,10 @@ from .poly import (
     const,
     poly_divmod,
     poly_str,
+    remainder_sequence,
     resultant_nn,
+    sequence_cofactors,
+    sequence_resultant,
     zero,
 )
 
@@ -82,7 +85,8 @@ def _unit_resultant(ring, res):
 
 
 def mk_pointed(A: Poly, B: Poly) -> PointedRat:
-    """Validate and build a point of F_n, raising RejectedPoint/RejectedPath."""
+    """Validate and build a point of F_n, raising RejectedPoint/RejectedPath.
+    Over a field res and (U, V) come from one remainder sequence of (A, B)."""
     ring = A.ring
     if B.ring != ring:
         raise FieldError("numerator and denominator over different rings")
@@ -95,10 +99,14 @@ def mk_pointed(A: Poly, B: Poly) -> PointedRat:
         if not B.is_zero():
             raise FieldError("degree-0 point must be 1/0")
         return PointedRat(ring, A, B, const(ring, ring.one), zero(ring), ring.one)
-    res = resultant_nn(A, B, n)
+    if isinstance(ring, PolyRing):
+        res = resultant_nn(A, B, n)
+    else:
+        steps, g = remainder_sequence(A, B)
+        res = sequence_resultant(steps, g)
     if not _unit_resultant(ring, res):
         _reject(ring, res)
-    U, V = bezout_pair(A, B)
+    U, V = bezout_pair(A, B) if isinstance(ring, PolyRing) else sequence_cofactors(steps, g)
     return PointedRat(ring, A, B, U, V, res)
 
 
@@ -223,8 +231,9 @@ class CFExpansion:
 def cf_expand(f: PointedRat) -> CFExpansion:
     """Expand A/B = P_0/b_0 - 1/(b_0^2 (P_1/b_1 - ...)); unique and finite.
 
-    The recursion: divide A = Q*B + R, set b = lc(B), P = b*Q, and continue
-    with (B/b, -b*R); a constant denominator terminates the expansion.
+    The blocks are read off poly.remainder_sequence(A, B): the expansion
+    divides A by B, takes P = lc(B) (A div B), b = lc(B) and goes on with
+    (B/b, -b (A mod B)), so P_i = q_i and b_i = -b_{i-1} c_i.
     """
     if f.is_path:
         raise FieldError("cf expansion is for field points")
@@ -232,13 +241,10 @@ def cf_expand(f: PointedRat) -> CFExpansion:
         raise FieldError("cf expansion needs degree >= 1")
     ring = f.ring
     terms = []
-    A, B = f.A, f.B
-    while B.degree >= 1:
-        Q, R = poly_divmod(A, B)
-        b = B.lead
-        terms.append((Q.scale(b), b))
-        A, B = B.scale(ring.inv(b)), R.scale(ring.neg(b))
-    terms.append((A, B.constant()))
+    b = ring.neg(ring.one)
+    for q, c, _ in remainder_sequence(f.A, f.B)[0]:
+        b = ring.neg(ring.mul(b, c))
+        terms.append((q, b))
     if sum(P.degree for P, _ in terms) != f.n:
         raise FieldError("cf expansion: block degrees do not add up to the degree")
     return CFExpansion(ring, tuple(terms))

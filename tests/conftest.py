@@ -132,6 +132,54 @@ def random_point(field, n, rng):
             continue
 
 
+EUCLID_FIELDS = (QQ, GF(2), GF(3), GF(5), GF(7))
+
+
+def euclid_pairs(field, count=400, seed=2009):
+    """Seeded pairs (a, b) for the remainder-sequence tests, in five kinds
+    taken in turn: monic a over a lower-degree b (field points and
+    non-points); a shared monic factor; deg a < deg b; a zero or constant
+    operand; and free degrees up to 6, often monic a with deg b = deg a."""
+    rng = random.Random(seed)
+
+    def coeff(nonzero=False):
+        while True:
+            if field is QQ:
+                c = Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+            else:
+                c = rng.randrange(field.p)
+            if c or not nonzero:
+                return c
+
+    def rand(d, monic=False):
+        if d < 0:
+            return Poly.make(field, [])
+        return Poly.make(field, [coeff() for _ in range(d)] + [1 if monic else coeff(True)])
+
+    out = []
+    for i in range(count):
+        kind = i % 5
+        if kind == 0:
+            n = rng.randint(1, 7)
+            a, b = rand(n, monic=True), rand(rng.randint(-1, n - 1))
+        elif kind == 1:
+            c = rand(rng.randint(1, 2), monic=True)
+            a, b = rand(rng.randint(0, 4), monic=True) * c, rand(rng.randint(0, 4)) * c
+        elif kind == 2:
+            a = rand(rng.randint(-1, 3))
+            b = rand(rng.randint(max(a.degree, 0) + 1, 6))
+        elif kind == 3:
+            a, b = rand(rng.randint(-1, 0)), rand(rng.randint(-1, 6))
+            if rng.random() < 0.5:
+                a, b = b, a
+        else:
+            n = rng.randint(0, 6)
+            a = rand(n, monic=rng.random() < 0.6)
+            b = rand(n if rng.random() < 0.3 else rng.randint(-1, 6))
+        out.append((a, b))
+    return out
+
+
 def solved_twin(f):
     """f's (A, B, U, V, res) and those of the point mk_pointed solves from
     (f.A, f.B) alone: equal when f was built from the right Bezout pair."""

@@ -1,6 +1,7 @@
 """Field and polynomial layer: division, gcd, resultants, expansions,
 square classes, integer factorization."""
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from p1h.poly import (
     zero,
 )
 
-from conftest import laurent_oracle, perm_det, random_point
+from conftest import EUCLID_FIELDS, euclid_pairs, laurent_oracle, perm_det, random_point
 
 
 class TestDivmod:
@@ -220,6 +221,64 @@ class TestBezoutPair:
             U, V = _bezout_pair_kt(A, B, f.n)
             back = lambda p: p.map_coeffs(lambda c: c.constant(), GF(5))
             assert back(U) == f.U and back(V) == f.V
+
+
+class TestAgainstSympy:
+    """poly_xgcd, poly_gcd, the field resultant_nn and bezout_pair, all read
+    off one remainder sequence, against sympy's gcdex and resultant."""
+
+    @staticmethod
+    def _sympy(sp, p):
+        field, x = p.ring, sp.Symbol("x")
+        cs = [sp.Rational(c.numerator, c.denominator) if field is QQ else c
+              for c in reversed(p.coeffs)] or [0]
+        if field is QQ:
+            return sp.Poly(cs, x, domain="QQ")
+        return sp.Poly(cs, x, modulus=field.p)
+
+    @staticmethod
+    def _back(field, c):
+        return Fraction(int(c.p), int(c.q)) if field is QQ else field.coerce(int(c))
+
+    @pytest.mark.parametrize("field", EUCLID_FIELDS, ids=str)
+    def test_corpus(self, field):
+        sp = pytest.importorskip("sympy")
+        back = lambda P: Poly.make(field, [self._back(field, c) for c in reversed(P.all_coeffs())])
+        seen = Counter()
+        for a, b in euclid_pairs(field):
+            if a.is_zero() and b.is_zero():
+                with pytest.raises(FieldError):
+                    poly_xgcd(a, b)
+                assert poly_gcd(a, b).is_zero()
+                continue
+            # sympy's gcdex divides by its second argument: swap a zero b
+            if b.is_zero():
+                t, s, h = self._sympy(sp, b).gcdex(self._sympy(sp, a))
+            else:
+                s, t, h = self._sympy(sp, a).gcdex(self._sympy(sp, b))
+            g, s, t = back(h), back(s), back(t)
+            assert poly_xgcd(a, b) == (g, s, t)
+            assert poly_gcd(a, b) == g
+            seen["common factor"] += g.degree > 0
+            seen["zero or constant operand"] += min(a.degree, b.degree) <= 0
+            seen["deg a < deg b"] += a.degree < b.degree
+            if not a.is_monic() or a.degree < max(b.degree, 1):
+                continue
+            n = a.degree
+            res = resultant_nn(a, b, n)
+            assert res == self._back(field, self._sympy(sp, a).resultant(self._sympy(sp, b)))
+            seen["zero resultant"] += field.is_zero(res)
+            if b.degree == n:
+                continue
+            if g.degree == 0:
+                assert bezout_pair(a, b) == (s, t)
+                seen["field point"] += 1
+            else:
+                with pytest.raises(FieldError, match="not coprime"):
+                    bezout_pair(a, b)
+        for what in ("common factor", "zero or constant operand", "deg a < deg b",
+                     "zero resultant", "field point"):
+            assert seen[what] >= 20, (what, seen)
 
 
 class TestLaurent:

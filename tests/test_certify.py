@@ -109,6 +109,42 @@ class TestNormalForm:
             normal_form_cert(f)
         certify._normal_form_cert_cached.cache_clear()
 
+    def test_wrong_blocks_or_gcd_raise_under_optimize(self):
+        # python -O strips asserts: blocks that do not sum to the point, a gcd
+        # that is not 1 and a k[T] V that is not 1/B mod A must still raise
+        script = (
+            "from p1h import certify, linalg\n"
+            "from p1h.classify import mk_pd\n"
+            "from p1h.fields import GF, FieldError\n"
+            "from p1h.poly import Poly, PolyRing, X, const\n"
+            "from p1h.ratmap import mk_pointed\n"
+            "F3 = GF(3)\n"
+            "def run(f):\n"
+            "    try:\n"
+            "        f()\n"
+            "    except FieldError as exc:\n"
+            "        print('raised:', exc)\n"
+            "    else:\n"
+            "        print('passed')\n"
+            "f = mk_pointed(Poly.make(F3, [2, 0, 1]), Poly.make(F3, [0, 1]))\n"
+            "g = mk_pointed(Poly.make(F3, [1, 0, 1]), Poly.make(F3, [2, 2]))\n"
+            "blocks = certify.cf_expand\n"
+            "certify.cf_expand = lambda h: blocks(g)\n"
+            "run(lambda: certify.normal_form_cert(f))\n"
+            "xgcd = certify.poly_xgcd\n"
+            "certify.poly_xgcd = lambda a, b: (X(F3), *xgcd(a, b)[1:])\n"
+            "run(lambda: certify.pd_cert(mk_pd(X(F3).shift(1), (X(F3), const(F3, 1)))))\n"
+            "kt = PolyRing(F3)\n"
+            "lift = lambda p: p.map_coeffs(lambda c: const(F3, c), kt)\n"
+            "linalg.solve_cramer = lambda ring, M, rhs: [ring.one] * len(rhs)\n"
+            "run(lambda: mk_pointed(lift(f.A), lift(f.B)))\n"
+        )
+        assert run_optimized(script).splitlines() == [
+            "raised: the continued-fraction blocks do not sum to the point",
+            "raised: CRT moduli are not pairwise coprime",
+            "raised: A does not divide 1 - B V: the solved V is not 1/B mod A",
+        ]
+
 
 class TestDiagChain:
     def test_equal_tuples(self):
@@ -497,7 +533,9 @@ class TestVerify:
 
     def test_loaded_steps_are_checked_once_and_never_rebuilt(self, monkeypatch):
         """Loading and verifying takes one resultant per step; only the source
-        and target are built as points (a Bezout pair or resultant each)."""
+        and target are built as points, by one pass each: one remainder
+        sequence for a pointed point (it gives both the resultant and the
+        Bezout pair), one resultant for an unpointed one."""
         from collections import Counter
 
         from p1h import certify, ratmap, serial
@@ -508,19 +546,23 @@ class TestVerify:
         u1 = mk_unpointed(F3, [0, 0, 1], [1, 0, 1])
         u2 = mk_unpointed(F3, [0, 1, 2], [1, 1, 2])
         calls = Counter()
-        for module, name in ((ratmap, "bezout_pair"), (ratmap, "resultant_nn"),
-                             (certify, "resultant_nn"), (ratmap, "eval_path")):
-            def spy(*args, _orig=getattr(module, name), _name=name):
-                calls[_name] += 1
+        for module, name, key in ((ratmap, "remainder_sequence", "sequence"),
+                                  (ratmap, "bezout_pair", "bezout_pair"),
+                                  (ratmap, "resultant_nn", "point_resultant"),
+                                  (certify, "resultant_nn", "step_resultant"),
+                                  (ratmap, "eval_path", "eval_path")):
+            def spy(*args, _orig=getattr(module, name), _key=key):
+                calls[_key] += 1
                 return _orig(*args)
 
             monkeypatch.setattr(module, name, spy)
-        for cert, pairs in ((connect(f, g), 2), (unpointed_connect(u1, u2), 0)):
+        for cert, ends in ((connect(f, g), {"sequence": 2}),
+                           (unpointed_connect(u1, u2), {"point_resultant": 2})):
             assert len(cert.steps) >= 2
             data = serial.certificate_to_json(cert)
             calls.clear()
             assert verify(serial.certificate_from_json(data))
-            assert calls == Counter(resultant_nn=len(cert.steps) + 2, bezout_pair=pairs)
+            assert calls == Counter(step_resultant=len(cert.steps), **ends)
             assert verify(reverse_certificate(serial.certificate_from_json(data)))
 
 

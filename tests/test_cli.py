@@ -350,16 +350,18 @@ class TestCommands:
             "    ['reduce-kt', '--field', 'F3', 'T;1'],\n"
             "    ['reduce-kt', '--field', 'F3', 'T,1;1'],\n"
             "    ['cfrac', '--field', 'F3', '1/0'],\n"
+            "    ['cfrac', '--field', 'Q', '(X^4+X+1)/(3*X^2-X+2)'],\n"
             "]\n"
             "print(*[main(argv) for argv in runs])\n"
         )
         out = run_optimized(script, str(tmp_path))
-        assert out.splitlines()[-1].split() == ["0"] * 14 + ["2", "0", "0"] + ["2"] * 3
+        assert out.splitlines()[-1].split() == ["0"] * 14 + ["2", "0", "0"] + ["2"] * 3 + ["0"]
         assert "components equal fibers after 5 verified bridges" in out
         assert "N =\n[0, 1, 0]\n[1, T, 0]\n[0, 0, 1]\n" in out
         assert "N =\n[2, 0]\n[0, 3]\n" in out
         assert "bad matrix 'T;1'" in out and "bad matrix 'T,1;1'" in out
         assert "error: cf expansion needs degree >= 1" in out
+        assert "(X^2+1/3*X-5/9)/3  (X-127/48)/-16/9  (X+37/16)/193/16\n" in out
 
     @pytest.mark.parametrize(
         "expr,n,cap",
@@ -374,6 +376,19 @@ class TestCommands:
         assert main(["classify", "--field", "Q", expr]) == 0
         assert time.perf_counter() - t0 < cap
         assert json.loads(capsys.readouterr().out)["degree"] == n
+
+    def test_large_degree_classify_over_f101(self, capsys):
+        """X^1000 over a dense degree-999 denominator: a remainder sequence
+        of 1000 steps builds the point (resultant and Bezout pair) and one
+        more gives the continued-fraction blocks the decision reads."""
+        import time
+
+        rng = random.Random(999)
+        den = "+".join(f"{rng.randrange(1, 101)}*X^{k}" for k in range(1000))
+        t0 = time.perf_counter()
+        assert main(["classify", "--field", "F101", f"X^1000/({den})"]) == 0
+        assert time.perf_counter() - t0 < 10.0
+        assert json.loads(capsys.readouterr().out)["degree"] == 1000
 
     def test_huge_exponent_is_input_error(self, capsys):
         import time

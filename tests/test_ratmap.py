@@ -31,7 +31,14 @@ from p1h.ratmap import (
     x_over,
 )
 
-from conftest import all_points, random_point, run_optimized, solved_twin
+from conftest import (
+    EUCLID_FIELDS,
+    all_points,
+    euclid_pairs,
+    random_point,
+    run_optimized,
+    solved_twin,
+)
 
 
 def _kt_point(field, avecs, bvecs):
@@ -229,6 +236,22 @@ class TestContinuedFractions:
         for _ in range(200):
             f = random_point(QQ, rng.randrange(1, 5), rng)
             assert cf_assemble(cf_expand(f)) == f
+
+    @pytest.mark.parametrize("field", EUCLID_FIELDS, ids=str)
+    def test_roundtrip_euclid_corpus(self, field):
+        """The blocks read off the remainder sequence reassemble the point,
+        on every field point of the corpus the xgcd tests compare with sympy."""
+        points = 0
+        for a, b in euclid_pairs(field):
+            if a.degree < 1 or not a.is_monic() or b.degree >= a.degree:
+                continue
+            try:
+                f = mk_pointed(a, b)
+            except RejectedPoint:
+                continue
+            assert cf_assemble(cf_expand(f)) == f
+            points += 1
+        assert points >= 50
 
     def test_concatenation(self, rng):
         for _ in range(50):
