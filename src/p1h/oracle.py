@@ -20,13 +20,22 @@ builds at T-degree 0.  Evaluation T -> t is a ring map, so it keeps a
 nonzero constant nonzero and a unit gcd a unit: a valid path is a point at
 every t.  A candidate that is not, whose ends agree, or whose endpoint pair
 is already an edge, cannot change the edge set, and skips the exact test.
+
+The ratfun n = 2 kernel does not search; it solves the resultant equation
+b0^2 - a1 b0 b1 + a0 b1^2 = c for a nonzero constant c over F_q[T], on three
+exact facts.  Only coprime (b0, b1) have solutions, since gcd(b0, b1)^2
+divides the resultant.  For deg b1 >= 1 only one c is admissible, the
+remainder b0^2 mod b1, and only when it is a nonzero constant (every c is,
+for a constant b1).  The solutions are a_i = a_ip + h b_i for one particular
+(a0p, a1p) and every h of bounded T-degree, and the ends of a path depend on
+h only through (h(0), h(1)); so the kernel tabulates h once and reads each
+path's ends with scalar arithmetic.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 from . import certify, classify, quadform
@@ -109,23 +118,6 @@ def _rgcd(a, b, q):
     if a:
         a = _rscale(a, pow(a[-1], -1, q), q)
     return a
-
-
-def _rxgcd(a, b, q):
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        quo, rem = _rdivmod(r0, r1, q)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _rsub(s0, _rmul(quo, s1, q), q)
-        t0, t1 = t1, _rsub(t0, _rmul(quo, t1, q), q)
-    if r0:
-        inv = pow(r0[-1], -1, q)
-        r0 = _rscale(r0, inv, q)
-        s0 = _rscale(s0, inv, q)
-        t0 = _rscale(t0, inv, q)
-    return r0, s0, t0
 
 
 def _reval(a, t, q):
@@ -325,15 +317,32 @@ def _edges_ratfun_n1(q, D):
 
 def _edges_ratfun_n2_chunk(args):
     """Structured, exact enumeration of valid degree-2 paths for one slice
-    of (b0(T), b1(T)) pairs: solve b1^2 a0 - b1 b0 a1 = c - b0^2 over F_q[T]
-    and walk the one-parameter solution family within the degree cap."""
+    of (b0(T), b1(T)) codes: solve res = b0^2 - a1 b0 b1 + a0 b1^2 = c, a
+    nonzero constant, over F_q[T], and read each solution's ends.
+
+    - Only coprime pairs: d = gcd(b0, b1) divides every term of res, so d^2
+      divides c and d is a unit.
+    - One admissible c: for deg b1 >= 1, b1 divides c - b0^2, so c is the
+      remainder b0^2 mod b1 and must be a nonzero constant; that remainder is
+      divisible by d, so this test also skips every non-coprime pair.  Every
+      c in F_q^* is admissible only for a constant b1.  With quo = (b0^2 -
+      c)/b1, the inverse of b0 mod b1 is b0/c, so a1p = quo b0/c mod b1 and
+      a0p = (b0 a1p - quo)/b1 solve the equation with deg a1p < deg b1.
+    - The solutions are a_i = a_ip + h b_i for h of T-degree <= D - deg b1,
+      so deg a1 <= D always, and deg a0 <= D exactly when the coefficients of
+      h b0 above T^D cancel those of a0p.  The ends a_i(t) = a_ip(t) +
+      h(t) b_i(t), t = 0, 1, read h only through (h(0), h(1)); so each chunk
+      tabulates, once per (D - deg b1, b0), the distinct (h(0), h(1)) of the
+      h with each value of those coefficients, and the per-path loop is
+      scalar arithmetic mod q."""
     q, D, lo, hi = args
-    polys = _rpolys(q, D)
+    polys, vals, _ = _raw_tables(q, D)
     npolys = len(polys)
+    tables = {}
     edges = set()
     for bidx in range(lo, hi):
-        b0 = polys[bidx // npolys]
-        b1 = polys[bidx % npolys]
+        i0, i1 = divmod(bidx, npolys)
+        b0, b1 = polys[i0], polys[i1]
         if not b1:
             # resultant is b0^2: constant iff b0 is a constant unit, and then
             # the numerator coefficients move freely (complete graph)
@@ -345,42 +354,52 @@ def _edges_ratfun_n2_chunk(args):
                             ((apts[u], (b0[0], 0)), (apts[v], (b0[0], 0)))
                         )
             continue
-        d = _rgcd(b1, b0, q)
-        b1d = _rdivmod(b1, d, q)[0]
-        b0d = _rdivmod(b0, d, q)[0]
-        g, s, t = _rxgcd(_rmul(b1, b1, q), _rneg(_rmul(b1, b0, q), q), q)
         b0sq = _rmul(b0, b0, q)
-        e1 = len(b1d) - 1
-        hmax = D - e1 if e1 <= D else -1
-        hs = _rpolys(q, hmax) if hmax >= 0 else [()]
-        for c in range(1, q):
-            rhs = _rsub((c,), b0sq, q)
-            quo, rem = _rdivmod(rhs, g, q) if rhs else ((), ())
-            if rem:
+        if len(b1) > 1:
+            cs = _rdivmod(b0sq, b1, q)[1]
+            if len(cs) != 1:
                 continue
-            a0p = _rmul(s, quo, q)
-            a1p = _rmul(t, quo, q)
-            # reduce the particular a1 modulo b1/d, shifting a0 accordingly
-            qq, a1p = _rdivmod(a1p, b1d, q)
-            a0p = _rsub(a0p, _rmul(qq, b0d, q), q)
-            for h in hs:
-                a1 = _radd(a1p, _rmul(h, b1d, q), q)
-                if len(a1) - 1 > D:
-                    continue
-                a0 = _radd(a0p, _rmul(h, b0d, q), q)
-                if len(a0) - 1 > D:
-                    continue
-                p0 = (
-                    (_reval(a0, 0, q), _reval(a1, 0, q)),
-                    (_reval(b0, 0, q), _reval(b1, 0, q)),
-                )
-                p1 = (
-                    (_reval(a0, 1, q), _reval(a1, 1, q)),
-                    (_reval(b0, 1, q), _reval(b1, 1, q)),
-                )
+        else:
+            cs = range(1, q)
+        hmax = D - (len(b1) - 1)
+        # h b0 has at most k coefficients above T^D
+        k = max(len(b0) - len(b1), 0)
+        table = tables.get((hmax, i0))
+        if table is None:
+            table = tables[(hmax, i0)] = _high_table(q, D, k, hmax, b0)
+        (b00, b01), (b10, b11) = vals[i0][:2], vals[i1][:2]
+        for c in cs:
+            quo = _rdivmod(_rsub(b0sq, (c,), q), b1, q)[0]
+            a1p = _rdivmod(_rscale(_rmul(quo, b0, q), pow(c, -1, q), q), b1, q)[1]
+            a0p = _rdivmod(_rsub(_rmul(b0, a1p, q), quo, q), b1, q)[0]
+            # deg a0p <= max(deg b0 - 1, 2 (deg b0 - deg b1)) <= D + k
+            hs = table.get(_high(_rneg(a0p, q), D, k))
+            if hs is None:
+                continue
+            x0, x1 = _reval(a0p, 0, q), _reval(a0p, 1, q)
+            y0, y1 = _reval(a1p, 0, q), _reval(a1p, 1, q)
+            for h0, h1 in hs:
+                p0 = (((x0 + h0 * b00) % q, (y0 + h0 * b10) % q), (b00, b10))
+                p1 = (((x1 + h1 * b01) % q, (y1 + h1 * b11) % q), (b01, b11))
                 if p0 != p1:
-                    edges.add((min(p0, p1), max(p0, p1)))
+                    edges.add((p0, p1) if p0 < p1 else (p1, p0))
     return edges
+
+
+def _high(a, D, k):
+    """The coefficients of T^(D+1) .. T^(D+k) of a, zero-padded."""
+    top = a[D + 1 : D + 1 + k]
+    return top + (0,) * (k - len(top))
+
+
+def _high_table(q, D, k, hmax, b0):
+    """For h of T-degree <= hmax: each value of _high(h b0, D, k), mapped to
+    the distinct (h(0), h(1)) of the h that give it."""
+    table = {}
+    for h in _rpolys(q, hmax):
+        key = _high(_rmul(h, b0, q), D, k)
+        table.setdefault(key, set()).add((_reval(h, 0, q), _reval(h, 1, q)))
+    return {key: tuple(ends) for key, ends in table.items()}
 
 
 def _screened_edges(q, m, polys, vals, consts, exact, shape, lo, hi):
@@ -623,6 +642,9 @@ def enumerate_edges(spec: EnumSpec):
     ranges = _chunks(total, workers)
     args = [base_args + r for r in ranges]
     if workers > 1:
+        # imported here: multiprocessing costs every `import p1h` otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(worker, args))
     else:

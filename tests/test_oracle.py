@@ -2,6 +2,8 @@
 cross-checks, and the raw arithmetic layer it runs on."""
 import itertools
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +14,7 @@ from p1h.linalg import det
 from p1h.poly import Poly, PolyRing, poly_divmod, poly_gcd
 from p1h.ratmap import mk_pointed
 
-from conftest import run_optimized
+from conftest import p1h_env, run_optimized
 
 
 class TestRawLayer:
@@ -41,17 +43,6 @@ class TestRawLayer:
                     q2, r2 = poly_divmod(pa, pb)
                     assert quo == q2.coeffs and rem == r2.coeffs
                     assert oc._rgcd(a, b, q) == poly_gcd(pa, pb).coeffs
-
-    def test_rxgcd_is_a_bezout_identity(self, rng):
-        for q in (2, 3, 5, 7):
-            field = GF(q)
-            for _ in range(100):
-                a = oc._rtrim(tuple(rng.randrange(q) for _ in range(rng.randrange(0, 6))))
-                b = oc._rtrim(tuple(rng.randrange(q) for _ in range(rng.randrange(0, 6))))
-                g, s, t = oc._rxgcd(a, b, q)
-                lhs = oc._radd(oc._rmul(s, a, q), oc._rmul(t, b, q), q)
-                assert lhs == g
-                assert g == poly_gcd(Poly.make(field, a), Poly.make(field, b)).coeffs
 
     def test_rdet_matches_linalg(self, rng):
         for q in (2, 3, 5):
@@ -230,6 +221,18 @@ class TestComponents:
         assert seq.edges == par.edges
         assert len(seq.components) == len(par.components)
 
+    def test_import_loads_no_process_pool(self):
+        # only workers > 1 starts a pool, so only that path imports it
+        script = (
+            "import sys, p1h, p1h.oracle; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=p1h_env(), check=True, timeout=60,
+        ).stdout
+        assert out.strip() == "[]"
+
     def test_worker_count_capped(self, monkeypatch):
         # the clamp alone: no process is started here
         cpus = os.cpu_count() or 1
@@ -279,6 +282,45 @@ def _naive_edges(spec):
     return edges
 
 
+def _naive_ratfun_n2_edges(q, D):
+    """Every (a0, a1, b0, b1) of T-degree <= D whose Sylvester determinant
+    of (X^2 + a1 X + a0, b1 X + b0) is a nonzero constant, with no solver."""
+    one = (1,)
+    edges = set()
+    for a0, a1, b0, b1 in itertools.product(oc._rpolys(q, D), repeat=4):
+        sylvester = [[one, a1, a0], [b1, b0, ()], [(), b1, b0]]
+        if len(oc._rdet(sylvester, q)) == 1:
+            p0, p1 = (
+                tuple(tuple(oc._reval(p, t, q) for p in pair) for pair in ((a0, a1), (b0, b1)))
+                for t in (0, 1)
+            )
+            if p0 != p1:
+                edges.add((min(p0, p1), max(p0, p1)))
+    return edges
+
+
+class TestRatfunN2Solver:
+    """The n = 2 kernel solves the resultant equation instead of walking
+    candidates; its edge set is the one every candidate gives."""
+
+    @pytest.mark.parametrize("q,D", [(2, 1), (3, 1), (2, 2)])
+    def test_solver_matches_naive_loop(self, q, D):
+        edges = oc.enumerate_edges(oc.EnumSpec(q=q, n=2, D=D))
+        assert edges and edges == _naive_ratfun_n2_edges(q, D)
+
+    @pytest.mark.parametrize("q,D", [(3, 2), (5, 1), (2, 3)])
+    def test_chunks_carry_no_state(self, q, D):
+        # each chunk builds its own tables: any split gives the same union
+        total = (q ** (D + 1)) ** 2
+        whole = oc._edges_ratfun_n2_chunk((q, D, 0, total))
+        for cuts in ((1,), (total // 3, total // 2), (7, total - 7), tuple(range(1, total, 97))):
+            bounds = (0,) + cuts + (total,)
+            union = set()
+            for lo, hi in zip(bounds, bounds[1:]):
+                union |= oc._edges_ratfun_n2_chunk((q, D, lo, hi))
+            assert union == whole, cuts
+
+
 class TestScreenedKernels:
     """The brute-force kernels skip the exact test on candidates that cannot
     add an edge; the edge set is the one every candidate gives."""
@@ -318,11 +360,12 @@ class TestScreenedKernels:
     @pytest.mark.parametrize(
         "target,q,n,D,count",
         [("ratfun", 7, 1, 2, 126), ("ratfun", 7, 2, 1, 23814), ("ratfun", 2, 3, 2, 366),
+         ("ratfun", 5, 2, 1, 3800), ("ratfun", 3, 2, 2, 549),
          ("symmat", 5, 2, 1, 240), ("pd", 3, 1, 2, 276), ("pd", 2, 2, 1, 1062)],
     )
     def test_benchmark_grid_edge_counts(self, target, q, n, D, count):
-        # the edge counts of the benchmark's grid cells, as the unscreened
-        # kernels gave them
+        # the edge counts of the benchmark's grid cells, and of two more n = 2
+        # cells, as the unscreened kernels and the earlier n = 2 solver gave them
         assert len(oc.enumerate_edges(oc.EnumSpec(q=q, n=n, D=D, target=target))) == count
 
 
