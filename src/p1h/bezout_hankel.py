@@ -5,7 +5,9 @@ its determinant is (-1)^{n(n-1)/2} times the resultant, so the form is
 non-degenerate exactly on valid points.  Its inverse is a Hankel matrix
 whose entries are read off the expansion of V/A in descending powers of X,
 which yields an explicit inverse reconstruction (psi) of a rational
-function from (Hankel matrix, translation coordinate).
+function from (Hankel matrix, translation coordinate).  psi solves nothing:
+with the Bezout form S = H^{-1} in hand, the numerator's coefficients are
+S applied to a vector of Hankel entries and B is the last row of S.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .fields import FieldError
-from .poly import Poly, PolyRing, bezout_pair, laurent_expand
+from .poly import Poly, PolyRing, const, laurent_expand, poly_divmod
 from .ratmap import PointedRat, phi_n, pointed_from_pair
 
 
@@ -82,10 +84,6 @@ class HankelMatrix:
 
     def __post_init__(self):
         assert len(self.s) == 2 * self.n - 1
-
-    def entry(self, p, q):
-        # 1-based indices in the classical description; 0-based here
-        return self.s[p + q]
 
     def to_sym(self) -> SymMatrix:
         n = self.n
@@ -156,23 +154,29 @@ def hankel_of(f: PointedRat) -> HankelMatrix:
 def psi_n(H: HankelMatrix, v) -> PointedRat:
     """Reconstruct the rational function with Hankel data H and phi-value v.
 
-    Solves H * (a_0..a_{n-1})^T = (-s_{n+1}, ..., -s_{2n-1}, v)^T for the
-    monic numerator A, takes V as the polynomial part of
-    (s_1 X^{-1} + ... + s_n X^{-n}) * A, and recovers B from the Bezout
-    relation A U + B V = 1.  Exact over a field and over k[T] (where the
+    The Bezout form S = H^{-1} holds the answer: the monic numerator's
+    coefficients (a_0..a_{n-1}) solve H a = (-s_{n+1}, ..., -s_{2n-1}, v),
+    so a = S times that vector, and the last row of S is (b_0..b_{n-1}).
+    V is the polynomial part of (s_1 X^{-1} + ... + s_n X^{-n}) * A and
+    U = (1 - B V)/A exactly.  Exact over a field and over k[T] (where the
     Hankel determinant is a nonzero constant).
     """
+    return _psi(inverse_sym(H.to_sym()), H, v)
+
+
+def _psi(S: SymMatrix, H: HankelMatrix, v) -> PointedRat:
+    """psi_n with the Bezout form S = H^{-1} already in hand."""
     ring = H.ring
     n = H.n
     v = ring.coerce(v)
     s = H.s
-    M = [[s[i + j] for j in range(n)] for i in range(n)]
     rhs = [ring.neg(s[n + i]) for i in range(n - 1)] + [v]
-    a = linalg.solve_cramer(ring, M, rhs)
-    A = Poly.make(ring, list(a) + [ring.one])
+    acoef = linalg.mat_vec(ring, S.rows, rhs) + [ring.one]
+    A = Poly.make(ring, acoef)
+    # for monic A the last row of Bez(f) is a_n b_j - a_j b_n = b_j
+    B = Poly.make(ring, S.rows[n - 1])
     # polynomial part of (sum s_i X^{-i}) A: X^j coefficient is
     # sum_{i=1}^{n-j} s_i a_{j+i} with a_n = 1
-    acoef = list(a) + [ring.one]
     vcoef = []
     for j in range(n):
         acc = ring.zero
@@ -180,12 +184,9 @@ def psi_n(H: HankelMatrix, v) -> PointedRat:
             acc = ring.add(acc, ring.mul(s[i - 1], acoef[j + i]))
         vcoef.append(acc)
     V = Poly.make(ring, vcoef)
-    try:
-        U, B = bezout_pair(A, V)
-    except FieldError as exc:
-        raise AssertionError(
-            "internal inconsistency: gcd(A, V) != 1 for non-degenerate Hankel data"
-        ) from exc
+    U, rem = poly_divmod(const(ring, ring.one) - B * V, A)
+    if not rem.is_zero():
+        raise FieldError("A does not divide 1 - B V: the Hankel data is not a point")
     f = pointed_from_pair(A, B, U, V)
     # V/A = s_1 X^{-1} + s_2 X^{-2} + ...: hankel_of(f) reads its first 2n-1
     # terms and phi_n(f) is -s_{2n}, so one expansion checks both
@@ -195,17 +196,9 @@ def psi_n(H: HankelMatrix, v) -> PointedRat:
 
 
 def inverse_sym(S: SymMatrix) -> SymMatrix:
-    """Exact inverse of a non-degenerate symmetric matrix (adjugate / det)."""
-    ring = S.ring
-    d = S.det()
-    if isinstance(ring, PolyRing):
-        if d.is_zero() or not d.is_constant():
-            raise FieldError("degenerate (or non-constant determinant) matrix")
-    elif ring.is_zero(d):
-        raise FieldError("degenerate matrix")
-    adj = linalg.adjugate(ring, [list(r) for r in S.rows])
-    inv = [[ring.exact_div(x, d) for x in row] for row in adj]
-    return SymMatrix.make(ring, inv)
+    """Exact inverse of a symmetric matrix of unit determinant (over k[T] a
+    nonzero constant); FieldError otherwise."""
+    return SymMatrix.make(S.ring, linalg.inverse(S.ring, S.rows))
 
 
 def hankel_from_sym(S: SymMatrix) -> HankelMatrix:
@@ -237,8 +230,7 @@ def f2_iso_inv(S: SymMatrix, t) -> PointedRat:
     """
     if S.n != 2:
         raise FieldError("f2_iso_inv is the degree-2 chart")
-    H = hankel_from_sym(inverse_sym(S))
-    f = psi_n(H, t)
+    f = _psi(S, hankel_from_sym(inverse_sym(S)), t)
     assert bezout_form(f).rows == S.rows
     return f
 

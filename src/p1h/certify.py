@@ -243,8 +243,12 @@ def reverse_certificate(cert: Certificate) -> Certificate:
 
 
 def concat_certificates(a: Certificate, b: Certificate) -> Certificate:
-    assert a.kind == b.kind and a.field == b.field
-    assert _coords(a.kind, a.field, a.target) == _coords(a.kind, a.field, b.source)
+    """The chain a then b; FieldError unless they share kind and field and
+    b starts where a ends."""
+    if a.kind != b.kind or a.field != b.field:
+        raise FieldError("certificates of different kinds or fields")
+    if _coords(a.kind, a.field, a.target) != _coords(a.kind, a.field, b.source):
+        raise FieldError("the first certificate does not end where the second starts")
     return Certificate(a.kind, a.field, a.steps + b.steps, a.source, b.target)
 
 

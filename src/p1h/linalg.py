@@ -5,9 +5,13 @@ The ring argument must provide zero/one/add/sub/mul/neg/is_zero/is_unit and
 exact_div (exact division, defined whenever the quotient lies in the ring),
 which is what fields.Rationals, fields.PrimeField and poly.PolyRing supply.
 Everything here is fraction-free, so it works over k[T] as well as over a
-field; sizes are desk scale throughout.
+field; sizes are desk scale throughout.  `inverse` is the one exact inverse:
+every matrix inverted in the package has a unit determinant (over k[T] a
+nonzero constant), and no other code divides an adjugate by a determinant.
 """
 from __future__ import annotations
+
+from .fields import FieldError
 
 
 def mat_identity(ring, n):
@@ -123,21 +127,10 @@ def adjugate(ring, M):
     return out
 
 
-def solve_cramer(ring, M, rhs):
-    """Solve M x = rhs by Cramer's rule with exact division by det(M).
-
-    Intended for systems whose solution is known to lie in the ring (for us:
-    the determinant is a unit, e.g. a nonzero constant of k[T]).  Raises if a
-    division is not exact or the matrix is singular.
-    """
-    n = len(M)
+def inverse(ring, M):
+    """The exact inverse adj(M) / det(M) of a matrix whose determinant is a
+    unit of the ring (over k[T]: a nonzero constant); FieldError otherwise."""
     d = det(ring, M)
-    if ring.is_zero(d):
-        raise ZeroDivisionError("singular system")
-    out = []
-    for j in range(n):
-        Mj = [list(row) for row in M]
-        for i in range(n):
-            Mj[i][j] = rhs[i]
-        out.append(ring.exact_div(det(ring, Mj), d))
-    return out
+    if not ring.is_unit(d):
+        raise FieldError("matrix determinant is not a unit")
+    return [[ring.exact_div(x, d) for x in row] for row in adjugate(ring, M)]

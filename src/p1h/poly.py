@@ -416,9 +416,9 @@ def bezout_pair(A: Poly, B: Poly) -> tuple[Poly, Poly]:
     A must be monic of degree n >= 1 with deg B < n and res_{n,n}(A, B) a
     unit; raises FieldError otherwise.  Over a field (U, V) are read off
     remainder_sequence(A, B) by sequence_cofactors; over k[T] V = 1/B
-    modulo A solves the n x n system of multiplication by B by Cramer's rule
-    (the determinant is the resultant, a nonzero constant, so every division
-    is exact).
+    modulo A is column 0 of the exact inverse of multiplication by B (the
+    determinant is the resultant, a nonzero constant, so every division is
+    exact).
     """
     R = A.ring
     n = A.degree
@@ -434,14 +434,13 @@ def bezout_pair(A: Poly, B: Poly) -> tuple[Poly, Poly]:
 
 def _bezout_pair_kt(A: Poly, B: Poly, n: int) -> tuple[Poly, Poly]:
     R = A.ring
-    # V = 1/B modulo A: the n x n system (multiplication by B) v = e_0, whose
+    # V = 1/B modulo A: column 0 of the inverse of multiplication by B, whose
     # determinant is the resultant; then U = (1 - B V)/A exactly.
-    rhs = [R.one] + [R.zero] * (n - 1)
     try:
-        sol = linalg.solve_cramer(R, _mult_matrix(A, B, n), rhs)
-    except (ZeroDivisionError, FieldError) as exc:
+        inv = linalg.inverse(R, _mult_matrix(A, B, n))
+    except FieldError as exc:
         raise FieldError("not coprime / not a point of F_n") from exc
-    V = Poly.make(R, sol)
+    V = Poly.make(R, [row[0] for row in inv])
     U, rem = poly_divmod(const(R, R.one) - B * V, A)
     if not rem.is_zero():
         raise FieldError("A does not divide 1 - B V: the solved V is not 1/B mod A")

@@ -556,16 +556,17 @@ def _primitive(kt, x):
 def complete_unimodular(kt: PolyRing, x):
     """A det-1 matrix over k[T] whose first column is the primitive vector x.
 
-    Reduces x to e_1 by elementary row operations (Euclid on entry pairs)
-    and returns the inverse product, with a constant column scaling to pin
-    the determinant at exactly 1.
+    Reduces x to c e_piv (c a constant unit) by elementary row operations
+    (Euclid on entry pairs) and builds the inverse product from the inverse
+    operations, a signed swap bringing e_piv to e_0 and a scaling of
+    columns 0 and 1 by c and 1/c; every factor has determinant 1.
     """
     n = len(x)
     if n == 1:
         assert kt.is_unit(x[0])
         return [[x[0]]]
     v = list(x)
-    ops = []  # row ops applied to v: (i, j, q) means row_i += q row_j
+    inv_ops = []  # inverses of the row ops applied to v, in order
     guard = 0
     while True:
         guard += 1
@@ -581,36 +582,20 @@ def complete_unimodular(kt: PolyRing, x):
         for j in nz[1:]:
             q = poly_divmod(v[j], v[i])[0]
             v[j] = v[j] - q * v[i]
-            ops.append((j, i, -q))
-    # E * x = c * e_piv with E the product of the ops and c a constant unit
-    E = elementary_product(kt, n, [("add", i, j, q) for i, j, q in reversed(ops)])
-    # move pivot to position 0 by a signed swap, then invert
-    if piv != 0:
-        P = linalg.mat_identity(kt, n)
-        P[0][0] = kt.zero
-        P[piv][piv] = kt.zero
-        P[0][piv] = kt.one
-        P[piv][0] = kt.neg(kt.one)
-        E = linalg.mat_mul(kt, P, E)
-    c = linalg.mat_vec(kt, E, x)[0]
-    assert c.is_constant() and not c.is_zero()
-    M = _inverse_det_one(kt, E)
-    # first column of M is x / c; rescale column 0 by c and column 1 by 1/c
-    for r in range(n):
-        M[r][0] = M[r][0] * c
-    if n > 1:
-        cinv = kt.inv(c)
-        for r in range(n):
-            M[r][1] = M[r][1] * cinv
-    d = linalg.det(kt, M)
-    assert d.is_constant()
-    dval = d.constant()
-    if not kt.base.is_zero(kt.base.sub(dval, kt.base.one)):
-        # det is a constant unit; fix it on a column other than the first
-        assert n > 1
-        fix = const(kt.base, kt.base.inv(dval))
-        for r in range(n):
-            M[r][n - 1] = M[r][n - 1] * fix
+            inv_ops.append(("add", j, i, q))  # undoes row_j -= q row_i
+    # E x = c e_piv for the product E of the row ops, so E^{-1} is the
+    # product of the inverse ops in their recorded order
+    M = elementary_product(kt, n, inv_ops)
+    if piv:
+        # right-multiply by the inverse (the transpose) of the signed swap
+        # sending e_piv to e_0 and e_0 to -e_piv
+        for row in M:
+            row[0], row[piv] = row[piv], -row[0]
+    # column 0 is now x / c: rescale it by c and column 1 by 1/c
+    c = v[piv]
+    cinv = kt.inv(c)
+    for row in M:
+        row[0], row[1] = row[0] * c, row[1] * cinv
     assert [M[r][0] for r in range(n)] == list(x)
     return M
 
@@ -664,9 +649,10 @@ def _split(S: SymMatrix, C, k):
     n = S.n
     G = _congruence(kt, S, C)
     B = [row[:k] for row in G[:k]]
-    if not kt.is_unit(linalg.det(kt, B)):
-        raise AssertionError("split block does not have unit determinant")
-    Binv = _inverse_det_one(kt, B)
+    try:
+        Binv = linalg.inverse(kt, B)
+    except FieldError:
+        raise AssertionError("split block does not have unit determinant") from None
     E = linalg.mat_identity(kt, n)
     for j in range(k, n):
         for i in range(k):
@@ -678,13 +664,6 @@ def _split(S: SymMatrix, C, k):
     N = SymMatrix.make(kt, _embed_block(kt, B, [list(r) for r in Nsub.rows]))
     _check_hermite(S, P, N)
     return P, N
-
-
-def _inverse_det_one(kt, W):
-    """The exact inverse of a k[T] matrix whose determinant is a constant unit."""
-    d = linalg.det(kt, W)
-    adj = linalg.adjugate(kt, W)
-    return [[kt.exact_div(e, d) for e in row] for row in adj]
 
 
 def _congruence(kt, S, P):

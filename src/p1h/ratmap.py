@@ -70,10 +70,6 @@ class PointedRat:
     def __repr__(self):
         return f"({poly_str(self.A)})/({poly_str(self.B)})"
 
-    def matrix(self):
-        """The SL_2 matrix [A -V; B U] attached to the point."""
-        return [[self.A, -self.V], [self.B, self.U]]
-
     def key(self):
         return (self.A.coeffs, self.B.coeffs)
 

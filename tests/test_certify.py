@@ -110,8 +110,9 @@ class TestNormalForm:
         certify._normal_form_cert_cached.cache_clear()
 
     def test_wrong_blocks_or_gcd_raise_under_optimize(self):
-        # python -O strips asserts: blocks that do not sum to the point, a gcd
-        # that is not 1 and a k[T] V that is not 1/B mod A must still raise
+        # python -O strips asserts: certificates that do not chain, blocks
+        # that do not sum to the point, a gcd that is not 1 and a k[T] V
+        # that is not 1/B mod A must still raise
         script = (
             "from p1h import certify, linalg\n"
             "from p1h.classify import mk_pd\n"
@@ -128,6 +129,10 @@ class TestNormalForm:
             "        print('passed')\n"
             "f = mk_pointed(Poly.make(F3, [2, 0, 1]), Poly.make(F3, [0, 1]))\n"
             "g = mk_pointed(Poly.make(F3, [1, 0, 1]), Poly.make(F3, [2, 2]))\n"
+            "cg = certify.normal_form_cert(g)[1]\n"
+            "run(lambda: certify.concat_certificates(cg, cg))\n"
+            "other = certify.Certificate('pointed', GF(5), (), cg.target, cg.target)\n"
+            "run(lambda: certify.concat_certificates(cg, other))\n"
             "blocks = certify.cf_expand\n"
             "certify.cf_expand = lambda h: blocks(g)\n"
             "run(lambda: certify.normal_form_cert(f))\n"
@@ -136,10 +141,12 @@ class TestNormalForm:
             "run(lambda: certify.pd_cert(mk_pd(X(F3).shift(1), (X(F3), const(F3, 1)))))\n"
             "kt = PolyRing(F3)\n"
             "lift = lambda p: p.map_coeffs(lambda c: const(F3, c), kt)\n"
-            "linalg.solve_cramer = lambda ring, M, rhs: [ring.one] * len(rhs)\n"
+            "linalg.inverse = lambda ring, M: [[ring.one] * len(M) for _ in M]\n"
             "run(lambda: mk_pointed(lift(f.A), lift(f.B)))\n"
         )
         assert run_optimized(script).splitlines() == [
+            "raised: the first certificate does not end where the second starts",
+            "raised: certificates of different kinds or fields",
             "raised: the continued-fraction blocks do not sum to the point",
             "raised: CRT moduli are not pairwise coprime",
             "raised: A does not divide 1 - B V: the solved V is not 1/B mod A",
@@ -628,6 +635,36 @@ class TestUnpointedConnect:
                 else:
                     assert isinstance(result, NotEquivalent)
 
+    def test_degree_zero_interpolation_step(self):
+        import json
+
+        from p1h import serial
+
+        # the constants 1/2 and 3/1 are joined by one straight-line step
+        u1, u2 = mk_unpointed(QQ, [1], [2]), mk_unpointed(QQ, [3], [1])
+        cert = unpointed_connect(u1, u2)
+        assert isinstance(cert, Certificate) and len(cert.steps) == 1
+        text = json.dumps(serial.certificate_to_json(cert))
+        loaded = serial.certificate_from_json(json.loads(text))
+        assert loaded == cert and verify(loaded)
+
+    def test_degree_zero_same_projective_point(self):
+        F5 = GF(5)
+        u1, u2 = mk_unpointed(F5, [1], [2]), mk_unpointed(F5, [3], [1])
+        cert = unpointed_connect(u1, u2)
+        assert isinstance(cert, Certificate) and cert.steps == ()
+        assert verify(cert)
+
+    def test_degree_zero_step_through_the_zero_vector_rejected(self):
+        # (A, B) = (T, T) is the point [1 : 1] except at T = 0, where it vanishes
+        F3 = GF(3)
+        kt = PolyRing(F3)
+        T = Poly.make(kt, [X(F3)])
+        u = mk_unpointed(F3, [1], [1])
+        res = verify(Certificate("unpointed", F3, (PairStep(kt, 0, T, T),), u, u))
+        assert not res and res.step == 0
+        assert res.reason == "coefficient vector vanishes along the path at step 0"
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_fp_witness_exactly_when_classes_agree(self, p):
         F = GF(p)
@@ -727,24 +764,24 @@ class TestGeneratedStepsAreSolvedPoints:
 
 class TestGenerationSolvesOnce:
     def test_connect_solves_only_in_psi(self, monkeypatch):
-        """connect builds its k[T] points from pairs in hand: the only k[T]
-        Bezout solve is psi_n's, and no endpoint is rebuilt by eval_path."""
+        """connect builds its k[T] points from pairs in hand and psi reads A
+        and B off the Bezout form: no k[T] Bezout solve runs at all, and no
+        endpoint is rebuilt by eval_path."""
+        import importlib
         from collections import Counter
 
         from p1h import bezout_hankel, certify, ratmap
 
+        poly = importlib.import_module("p1h.poly")  # p1h.poly is also a function
         F5 = GF(5)
         f = mk_pointed(Poly.make(F5, [1, 4, 4, 1]), Poly.make(F5, [1, 2, 4]))
         g = mk_pointed(Poly.make(F5, [3, 3, 3, 1]), Poly.make(F5, [4, 3, 1]))
         calls = Counter()
-        for module in (ratmap, bezout_hankel):
-            def spy(A, B, _orig=module.bezout_pair):
-                calls["kt_pair" if isinstance(A.ring, PolyRing) else "pair"] += 1
-                return _orig(A, B)
-
-            monkeypatch.setattr(module, "bezout_pair", spy)
-        psi = bezout_hankel.psi_n
-        monkeypatch.setattr(bezout_hankel, "psi_n", lambda *a: calls.update(["psi"]) or psi(*a))
+        kt_pair = poly._bezout_pair_kt
+        monkeypatch.setattr(poly, "_bezout_pair_kt",
+                            lambda *a: calls.update(["kt_pair"]) or kt_pair(*a))
+        psi = bezout_hankel._psi
+        monkeypatch.setattr(bezout_hankel, "_psi", lambda *a: calls.update(["psi"]) or psi(*a))
         evp = ratmap.eval_path
         spy_eval = lambda *a: calls.update(["eval_path"]) or evp(*a)
         monkeypatch.setattr(ratmap, "eval_path", spy_eval)
@@ -755,7 +792,7 @@ class TestGenerationSolvesOnce:
         cert = connect(f, g)
         assert len(diag_chain(F5, normal_form_cert(f)[0], normal_form_cert(g)[0])) == 2
         assert calls["psi"] == 2
-        assert calls["kt_pair"] == calls["psi"] and calls["eval_path"] == 0
+        assert calls["kt_pair"] == 0 and calls["eval_path"] == 0
         assert verify(cert)
 
 

@@ -331,11 +331,13 @@ class TestCommands:
             "runs = [\n"
             "    ['certify', '--field', 'F5', 'X/1+X/1', 'X/2+X/3', '--out', d + '/p.json'],\n"
             "    ['certify', '--unpointed', '--field', 'F5', 'X/1', 'X/4', '--out', d + '/u.json'],\n"
+            "    ['certify', '--unpointed', '--field', 'Q', '1/2', '3/1', '--out', d + '/u0.json'],\n"
             "    ['pd-certify', '--field', 'F3', 'X^2 ; X ; 1', '--out', d + '/pd.json'],\n"
             "    ['certify', '--field', 'Q', 'X/-7+X/(1/2)+X/-1+X/13',\n"
             "     'X/5+X/-1+X/2+X/(-91/20)', '--out', d + '/q4.json'],\n"
             "    ['verify', d + '/p.json'],\n"
             "    ['verify', d + '/u.json'],\n"
+            "    ['verify', d + '/u0.json'],\n"
             "    ['verify', d + '/pd.json'],\n"
             "    ['verify', d + '/q4.json'],\n"
             "    ['classify', '--field', 'Q', 'X/3+X^2/5+X/(1/7)'],\n"
@@ -355,7 +357,7 @@ class TestCommands:
             "print(*[main(argv) for argv in runs])\n"
         )
         out = run_optimized(script, str(tmp_path))
-        assert out.splitlines()[-1].split() == ["0"] * 14 + ["2", "0", "0"] + ["2"] * 3 + ["0"]
+        assert out.splitlines()[-1].split() == ["0"] * 16 + ["2", "0", "0"] + ["2"] * 3 + ["0"]
         assert "components equal fibers after 5 verified bridges" in out
         assert "N =\n[0, 1, 0]\n[1, T, 0]\n[0, 0, 1]\n" in out
         assert "N =\n[2, 0]\n[0, 3]\n" in out

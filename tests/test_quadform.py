@@ -15,6 +15,7 @@ from p1h.quadform import (
     REAL_PLACE,
     BlockNormalForm,
     DiagForm,
+    complete_unimodular,
     diagonalize,
     hermite_reduce,
     hilbert_symbol,
@@ -618,6 +619,109 @@ def _form_val(kt, S, x):
         for j in range(n):
             acc = acc + S.rows[i][j] * x[i] * x[j]
     return acc
+
+
+def _random_unit_det(ring, n, rng, det_factor=None):
+    """diag(det_factor or a unit, units) times six random elementary
+    matrices, over a field or over k[T] (entries of T-degree <= 2)."""
+    kt = isinstance(ring, PolyRing)
+    base = ring.base if kt else ring
+
+    def scalar():
+        if base is QQ:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return base.coerce(rng.randrange(base.p))
+
+    def unit():
+        while base.is_zero(u := scalar()):
+            pass
+        return ring.coerce(u)
+
+    M = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        M[i][i] = unit()
+    if det_factor is not None:
+        M[0][0] = det_factor
+    for _ in range(6):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            E = la.mat_identity(ring, n)
+            E[i][j] = Poly.make(base, [scalar() for _ in range(3)]) if kt else scalar()
+            M = la.mat_mul(ring, M, E)
+    return M
+
+
+class TestInverse:
+    RINGS = [_kt(GF(2)), _kt(GF(3)), _kt(GF(5)), _kt(QQ), QQ, GF(7)]
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_inverse_of_unit_determinant(self, ring):
+        rng = random.Random(1700)
+        for _ in range(25):
+            n = rng.randrange(1, 5)
+            M = _random_unit_det(ring, n, rng)
+            inv = la.inverse(ring, M)
+            assert la.mat_eq(ring, la.mat_mul(ring, M, inv), la.mat_identity(ring, n))
+            assert la.mat_eq(ring, la.mat_mul(ring, inv, M), la.mat_identity(ring, n))
+
+    @pytest.mark.parametrize("ring", RINGS, ids=str)
+    def test_non_unit_determinant_raises(self, ring):
+        """det M = 0 over every ring, and det M = T times a unit over k[T]."""
+        rng = random.Random(1701)
+        factors = [ring.zero]
+        if isinstance(ring, PolyRing):
+            factors.append(Poly.make(ring.base, [0, 1]))
+        for n in (1, 2, 3):
+            for d in factors:
+                with pytest.raises(FieldError):
+                    la.inverse(ring, _random_unit_det(ring, n, rng, det_factor=d))
+
+
+class TestCompleteUnimodular:
+    @pytest.mark.parametrize("field", [GF(3), GF(5), QQ], ids=str)
+    def test_first_column_and_determinant_one(self, field, monkeypatch):
+        """On seeded primitive vectors at n = 2..5 the completion has first
+        column x and determinant exactly 1; the pivot position piv and the
+        constant c with E x = c e_piv (E the product of the row operations)
+        are read off the captured inverse product, so the sample is seen to
+        cover piv != 0 and c != 1."""
+        from p1h import quadform
+        from p1h.poly import poly_gcd
+
+        kt = _kt(field)
+        rng = random.Random(1710)
+        products = []
+        product = quadform.elementary_product
+
+        def spy(*args):
+            M = product(*args)
+            products.append(la.mat_copy(M))
+            return M
+
+        monkeypatch.setattr(quadform, "elementary_product", spy)
+        pivots, scales = set(), set()
+        for n in range(2, 6):
+            done = 0
+            while done < 12:
+                x = [
+                    Poly.make(field, [rng.randint(-2, 2) for _ in range(rng.randrange(3))])
+                    for _ in range(n)
+                ]
+                g = kt.zero
+                for e in x:
+                    g = poly_gcd(g, e)
+                if g.is_zero() or g.degree > 0:
+                    continue
+                M = complete_unimodular(kt, x)
+                assert [row[0] for row in M] == x
+                assert perm_det(kt, M) == kt.one
+                w = la.mat_vec(kt, la.inverse(kt, products[-1]), x)
+                (piv,) = [i for i, e in enumerate(w) if not e.is_zero()]
+                assert w[piv].is_constant()
+                pivots.add(piv)
+                scales.add(w[piv].constant())
+                done += 1
+        assert pivots - {0} and scales - {field.one}
 
 
 class TestHermiteReduce:
