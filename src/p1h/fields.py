@@ -79,9 +79,9 @@ def _rho_factor(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer: trial division for small
-    factors, Pollard rho for anything that survives (resultants at desk
-    scale can still have 10-plus-digit square parts).
+    """Prime factorization of a positive integer: trial division by the
+    primes below 1000, then Miller-Rabin and Pollard rho on what survives
+    (resultants at desk scale can still have 10-plus-digit square parts).
 
     Factorizations are memoized, since one invariant needs the same
     determinant's primes several times; every call returns a fresh dict."""
@@ -90,16 +90,22 @@ def factorize(n: int) -> dict[int, int]:
     return dict(_factor_pairs(n))
 
 
+@lru_cache(maxsize=1)
+def _small_primes() -> tuple[int, ...]:
+    """The primes below 1000, listed on first use rather than at import."""
+    return tuple(d for d in range(2, 1000) if is_prime(d))
+
+
 @lru_cache(maxsize=4096)
 def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """(prime, exponent) pairs of n > 0, in the order factorize reports them."""
+    """(prime, exponent) pairs of n > 0, primes ascending."""
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n and d < 100_000:
+    for d in _small_primes():
+        if d * d > n:
+            break
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1 if d == 2 else 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -111,7 +117,7 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
         f = _rho_factor(m)
         stack.append(f)
         stack.append(m // f)
-    return tuple(out.items())
+    return tuple(sorted(out.items()))
 
 
 def squarefree_part(n: int) -> int:

@@ -106,31 +106,67 @@ def det(ring, M):
     return d if sign == 1 else ring.neg(d)
 
 
-def _minor(M, i, j):
-    return [
-        [x for jj, x in enumerate(row) if jj != j]
-        for ii, row in enumerate(M)
-        if ii != i
-    ]
+def _adjugate_det(ring, M):
+    """(adj M, det M) for M with a unit determinant (over k[T]: a nonzero
+    constant), by one fraction-free Gauss-Jordan pass over [M | I]: O(n^3)
+    ring operations.  After pivot k every entry is a (k+1)-minor of the
+    row-swapped [M | I], so each division is exact (Bareiss), and the pass
+    ends at [d I | d M^{-1}] with d = +-det M.  FieldError when det M is not
+    a unit.
+
+    Column j of the right block is prev * e_j until pivot j, so it is
+    appended only then: column j came from identity column cols[j], and a
+    row swap swaps those labels too."""
+    n = len(M)
+    if n == 2:  # the closed form: the pass would rebuild M[1][1] by a division
+        (a, b), (c, e) = M
+        d = ring.sub(ring.mul(a, e), ring.mul(b, c))
+        if not ring.is_unit(d):
+            raise FieldError("matrix determinant is not a unit")
+        return [[e, ring.neg(b)], [ring.neg(c), a]], d
+    rows = [list(row) for row in M]
+    cols = list(range(n))
+    sign, prev = 1, ring.one
+    for k in range(n):
+        piv = next((i for i in range(k, n) if not ring.is_zero(rows[i][k])), None)
+        if piv is None:
+            raise FieldError("matrix determinant is not a unit")
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            cols[k], cols[piv] = cols[piv], cols[k]
+            sign = -sign
+        pk = rows[k]
+        p = pk[k]
+        for i, ri in enumerate(rows):
+            if i == k:
+                continue
+            a = ri[k]
+            # left columns k+1..n-1 and right columns 0..k-1; the columns
+            # left of k are no longer read
+            for j in range(k + 1, n + k):
+                x = ring.sub(ring.mul(p, ri[j]), ring.mul(a, pk[j]))
+                ri[j] = ring.exact_div(x, prev) if k else x
+            ri.append(ring.neg(a))
+        pk.append(prev)
+        prev = p
+    d = prev if sign == 1 else ring.neg(prev)
+    if not ring.is_unit(d):
+        raise FieldError("matrix determinant is not a unit")
+    adj = [[None] * n for _ in range(n)]
+    for r, row in enumerate(rows):
+        for j, c in enumerate(cols):
+            adj[r][c] = row[n + j] if sign == 1 else ring.neg(row[n + j])
+    return adj, d
 
 
 def adjugate(ring, M):
-    """Classical adjugate: adj(M)[i][j] = (-1)^{i+j} det(minor(M, j, i))."""
-    n = len(M)
-    if n == 1:
-        return [[ring.one]]
-    out = [[ring.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            c = det(ring, _minor(M, j, i))
-            out[i][j] = c if (i + j) % 2 == 0 else ring.neg(c)
-    return out
+    """adj(M) = det(M) M^{-1} for M with a unit determinant (over k[T]: a
+    nonzero constant); FieldError otherwise."""
+    return _adjugate_det(ring, M)[0]
 
 
 def inverse(ring, M):
     """The exact inverse adj(M) / det(M) of a matrix whose determinant is a
     unit of the ring (over k[T]: a nonzero constant); FieldError otherwise."""
-    d = det(ring, M)
-    if not ring.is_unit(d):
-        raise FieldError("matrix determinant is not a unit")
-    return [[ring.exact_div(x, d) for x in row] for row in adjugate(ring, M)]
+    adj, d = _adjugate_det(ring, M)
+    return [[ring.exact_div(x, d) for x in row] for row in adj]

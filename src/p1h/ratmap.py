@@ -11,7 +11,7 @@ inverse at the level of field points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from . import linalg
 from .fields import FieldError
@@ -48,14 +48,42 @@ class RejectedPath(RejectedPoint):
 
 @dataclass(frozen=True)
 class PointedRat:
-    """A point of F_n(R): monic A, B with unit resultant, cached Bezout pair."""
+    """A point of F_n(R): monic A, B with unit resultant res.
+
+    The Bezout pair (U, V), the unique solution of A U + B V = 1 with
+    deg U <= n-2 and deg V <= n-1, is built when first read and then kept.
+    A field point validated by a remainder sequence of (A, B) keeps its
+    steps, which cf_expand reads and U, V are folded from; a point built
+    from a known pair keeps the pair.  Equality and hashing see
+    (ring, A, B, res) only, so a point is the same cache key whether or not
+    its pair has been built.
+    """
 
     ring: object
     A: Poly
     B: Poly
-    U: Poly
-    V: Poly
     res: object
+    _pair: tuple | None = dataclass_field(default=None, compare=False, repr=False)
+    _steps: tuple | None = dataclass_field(default=None, compare=False, repr=False)
+
+    @property
+    def U(self) -> Poly:
+        return self._bezout()[0]
+
+    @property
+    def V(self) -> Poly:
+        return self._bezout()[1]
+
+    def _bezout(self) -> tuple[Poly, Poly]:
+        # folded from the kept remainder sequence, or solved by bezout_pair
+        # (over k[T]), on the first read
+        if self._pair is None:
+            if self._steps is not None:  # the gcd of a point's A and B is 1
+                pair = sequence_cofactors(self._steps, const(self.ring, self.ring.one))
+            else:
+                pair = bezout_pair(self.A, self.B)
+            object.__setattr__(self, "_pair", pair)
+        return self._pair
 
     @property
     def n(self) -> int:
@@ -82,7 +110,9 @@ def _unit_resultant(ring, res):
 
 def mk_pointed(A: Poly, B: Poly) -> PointedRat:
     """Validate and build a point of F_n, raising RejectedPoint/RejectedPath.
-    Over a field res and (U, V) come from one remainder sequence of (A, B)."""
+    Over a field res is read off one remainder sequence of (A, B), whose
+    steps the point keeps; over k[T] it is a determinant.  Neither builds
+    (U, V)."""
     ring = A.ring
     if B.ring != ring:
         raise FieldError("numerator and denominator over different rings")
@@ -94,7 +124,8 @@ def mk_pointed(A: Poly, B: Poly) -> PointedRat:
     if n == 0:
         if not B.is_zero():
             raise FieldError("degree-0 point must be 1/0")
-        return PointedRat(ring, A, B, const(ring, ring.one), zero(ring), ring.one)
+        return PointedRat(ring, A, B, ring.one, _pair=(const(ring, ring.one), zero(ring)))
+    steps = None
     if isinstance(ring, PolyRing):
         res = resultant_nn(A, B, n)
     else:
@@ -102,8 +133,7 @@ def mk_pointed(A: Poly, B: Poly) -> PointedRat:
         res = sequence_resultant(steps, g)
     if not _unit_resultant(ring, res):
         _reject(ring, res)
-    U, V = bezout_pair(A, B) if isinstance(ring, PolyRing) else sequence_cofactors(steps, g)
-    return PointedRat(ring, A, B, U, V, res)
+    return PointedRat(ring, A, B, res, _steps=steps)
 
 
 def _is_one(p: Poly) -> bool:
@@ -136,13 +166,15 @@ def pointed_from_pair(A: Poly, B: Poly, U: Poly, V: Poly) -> PointedRat:
         raise FieldError("Bezout pair degree bounds violated")
     if (A * U + B * V).coeffs != (ring.one,):
         raise FieldError("A U + B V != 1: not a Bezout pair")
+    steps = None
     if isinstance(ring, PolyRing):
         base = ring.base
         at0 = lambda P: Poly.trimmed(base, [c.constant() for c in P.coeffs])
         res = const(base, resultant_nn(at0(A), at0(B), n))
     else:
-        res = resultant_nn(A, B, n)
-    return PointedRat(ring, A, B, U, V, res)
+        steps, g = remainder_sequence(A, B)
+        res = sequence_resultant(steps, g)
+    return PointedRat(ring, A, B, res, _pair=(U, V), _steps=steps)
 
 
 def identity_point(ring) -> PointedRat:
@@ -166,7 +198,7 @@ def poly_point(P: Poly, b) -> PointedRat:
         res = ring.mul(res, b)
     if not _unit_resultant(ring, res):
         _reject(ring, res)
-    return PointedRat(ring, P, B, zero(ring), const(ring, ring.inv(b)), res)
+    return PointedRat(ring, P, B, res, _pair=(zero(ring), const(ring, ring.inv(b))))
 
 
 def x_over(ring, u) -> PointedRat:
@@ -227,9 +259,10 @@ class CFExpansion:
 def cf_expand(f: PointedRat) -> CFExpansion:
     """Expand A/B = P_0/b_0 - 1/(b_0^2 (P_1/b_1 - ...)); unique and finite.
 
-    The blocks are read off poly.remainder_sequence(A, B): the expansion
-    divides A by B, takes P = lc(B) (A div B), b = lc(B) and goes on with
-    (B/b, -b (A mod B)), so P_i = q_i and b_i = -b_{i-1} c_i.
+    The blocks are read off the steps of poly.remainder_sequence(A, B), the
+    ones the point keeps when it has them: the expansion divides A by B, takes
+    P = lc(B) (A div B), b = lc(B) and goes on with (B/b, -b (A mod B)), so
+    P_i = q_i and b_i = -b_{i-1} c_i.
     """
     if f.is_path:
         raise FieldError("cf expansion is for field points")
@@ -238,7 +271,7 @@ def cf_expand(f: PointedRat) -> CFExpansion:
     ring = f.ring
     terms = []
     b = ring.neg(ring.one)
-    for q, c, _ in remainder_sequence(f.A, f.B)[0]:
+    for q, c, _ in f._steps or remainder_sequence(f.A, f.B)[0]:
         b = ring.neg(ring.mul(b, c))
         terms.append((q, b))
     if sum(P.degree for P, _ in terms) != f.n:
@@ -305,18 +338,17 @@ def ga_act(h, f: PointedRat) -> PointedRat:
     h = ring.coerce(h)
     A2 = f.A + f.B.scale(h)
     V2 = f.V - f.U.scale(h)
-    out = PointedRat(ring, A2, f.B, f.U, V2, f.res)
-    one = const(ring, ring.one)
-    assert (A2 * f.U + f.B * V2 - one).is_zero()
-    return out
+    if (A2 * f.U + f.B * V2).coeffs != (ring.one,):
+        raise FieldError("ga_act: the translated pair is not a Bezout pair")
+    return PointedRat(ring, A2, f.B, f.res, _pair=(f.U, V2))
 
 
 def phi_n(f: PointedRat):
     """The translation coordinate: minus the X^{n-1} coefficient of V_1,
     where (U_1, V_1) is the unique solution of A U_1 + B V_1 = X^{2n-1}.
 
-    Also computed as -s_{2n} from the expansion of V/A; the two routes are
-    asserted to agree.
+    Also computed as -s_{2n} from the expansion of V/A; FieldError unless
+    the two routes agree.
     """
     n = f.n
     if n < 1:
@@ -324,13 +356,16 @@ def phi_n(f: PointedRat):
     ring = f.ring
     V1 = poly_divmod(f.V.shift(2 * n - 1), f.A)[1]
     U1 = poly_divmod(X(ring).shift(2 * n - 2) - f.B * V1, f.A)[0]
-    assert (f.A * U1 + f.B * V1 - X(ring).shift(2 * n - 2)).is_zero()
-    assert U1.degree == n - 1 and U1.is_monic()
+    if not (f.A * U1 + f.B * V1 - X(ring).shift(2 * n - 2)).is_zero():
+        raise FieldError("phi_n: A U_1 + B V_1 is not X^{2n-1}")
+    if U1.degree != n - 1 or not U1.is_monic():
+        raise FieldError("phi_n: U_1 is not monic of degree n-1")
     value = ring.neg(V1.coeff(n - 1))
     from .poly import laurent_expand
 
     s = laurent_expand(f.V, f.A, 2 * n)
-    assert ring.is_zero(ring.sub(value, ring.neg(s[2 * n - 1])))
+    if not ring.is_zero(ring.sub(value, ring.neg(s[2 * n - 1]))):
+        raise FieldError("phi_n: the two routes to the coordinate disagree")
     return value
 
 
@@ -343,7 +378,8 @@ def eval_path(F: PointedRat, t) -> PointedRat:
     A = F.A.map_coeffs(lambda c: c.eval(t), base)
     B = F.B.map_coeffs(lambda c: c.eval(t), base)
     out = mk_pointed(A, B)
-    assert base.is_zero(base.sub(out.res, F.res.constant()))
+    if not base.is_zero(base.sub(out.res, F.res.constant())):
+        raise FieldError("eval_path: the resultant at T = t is not the path's")
     return out
 
 
@@ -354,9 +390,8 @@ def path_of_point(f: PointedRat, kt: PolyRing) -> PointedRat:
         kt,
         f.A.map_coeffs(lift, kt),
         f.B.map_coeffs(lift, kt),
-        f.U.map_coeffs(lift, kt),
-        f.V.map_coeffs(lift, kt),
         lift(f.res),
+        _pair=(f.U.map_coeffs(lift, kt), f.V.map_coeffs(lift, kt)),
     )
 
 
@@ -373,9 +408,8 @@ def reverse_path(F: PointedRat) -> PointedRat:
         kt,
         F.A.map_coeffs(reflect, kt),
         F.B.map_coeffs(reflect, kt),
-        F.U.map_coeffs(reflect, kt),
-        F.V.map_coeffs(reflect, kt),
         F.res,
+        _pair=(F.U.map_coeffs(reflect, kt), F.V.map_coeffs(reflect, kt)),
     )
 
 
@@ -492,7 +526,8 @@ def sl2_elementary_factors(field, M) -> tuple:
     y = field.div(field.sub(d2, field.one), c2)
     factors += [("add", 0, 1, x), ("add", 1, 0, c2), ("add", 0, 1, y)]
     out = tuple(op for op in factors if not field.is_zero(op[3]))
-    assert elementary_product(field, 2, out) == [[a, b], [c, d]]
+    if elementary_product(field, 2, out) != [[a, b], [c, d]]:
+        raise FieldError("sl2_elementary_factors: the factors do not multiply to M")
     return out
 
 

@@ -1,6 +1,7 @@
 """Field and polynomial layer: division, gcd, resultants, expansions,
 square classes, integer factorization."""
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -421,6 +422,43 @@ class TestFactorize:
         ns += [1, 2, 10**5 + 3, (10**5 + 3) ** 2]
         for n in ns:
             assert factorize(n) == sympy.factorint(n), n
+
+    def test_agrees_with_sympy_past_the_prime_table(self, monkeypatch):
+        """Trial division stops at the primes below 1000, so prime powers
+        p^k with p in (1000, 10^5), primes just above 1000 and 12- and
+        18-digit semiprimes reach Miller-Rabin and rho, which must factor
+        them completely."""
+        sympy = pytest.importorskip("sympy")
+        from p1h import fields
+
+        rng = random.Random(1800)
+
+        def semiprime(digits):
+            while True:
+                p = _next_prime(rng.randrange(10 ** (digits // 2 - 2), 10 ** (digits // 2)))
+                q = _next_prime(10 ** (digits - 1) // p + rng.randrange(10 ** (digits // 2)))
+                if len(str(p * q)) == digits:
+                    return p * q
+
+        ns = [_next_prime(rng.randrange(1001, 10**5)) ** k for k in (2, 3, 4) for _ in range(25)]
+        ns += list(sympy.primerange(1000, 1300))
+        ns += [1009 * 1013, 1009**2 * 1019 * 997, 2 * 3 * 1013**3]
+        ns += [semiprime(d) for d in (12, 18) for _ in range(8)]
+        rho = []
+
+        def spy(n):
+            rho.append(n)
+            return factor(n)
+
+        factor = fields._rho_factor
+        monkeypatch.setattr(fields, "_rho_factor", spy)
+        fields._factor_pairs.cache_clear()
+        try:
+            for n in ns:
+                assert factorize(n) == sympy.factorint(n), n
+        finally:
+            fields._factor_pairs.cache_clear()
+        assert len(rho) >= 75 + 16
 
     def test_returns_a_fresh_dict(self):
         n = 2**3 * 3 * 1000000007

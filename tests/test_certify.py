@@ -112,7 +112,8 @@ class TestNormalForm:
     def test_wrong_blocks_or_gcd_raise_under_optimize(self):
         # python -O strips asserts: certificates that do not chain, blocks
         # that do not sum to the point, a gcd that is not 1 and a k[T] V
-        # that is not 1/B mod A must still raise
+        # that is not 1/B mod A (solved when the pair is first read) must
+        # still raise
         script = (
             "from p1h import certify, linalg\n"
             "from p1h.classify import mk_pd\n"
@@ -142,7 +143,7 @@ class TestNormalForm:
             "kt = PolyRing(F3)\n"
             "lift = lambda p: p.map_coeffs(lambda c: const(F3, c), kt)\n"
             "linalg.inverse = lambda ring, M: [[ring.one] * len(M) for _ in M]\n"
-            "run(lambda: mk_pointed(lift(f.A), lift(f.B)))\n"
+            "run(lambda: mk_pointed(lift(f.A), lift(f.B)).V)\n"
         )
         assert run_optimized(script).splitlines() == [
             "raised: the first certificate does not end where the second starts",
@@ -492,7 +493,7 @@ class TestVerify:
         # constructor to exercise the verifier
         A = Poly.make(kt, [T, Poly.make(QQ, []), Poly.make(QQ, [1])])
         B = Poly.make(kt, [Poly.make(QQ, []), Poly.make(QQ, [1])])
-        bogus = PointedRat(kt, A, B, None, None, None)
+        bogus = PointedRat(kt, A, B, None)
         src = mk_pointed(X(QQ) * X(QQ) - const(QQ, 1), X(QQ))
         cert = Certificate("pointed", QQ, (bogus,), src, src)
         res = verify(cert)

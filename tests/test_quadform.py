@@ -651,6 +651,22 @@ def _random_unit_det(ring, n, rng, det_factor=None):
     return M
 
 
+def _adjugate_by_minors(ring, M):
+    """The classical definition adj(M)[i][j] = (-1)^(i+j) det(M minus row j
+    and column i): n^2 determinants, the independent oracle for the one
+    Gauss-Jordan pass of linalg.adjugate."""
+    n = len(M)
+    if n == 1:
+        return [[ring.one]]
+    out = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[x for c, x in enumerate(row) if c != i] for r, row in enumerate(M) if r != j]
+            d = la.det(ring, minor)
+            out[i][j] = d if (i + j) % 2 == 0 else ring.neg(d)
+    return out
+
+
 class TestInverse:
     RINGS = [_kt(GF(2)), _kt(GF(3)), _kt(GF(5)), _kt(QQ), QQ, GF(7)]
 
@@ -664,6 +680,20 @@ class TestInverse:
             assert la.mat_eq(ring, la.mat_mul(ring, M, inv), la.mat_identity(ring, n))
             assert la.mat_eq(ring, la.mat_mul(ring, inv, M), la.mat_identity(ring, n))
 
+    @pytest.mark.parametrize("ring", [_kt(GF(5)), _kt(QQ)], ids=str)
+    def test_adjugate_matches_minors(self, ring):
+        """At n = 2 (a closed form) and n = 5..7 (the Gauss-Jordan pass),
+        with and without row swaps (the rows reversed put a zero in the
+        first pivot)."""
+        rng = random.Random(1702)
+        swapped = 0
+        for n in (2, 5, 6, 7):
+            M = _random_unit_det(ring, n, rng)
+            for N in (M, M[::-1]):
+                swapped += ring.is_zero(N[0][0])
+                assert la.mat_eq(ring, la.adjugate(ring, N), _adjugate_by_minors(ring, N))
+        assert swapped
+
     @pytest.mark.parametrize("ring", RINGS, ids=str)
     def test_non_unit_determinant_raises(self, ring):
         """det M = 0 over every ring, and det M = T times a unit over k[T]."""
@@ -673,8 +703,10 @@ class TestInverse:
             factors.append(Poly.make(ring.base, [0, 1]))
         for n in (1, 2, 3):
             for d in factors:
-                with pytest.raises(FieldError):
-                    la.inverse(ring, _random_unit_det(ring, n, rng, det_factor=d))
+                M = _random_unit_det(ring, n, rng, det_factor=d)
+                for fn in (la.inverse, la.adjugate):
+                    with pytest.raises(FieldError):
+                        fn(ring, M)
 
 
 class TestCompleteUnimodular:

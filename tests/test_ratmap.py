@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from p1h.fields import GF, QQ, FieldError
-from p1h.poly import Poly, PolyRing, X, const, laurent_expand, zero
+from p1h.poly import Poly, PolyRing, X, bezout_pair, const, laurent_expand, zero
 from p1h.ratmap import (
     RejectedPath,
     RejectedPoint,
@@ -158,6 +158,121 @@ class TestPointedFromPair:
             "        print('refused')\n"
         )
         assert run_optimized(script).split() == ["True", "refused", "refused", "refused"]
+
+
+class TestLazyBezoutPair:
+    """A point compares and hashes by (ring, A, B, res); its Bezout pair is
+    built when first read."""
+
+    @pytest.mark.parametrize("field", EUCLID_FIELDS, ids=str)
+    def test_constructors_give_equal_points_and_hashes(self, field, rng):
+        def unit():
+            if field is QQ:
+                return Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 2]))
+            return rng.randrange(1, field.p)
+
+        for _ in range(12):
+            h = oplus(random_point(field, rng.randrange(1, 4), rng),
+                      random_point(field, rng.randrange(1, 4), rng))
+            P = Poly.make(field, [rng.randrange(-4, 5) for _ in range(rng.randrange(1, 5))] + [1])
+            b = field.coerce(unit())
+            B = const(field, b)
+            for same in (
+                [h, mk_pointed(h.A, h.B), pointed_from_pair(h.A, h.B, h.U, h.V)],
+                [poly_point(P, b), mk_pointed(P, B),
+                 pointed_from_pair(P, B, zero(field), const(field, field.inv(b)))],
+            ):
+                fresh = mk_pointed(same[0].A, same[0].B)
+                key = hash(fresh)
+                assert {fresh: 1}[same[0]] == 1
+                assert all(f == fresh and hash(f) == key for f in same)
+                fresh.U  # building the pair leaves the key as it was
+                assert hash(fresh) == key and all(f == fresh for f in same)
+
+    @pytest.mark.parametrize("field", EUCLID_FIELDS, ids=str)
+    def test_lazy_pair_is_bezout_pair(self, field):
+        points = 0
+        for a, b in euclid_pairs(field):
+            if a.degree < 1 or not a.is_monic() or b.degree >= a.degree:
+                continue
+            try:
+                f = mk_pointed(a, b)
+            except RejectedPoint:
+                continue
+            assert (f.U, f.V) == bezout_pair(a, b)
+            points += 1
+        assert points >= 50
+
+    def test_decisions_and_loading_build_no_pair(self, monkeypatch):
+        """Parsing two points and deciding them runs one remainder sequence
+        per point and builds no Bezout pair; neither does loading a
+        certificate."""
+        import importlib
+        from collections import Counter
+
+        from p1h import certify, classify, expr, ratmap, serial
+
+        poly = importlib.import_module("p1h.poly")  # p1h.poly is also a function
+        calls = Counter()
+        for module in (poly, ratmap):
+            for name in ("remainder_sequence", "sequence_cofactors", "bezout_pair"):
+                def spy(*args, _orig=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _orig(*args)
+
+                monkeypatch.setattr(module, name, spy)
+        classify._pointed_invariant_cached.cache_clear()
+        for field, f_text, g_text in ((QQ, "(X^3-2*X+5)/(3*X^2-X+1/2)", "X^3/(7*X-2)"),
+                                      (GF(7), "(X^2+3)/(2*X+1)", "(X^2+X+5)/4")):
+            calls.clear()
+            f, g = expr.parse_ratfun(f_text, field), expr.parse_ratfun(g_text, field)
+            classify.pointed_equiv(f, g)
+            assert calls == Counter(remainder_sequence=2)
+        F3 = GF(3)
+        f = mk_pointed(X(F3) * X(F3) - const(F3, 1), X(F3))
+        g = mk_pointed(X(F3) * X(F3) + const(F3, 1), Poly.make(F3, [2, 2]))
+        data = serial.certificate_to_json(certify.connect(f, g))
+        calls.clear()
+        cert = serial.certificate_from_json(data)
+        assert calls == Counter(remainder_sequence=2)
+        assert cert.source == f and cert.target == g
+
+    def test_self_checks_raise_under_optimize(self):
+        script = (
+            "import importlib\n"
+            "from p1h import ratmap\n"
+            "from p1h.fields import GF, FieldError\n"
+            "from p1h.poly import Poly, PolyRing, const\n"
+            "from p1h.ratmap import (PointedRat, eval_path, ga_act, mk_pointed, phi_n,\n"
+            "                        sl2_elementary_factors)\n"
+            "F = GF(5)\n"
+            "def run(f):\n"
+            "    try:\n"
+            "        f()\n"
+            "    except FieldError as exc:\n"
+            "        print('raised:', exc)\n"
+            "    else:\n"
+            "        print('passed')\n"
+            "f = mk_pointed(Poly.make(F, [1, 4, 4, 1]), Poly.make(F, [1, 2, 4]))\n"
+            "bad = PointedRat(F, f.A, f.B, f.res, _pair=(f.U, f.V + const(F, 1)))\n"
+            "run(lambda: ga_act(2, bad))\n"
+            "kt = PolyRing(F)\n"
+            "lift = lambda p: p.map_coeffs(lambda c: const(F, c), kt)\n"
+            "path = PointedRat(kt, lift(f.A), lift(f.B), const(F, F.add(f.res, 1)))\n"
+            "run(lambda: eval_path(path, 1))\n"
+            "poly = importlib.import_module('p1h.poly')\n"
+            "expand = poly.laurent_expand\n"
+            "poly.laurent_expand = lambda V, A, m: expand(V, A, m)[:-1] + (F.one,)\n"
+            "run(lambda: phi_n(f))\n"
+            "ratmap.elementary_product = lambda field, n, ops: [[1, 0], [0, 1]]\n"
+            "run(lambda: sl2_elementary_factors(F, [[1, 2], [0, 1]]))\n"
+        )
+        assert run_optimized(script).splitlines() == [
+            "raised: ga_act: the translated pair is not a Bezout pair",
+            "raised: eval_path: the resultant at T = t is not the path's",
+            "raised: phi_n: the two routes to the coordinate disagree",
+            "raised: sl2_elementary_factors: the factors do not multiply to M",
+        ]
 
 
 class TestOplus:
