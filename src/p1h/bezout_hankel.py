@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .fields import FieldError
-from .poly import Poly, PolyRing, const, laurent_expand, poly_divmod
+from .poly import Poly, PolyRing, bezout_coeffs, const, laurent_expand, poly_divmod
 from .ratmap import PointedRat, phi_n, pointed_from_pair
 
 
@@ -90,32 +90,6 @@ class HankelMatrix:
         return SymMatrix.make(
             self.ring, [[self.s[i + j] for j in range(n)] for i in range(n)]
         )
-
-
-def bezout_coeffs(A: Poly, B: Poly, n: int):
-    """Coefficient matrix of (A(X)B(Y)-A(Y)B(X))/(X-Y) via a direct recurrence.
-
-    Entry (i, j), 0-based, equals sum_t a_{i+1+t} b_{j-t} - a_{j-t} b_{i+1+t}
-    over t >= 0 with j-t >= 0 and i+1+t <= n; no bivariate arithmetic needed.
-    """
-    R = A.ring
-    a = [A.coeff(k) for k in range(n + 1)]
-    b = [B.coeff(k) for k in range(n + 1)]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = R.zero
-            for t in range(0, min(j, n - i - 1) + 1):
-                acc = R.add(
-                    acc,
-                    R.sub(
-                        R.mul(a[i + 1 + t], b[j - t]), R.mul(a[j - t], b[i + 1 + t])
-                    ),
-                )
-            row.append(acc)
-        rows.append(row)
-    return rows
 
 
 def bezout_form(f: PointedRat) -> SymMatrix:

@@ -56,6 +56,7 @@ from .ratmap import (
     monomial_sum,
     normalize_unpointed,
     oplus,
+    oplus_all,
     path_of_point,
     pointed_from_pair,
     poly_point,
@@ -257,19 +258,12 @@ def concat_certificates(a: Certificate, b: Certificate) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _fold(field, slots):
-    acc = identity_point(field)
-    for g in slots:
-        acc = oplus(acc, g)
-    return acc
-
-
 def _embed(kt, left, G, right):
     """left (+) G (+) right with constant companions, as one k[T]-step."""
-    F = path_of_point(_fold(G.ring.base, left), kt) if left else identity_point(kt)
+    F = path_of_point(oplus_all(G.ring.base, left), kt) if left else identity_point(kt)
     F = oplus(F, G)
     if right:
-        F = oplus(F, path_of_point(_fold(G.ring.base, right), kt))
+        F = oplus(F, path_of_point(oplus_all(G.ring.base, right), kt))
     return F
 
 
@@ -295,6 +289,13 @@ def normal_form_cert(f: PointedRat):
 
 
 @lru_cache(maxsize=65536)
+def _normal_form_cert_reversed(g: PointedRat) -> Certificate:
+    """normal_form_cert(g) run backwards, from g's normal form to g: the
+    last leg of every connect(f, g), kept because target points recur."""
+    return reverse_certificate(_normal_form_cert_cached(g)[1])
+
+
+@lru_cache(maxsize=65536)
 def _normal_form_cert_cached(f: PointedRat):
     field = f.ring
     if isinstance(field, PolyRing):
@@ -303,7 +304,7 @@ def _normal_form_cert_cached(f: PointedRat):
     if f.n == 0:
         return (), Certificate("pointed", field, (), f, f)
     slots = [poly_point(P, b) for P, b in cf_expand(f)]
-    cur = _fold(field, slots)
+    cur = oplus_all(field, slots)
     if cur.A != f.A or cur.B != f.B:
         raise FieldError("the continued-fraction blocks do not sum to the point")
     steps = []
@@ -312,7 +313,7 @@ def _normal_form_cert_cached(f: PointedRat):
         nonlocal cur
         step = _embed(kt, slots[:i], G, slots[i + 1 :])
         slots[i : i + 1] = new_slots_i
-        tgt = _fold(field, slots)
+        tgt = oplus_all(field, slots)
         # step is a validated k[T]-point: its ends are points, compare coefficients
         assert _coords("pointed", field, step, 0) == _coords("pointed", field, cur)
         assert _coords("pointed", field, step, 1) == _coords("pointed", field, tgt)
@@ -686,7 +687,7 @@ def connect(f: PointedRat, g: PointedRat):
         # the chain ends at vs exactly
         assert middle.target.key() == cert_g.target.key()
         out = concat_certificates(out, middle)
-    return concat_certificates(out, reverse_certificate(cert_g))
+    return concat_certificates(out, _normal_form_cert_reversed(g))
 
 
 # ---------------------------------------------------------------------------

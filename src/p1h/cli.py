@@ -162,7 +162,7 @@ def cmd_verify(args):
         with open(args.certfile, encoding="utf-8") as fh:
             data = json.load(fh)
         cert = serial.certificate_from_json(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CliError(f"cannot load certificate: {exc}")
     res = certify.verify(cert)
     payload = {"verified": bool(res), "reason": res.reason}

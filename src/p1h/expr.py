@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .fields import FieldError, Rationals
 from .poly import Poly, poly_str
-from .ratmap import PointedRat, UnpointedRat, mk_pointed, mk_unpointed, oplus
+from .ratmap import PointedRat, UnpointedRat, mk_pointed, mk_unpointed, oplus_all
 
 
 # Largest exponent accepted in X^k: each term allocates a coefficient list
@@ -230,10 +230,7 @@ def parse_ratfun_sum(text: str, field):
     fs = [parse_ratfun(seg, field) for seg in segments]
     if any(isinstance(f, UnpointedRat) for f in fs):
         raise ParseError("monoid sums need pointed summands", 0)
-    acc = fs[0]
-    for f in fs[1:]:
-        acc = oplus(acc, f)
-    return acc
+    return oplus_all(fs[0].ring, fs)
 
 
 def format_ratfun(f) -> str:

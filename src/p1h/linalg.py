@@ -79,7 +79,8 @@ def det(ring, M):
     """Determinant by fraction-free (Bareiss) elimination.
 
     Valid over any integral domain with exact_div; intermediate divisions are
-    exact by the Bareiss identity.
+    exact by the Bareiss identity.  The divisor at the first pivot is 1, so
+    that step does not divide.
     """
     n = len(M)
     if n == 0:
@@ -99,7 +100,7 @@ def det(ring, M):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = ring.sub(ring.mul(M[k][k], M[i][j]), ring.mul(M[i][k], M[k][j]))
-                M[i][j] = ring.exact_div(num, prev)
+                M[i][j] = ring.exact_div(num, prev) if k else num
             M[i][k] = ring.zero
         prev = M[k][k]
     d = M[n - 1][n - 1]

@@ -8,17 +8,40 @@ polynomial in X whose coefficients are polynomials in T.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import linalg
 from .fields import FieldError
 
 
-@dataclass(frozen=True)
 class Poly:
-    ring: object
-    coeffs: tuple
+    """An immutable value: equal and hashed as (ring, coeffs).  A slotted
+    class rather than a frozen dataclass, because every k[T] product builds
+    several, and writing the slots through their descriptors costs about
+    0.6 of the dataclass's construction."""
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring, coeffs: tuple):
+        _set_ring(self, ring)
+        _set_coeffs(self, coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Poly is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Poly is immutable")
+
+    def __reduce__(self):
+        return Poly, (self.ring, self.coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return (self.ring, self.coeffs) == (other.ring, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.ring, self.coeffs))
 
     # -- construction -----------------------------------------------------
 
@@ -138,6 +161,10 @@ class Poly:
         return f"Poly({self.ring!r}, {poly_str(self)})"
 
 
+_set_ring = Poly.ring.__set__
+_set_coeffs = Poly.coeffs.__set__
+
+
 def _ring_is_one(ring, c) -> bool:
     return ring.is_zero(ring.sub(c, ring.one))
 
@@ -200,6 +227,8 @@ class PolyRing:
         self.base = base
         self.var = var
         self.char = base.char
+        self.zero = Poly(base, ())
+        self.one = Poly(base, (base.one,))
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and other.base == self.base
@@ -209,14 +238,6 @@ class PolyRing:
 
     def __repr__(self):
         return f"{self.base!r}[{self.var}]"
-
-    @property
-    def zero(self):
-        return Poly(self.base, ())
-
-    @property
-    def one(self):
-        return Poly(self.base, (self.base.one,))
 
     def from_int(self, n):
         return const(self.base, self.base.from_int(n))
@@ -360,54 +381,77 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return remainder_sequence(a, b)[1]
 
 
-def sylvester_nn(a: Poly, b: Poly, n: int):
-    """The 2n x 2n Sylvester matrix of (a, b), both padded to formal degree n."""
-    R = a.ring
-    rows = []
-    for p in (a, b):
-        cs = [p.coeff(n - j) for j in range(n + 1)]  # descending, padded
-        for i in range(n):
-            rows.append([R.zero] * i + cs + [R.zero] * (n - 1 - i))
-    return rows
-
-
 def resultant_nn(a: Poly, b: Poly, n: int):
-    """Resultant of (a, b) taken at formal degree (n, n).
+    """Resultant of (a, b) taken at formal degree (n, n): the determinant of
+    the 2n x 2n Sylvester matrix with a-rows above b-rows and coefficients
+    descending, both padded to degree n (the tests' reference; it is not
+    built here).
 
-    Defined as the determinant of the Sylvester matrix with A-rows above
-    B-rows, coefficients descending; this layout makes the determinant
-    formula for the coefficient matrix of (A(X)B(Y)-A(Y)B(X))/(X-Y) hold
-    with sign (-1)^{n(n-1)/2} (validated exhaustively in the test suite).
-    For monic a of degree n this is prod b(alpha) over the roots of a: over
-    a field it is read off remainder_sequence(a, b) in O(n^2) operations
-    (sequence_resultant); over k[T] it is the determinant of the
-    multiplication-by-b matrix on the quotient by a, the same scalar.
+    For monic a of degree n the resultant is prod b(alpha) over the roots of
+    a: over a field it is read off remainder_sequence(a, b) in O(n^2)
+    operations (sequence_resultant); over k[T] it is the determinant of
+    multiplication by b on R[X]/(a) (_mult_matrix).  Otherwise (a not monic,
+    or of degree below n) it is (-1)^{n(n-1)/2} det Bez_n(a, b), the n x n
+    Bezoutian (bezout_coeffs).
     """
     if n < max(a.degree, b.degree):
         raise FieldError("formal degree below an actual degree")
+    R = a.ring
     if n == 0:
-        return a.ring.one
+        return R.one
     if a.degree == n and a.is_monic():
-        if not isinstance(a.ring, PolyRing):
+        if not isinstance(R, PolyRing):
             return sequence_resultant(*remainder_sequence(a, b))
-        return linalg.det(a.ring, _mult_matrix(a, b, n))
-    return linalg.det(a.ring, sylvester_nn(a, b, n))
+        return linalg.det(R, _mult_matrix(a, b, n))
+    d = linalg.det(R, bezout_coeffs(a, b, n))
+    return R.neg(d) if n * (n - 1) // 2 % 2 else d
 
 
 def _mult_matrix(a: Poly, b: Poly, n: int):
-    """Multiplication by b on R[X]/(a), a monic of degree n: column j holds
-    X^j * b reduced modulo a, on the basis 1, X, ..., X^{n-1}."""
-    cols = []
-    cur = b
-    if cur.degree == n:  # padded formal degree: reduce before starting
-        cur = cur - a.scale(cur.coeff(n))
-    for _ in range(n):
-        cols.append([cur.coeff(i) for i in range(n)])
-        cur = cur.shift(1)
-        if cur.degree == n:
-            lead = cur.coeff(n)
-            cur = cur - a.scale(lead)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    """Multiplication by b on R[X]/(a), a monic of degree n, deg b <= n:
+    column j holds X^j * b reduced modulo a, on the basis 1, X, ..., X^{n-1}.
+    Each column is the last one shifted up one place, with its top entry t
+    folded back by X^n = -(a_0 + ... + a_{n-1} X^{n-1}): one ring product per
+    nonzero a_i, in place."""
+    R = a.ring
+    sub, mul = R.sub, R.mul
+    low = [(i, c) for i, c in enumerate(a.coeffs[:n]) if not R.is_zero(c)]
+
+    def fold(col, t):
+        if not R.is_zero(t):
+            for i, c in low:
+                col[i] = sub(col[i], mul(t, c))
+        return col
+
+    col = fold([b.coeff(i) for i in range(n)], b.coeff(n))
+    cols = [col]
+    for _ in range(n - 1):
+        col = fold([R.zero] + col[:-1], col[-1])
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+def bezout_coeffs(A: Poly, B: Poly, n: int):
+    """Coefficient matrix of (A(X)B(Y)-A(Y)B(X))/(X-Y) at formal degree n.
+
+    Entry (i, j), 0-based, is sum_t a_{i+1+t} b_{j-t} - a_{j-t} b_{i+1+t}
+    over t >= 0 with j-t >= 0 and i+1+t <= n, that is a_{i+1} b_j -
+    a_j b_{i+1} plus entry (i+1, j-1) (zero off the matrix): the rows are
+    built from the bottom, two products an entry, no bivariate arithmetic.
+    """
+    R = A.ring
+    add, sub, mul = R.add, R.sub, R.mul
+    a = [A.coeff(k) for k in range(n + 1)]
+    b = [B.coeff(k) for k in range(n + 1)]
+    rows = [None] * n
+    below = [R.zero] * n  # row i+1, read at column j-1
+    for i in range(n - 1, -1, -1):
+        ai, bi = a[i + 1], b[i + 1]
+        row = [sub(mul(ai, b[0]), mul(a[0], bi))]
+        for j in range(1, n):
+            row.append(add(sub(mul(ai, b[j]), mul(a[j], bi)), below[j - 1]))
+        rows[i] = below = row
+    return rows
 
 
 def bezout_pair(A: Poly, B: Poly) -> tuple[Poly, Poly]:

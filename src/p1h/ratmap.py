@@ -207,10 +207,22 @@ def x_over(ring, u) -> PointedRat:
 
 def monomial_sum(ring, units) -> PointedRat:
     """[u_1, ..., u_n] = X/u_1 (+) ... (+) X/u_n."""
-    acc = identity_point(ring)
-    for u in units:
-        acc = oplus(acc, x_over(ring, u))
-    return acc
+    return oplus_all(ring, [x_over(ring, u) for u in units])
+
+
+def oplus_all(ring, points) -> PointedRat:
+    """f_1 (+) ... (+) f_m in this order (1/0 for none), folded pairwise as a
+    balanced tree.  oplus is associative, so the point is that of the fold
+    from the left; but each oplus checks its result at the degree it builds,
+    quadratic in that degree, and a left fold would rebuild every running
+    prefix: m small blocks cost O(m^3) there and O(m^2) here."""
+    pts = list(points)
+    if not pts:
+        return identity_point(ring)
+    while len(pts) > 1:
+        pairs = [oplus(pts[i], pts[i + 1]) for i in range(0, len(pts) - 1, 2)]
+        pts = pairs + pts[2 * len(pairs) :]
+    return pts[0]
 
 
 def oplus(f: PointedRat, g: PointedRat) -> PointedRat:
@@ -299,10 +311,7 @@ def cf_values(f: PointedRat) -> tuple:
 
 
 def cf_assemble(exp: CFExpansion) -> PointedRat:
-    acc = identity_point(exp.field)
-    for P, b in exp.terms:
-        acc = oplus(acc, poly_point(P, b))
-    return acc
+    return oplus_all(exp.field, [poly_point(P, b) for P, b in exp.terms])
 
 
 def compose(f: PointedRat, g: PointedRat) -> PointedRat:

@@ -42,6 +42,44 @@ def perm_det(field, M):
     return total
 
 
+def minor_det(ring, M):
+    """Determinant by Laplace expansion along the rows, each minor computed
+    once (keyed by the columns it has used): 2^n n products, no division,
+    independent of linalg, so it serves over k[T] at 8 x 8."""
+    n = len(M)
+    memo = {}
+
+    def rest(row, used):
+        if row == n:
+            return ring.one
+        if used not in memo:
+            acc, sign = ring.zero, 1
+            for j in range(n):
+                if used >> j & 1:
+                    continue
+                if not ring.is_zero(M[row][j]):
+                    term = ring.mul(M[row][j], rest(row + 1, used | 1 << j))
+                    acc = ring.add(acc, term if sign > 0 else ring.neg(term))
+                sign = -sign
+            memo[used] = acc
+        return memo[used]
+
+    return rest(0, 0)
+
+
+def sylvester_nn(a, b, n):
+    """The 2n x 2n Sylvester matrix of (a, b), both padded to formal degree n:
+    a-rows above b-rows, coefficients descending.  Its determinant defines
+    res_{n,n}(a, b); the library never builds it."""
+    R = a.ring
+    rows = []
+    for p in (a, b):
+        cs = [p.coeff(n - j) for j in range(n + 1)]  # descending, padded
+        for i in range(n):
+            rows.append([R.zero] * i + cs + [R.zero] * (n - 1 - i))
+    return rows
+
+
 def delta_matrix_oracle(field, A, B, n):
     """Coefficient matrix of (A(X)B(Y) - A(Y)B(X))/(X - Y) by dividing in Y.
 

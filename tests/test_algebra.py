@@ -19,11 +19,19 @@ from p1h.poly import (
     poly_gcd,
     poly_xgcd,
     resultant_nn,
-    sylvester_nn,
     zero,
 )
+from p1h.ratmap import ga_act, oplus, path_of_point
 
-from conftest import EUCLID_FIELDS, euclid_pairs, laurent_oracle, perm_det, random_point
+from conftest import (
+    EUCLID_FIELDS,
+    euclid_pairs,
+    laurent_oracle,
+    minor_det,
+    perm_det,
+    random_point,
+    sylvester_nn,
+)
 
 
 class TestDivmod:
@@ -166,6 +174,58 @@ class TestResultant:
             B = _rand_poly(F3, rng, rng.randrange(0, 4))
             assert resultant_nn(A, B, 3) == perm_det(F3, sylvester_nn(A, B, 3))
 
+    def test_kt_exhaustive_f2_against_sylvester(self):
+        """Over F2[T], every pair of T-degree <= 1 at formal degree n <= 2:
+        the monic route (multiplication matrix) and the rest (Bezoutian)
+        against the Sylvester determinant, expanded by permutations."""
+        F2 = GF(2)
+        kt = PolyRing(F2)
+        entries = [Poly.make(F2, [c0, c1]) for c0 in (0, 1) for c1 in (0, 1)]
+        routes = Counter()
+        for n in (1, 2):
+            for acoef in itertools.product(entries, repeat=n + 1):
+                A = Poly.make(kt, acoef)
+                for bcoef in itertools.product(entries, repeat=n + 1):
+                    B = Poly.make(kt, bcoef)
+                    got = resultant_nn(A, B, n)
+                    assert got == perm_det(kt, sylvester_nn(A, B, n)), (A, B, n)
+                    monic = A.degree == n and A.is_monic()
+                    routes["monic" if monic else "bezoutian"] += 1
+                    routes["monic, deg B = n"] += monic and B.degree == n
+                    routes["deg A < n"] += A.degree < n
+                    routes["unit"] += kt.is_unit(got)
+        assert routes["monic"] == 4 * 16 + 16 * 64
+        assert min(routes.values()) >= 50, routes
+
+    @pytest.mark.parametrize("field", [GF(3), GF(5), QQ], ids=str)
+    def test_kt_random_against_sylvester(self, field, rng):
+        """Random k[T] pairs of T-degree <= 2 at formal degree n <= 4: monic A
+        of degree n with deg B < n and deg B = n, non-monic A of degree n,
+        and deg A < n, against the Sylvester determinant by minors."""
+        kt = PolyRing(field)
+
+        def entry():
+            return _rand_poly(field, rng, rng.randrange(-1, 3))
+
+        def rand_kt(deg, lead=None):
+            cs = [entry() for _ in range(deg)] + [lead if lead is not None else entry()]
+            return Poly.make(kt, cs)
+
+        for n in range(1, 5):
+            for shape in ("monic", "monic, deg B = n", "non-monic", "deg A < n"):
+                for _ in range(6 if n == 4 else 10):
+                    if shape.startswith("monic"):
+                        A = rand_kt(n, kt.one)
+                    elif shape == "non-monic":
+                        A = rand_kt(n, _rand_poly(field, rng, 1, monic=True) + kt.one)
+                    else:
+                        A = rand_kt(rng.randrange(n))
+                    B = rand_kt(n if shape == "monic, deg B = n" else rng.randrange(n))
+                    if shape == "monic, deg B = n" and B.degree < n:
+                        B = B + Poly.make(kt, [kt.one]).shift(n)
+                    assert (A.degree == n and A.is_monic()) == shape.startswith("monic")
+                    assert resultant_nn(A, B, n) == minor_det(kt, sylvester_nn(A, B, n))
+
     def test_nonzero_iff_coprime(self, rng):
         for field in (QQ, GF(2), GF(3), GF(5)):
             for _ in range(500):
@@ -222,6 +282,68 @@ class TestBezoutPair:
             U, V = _bezout_pair_kt(A, B, f.n)
             back = lambda p: p.map_coeffs(lambda c: c.constant(), GF(5))
             assert back(U) == f.U and back(V) == f.V
+
+    def test_kt_pair_solves_the_identity(self, rng):
+        """Over k[T], on paths with non-constant coefficients (a translation
+        by a multiple of T, summed with a lifted point): A U + B V = 1 within
+        the degree bounds, the pair the path was built with."""
+        for field in (GF(3), GF(5), QQ):
+            kt = PolyRing(field)
+            T = Poly.make(field, [0, 1])
+            for _ in range(15):
+                f = random_point(field, rng.randrange(1, 4), rng)
+                g = random_point(field, rng.randrange(1, 3), rng)
+                F = oplus(ga_act(T.scale(rng.randrange(1, 3)), path_of_point(f, kt)),
+                          path_of_point(g, kt))
+                U, V = bezout_pair(F.A, F.B)
+                assert F.A * U + F.B * V == const(kt, kt.one)
+                assert U.degree <= F.n - 2 and V.degree <= F.n - 1
+                assert (U, V) == (F.U, F.V)
+                assert any(c.degree > 0 for c in F.A.coeffs)
+            with pytest.raises(FieldError, match="not coprime"):
+                bezout_pair(X(kt) * X(kt), Poly.make(kt, [T]))
+
+
+class TestPolyValue:
+    """Poly is an immutable value: equal and hashed as (ring, coeffs)."""
+
+    @staticmethod
+    def _variants(ring, cs):
+        # make, trimmed (with trailing zeros) and arithmetic all reach the
+        # same canonical coefficient tuple
+        made = Poly.make(ring, cs)
+        trimmed = Poly.trimmed(ring, [ring.coerce(c) for c in cs] + [ring.zero] * 2)
+        one = const(ring, ring.one)
+        summed = (made + one) - one
+        product = made * one
+        return made, trimmed, summed, product, -(-made)
+
+    @pytest.mark.parametrize("ring", [QQ, GF(5), PolyRing(GF(3))], ids=str)
+    def test_equal_values_hash_equal(self, ring):
+        for cs in ([], [1], [0, 2, 1], [3, 0, 0, 1]):
+            vals = self._variants(ring, cs)
+            assert len({hash(v) for v in vals}) == 1
+            assert all(v == vals[0] and not v != vals[0] for v in vals)
+            assert vals[0] != Poly.make(ring, cs + [1])
+        assert Poly.make(GF(5), [1]) != Poly.make(GF(7), [1])
+        assert Poly.make(GF(5), [1]) != (GF(5), (1,))
+
+    def test_assignment_raises(self):
+        p = Poly.make(GF(5), [1, 2])
+        for name in ("ring", "coeffs", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, None)
+        with pytest.raises(AttributeError):
+            del p.coeffs
+        assert p.coeffs == (1, 2)
+
+    @pytest.mark.parametrize("ring", [QQ, GF(5), PolyRing(GF(3))], ids=str)
+    def test_pickle_round_trip(self, ring):
+        import pickle
+
+        for p in self._variants(ring, [2, 0, 1]):
+            q = pickle.loads(pickle.dumps(p))
+            assert q == p and hash(q) == hash(p) and type(q) is Poly
 
 
 class TestAgainstSympy:

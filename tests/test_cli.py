@@ -426,6 +426,24 @@ class TestCommands:
             assert main(["verify", str(bad)]) == 2
             assert "cannot load certificate" in capsys.readouterr().err
 
+    def test_verify_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        # json.load raises RecursionError on nesting this deep
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 200000 + "]" * 200000)
+        assert main(["verify", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot load certificate")
+
+    def test_long_monoid_sum_is_quick(self, capsys):
+        # f+g+... is folded pairwise: a left fold re-checks every running
+        # prefix, cubic in the number of blocks (over 10 s on this input)
+        import time
+
+        text = "+".join(["(X+1)/2"] * 400)
+        t0 = time.perf_counter()
+        assert main(["classify", "--field", "F5", text]) == 0
+        assert time.perf_counter() - t0 < 2.0
+        assert json.loads(capsys.readouterr().out)["degree"] == 400
+
 
 @functools.cache
 def _f3_certificates():

@@ -22,6 +22,8 @@ from p1h.ratmap import (
     monomial_sum,
     normalize_unpointed,
     oplus,
+    oplus_all,
+    path_of_point,
     phi_n,
     pointed_from_pair,
     poly_point,
@@ -309,6 +311,24 @@ class TestOplus:
                 g = random_point(field, rng.randrange(1, 3), rng)
                 h = random_point(field, rng.randrange(1, 3), rng)
                 assert oplus(oplus(f, g), h) == oplus(f, oplus(g, h))
+
+    def test_balanced_fold_is_the_left_fold(self, rng):
+        # oplus_all folds pairwise; associativity makes it the left fold,
+        # in order, with the same Bezout pair, for every length
+        for field in (QQ, GF(2), GF(5), PolyRing(GF(3))):
+            assert oplus_all(field, []) == identity_point(field)
+            for m in range(1, 8):
+                base = field.base if isinstance(field, PolyRing) else field
+                pts = [random_point(base, rng.randrange(0, 3), rng) for _ in range(m)]
+                if isinstance(field, PolyRing):
+                    pts = [path_of_point(f, field) for f in pts]
+                left = identity_point(field)
+                for f in pts:
+                    left = oplus(left, f)
+                got = oplus_all(field, iter(pts))
+                assert got == left and (got.U, got.V) == (left.U, left.V)
+        with pytest.raises(FieldError, match="different rings"):
+            oplus_all(QQ, [x_over(QQ, 1), x_over(GF(5), 1)])
 
     def test_degree_and_twisted_resultant(self, rng):
         # deg adds; res multiplies up to the sign (-1)^{n1 n2}, which is
