@@ -55,9 +55,6 @@ class SymMatrix:
             return not d.is_zero()
         return not self.ring.is_zero(d)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def eval(self, t) -> "SymMatrix":
         """Evaluate a k[T] matrix at T=t."""
         base = self.ring.base
@@ -65,13 +62,6 @@ class SymMatrix:
         return SymMatrix.make(
             base, [[c.eval(tv) for c in row] for row in self.rows]
         )
-
-    def block_sum(self, other: "SymMatrix") -> "SymMatrix":
-        z = self.ring.zero
-        n, m = self.n, other.n
-        rows = [list(r) + [z] * m for r in self.rows]
-        rows += [[z] * n + list(r) for r in other.rows]
-        return SymMatrix.make(self.ring, rows)
 
 
 @dataclass(frozen=True)
@@ -83,7 +73,8 @@ class HankelMatrix:
     s: tuple
 
     def __post_init__(self):
-        assert len(self.s) == 2 * self.n - 1
+        if len(self.s) != 2 * self.n - 1:
+            raise FieldError("Hankel data of the wrong length")
 
     def to_sym(self) -> SymMatrix:
         n = self.n
@@ -111,7 +102,7 @@ def bezout_form(f: PointedRat) -> SymMatrix:
 def hankel_of(f: PointedRat) -> HankelMatrix:
     """Inverse of the Bezout form, computed from the expansion of V/A.
 
-    The product Bez(f) * Hank(f) = I is asserted exactly.
+    The product Bez(f) * Hank(f) = I is checked exactly; FieldError if not.
     """
     n = f.n
     if n < 1:
@@ -121,7 +112,8 @@ def hankel_of(f: PointedRat) -> HankelMatrix:
     H = HankelMatrix(ring, n, s)
     Bz = bezout_form(f)
     prod = linalg.mat_mul(ring, [list(r) for r in Bz.rows], [list(r) for r in H.to_sym().rows])
-    assert linalg.mat_eq(ring, prod, linalg.mat_identity(ring, n)), "Bez * Hank != I"
+    if not linalg.mat_eq(ring, prod, linalg.mat_identity(ring, n)):
+        raise FieldError("Bez * Hank != I")
     return H
 
 
@@ -165,7 +157,8 @@ def _psi(S: SymMatrix, H: HankelMatrix, v) -> PointedRat:
     # V/A = s_1 X^{-1} + s_2 X^{-2} + ...: hankel_of(f) reads its first 2n-1
     # terms and phi_n(f) is -s_{2n}, so one expansion checks both
     t = laurent_expand(V, A, 2 * n)
-    assert t[:-1] == H.s and ring.is_zero(ring.add(t[-1], v))
+    if t[:-1] != H.s or not ring.is_zero(ring.add(t[-1], v)):
+        raise FieldError("the point's Laurent expansion differs from the Hankel data")
     return f
 
 
@@ -181,7 +174,7 @@ def hankel_from_sym(S: SymMatrix) -> HankelMatrix:
     ring = S.ring
     s = []
     for k in range(2 * n - 1):
-        vals = [S.entry(i, k - i) for i in range(max(0, k - n + 1), min(k, n - 1) + 1)]
+        vals = [S.rows[i][k - i] for i in range(max(0, k - n + 1), min(k, n - 1) + 1)]
         for x in vals[1:]:
             if not ring.is_zero(ring.sub(x, vals[0])):
                 raise FieldError("matrix is not Hankel")
@@ -200,25 +193,10 @@ def f2_iso_inv(S: SymMatrix, t) -> PointedRat:
     """Inverse of f2_iso: psi_2 applied to S^{-1} read as Hankel data.
 
     Works identically over k and over k[T]; equivariant for the translation
-    action in the second coordinate.
+    action in the second coordinate.  _psi checks Hank(f) = S^{-1}, so
+    Bez(f) = Hank(f)^{-1} = S.
     """
     if S.n != 2:
         raise FieldError("f2_iso_inv is the degree-2 chart")
-    f = _psi(S, hankel_from_sym(inverse_sym(S)), t)
-    assert bezout_form(f).rows == S.rows
-    return f
+    return _psi(S, hankel_from_sym(inverse_sym(S)), t)
 
-
-def block_sum_change_of_basis(u, g: PointedRat):
-    """The det-1 matrix P with P^T Bez(X/u (+) g) P = Bez(g) (+) <u>.
-
-    P is the contragredient of the unitriangular basis matrix whose last
-    column is the coefficient vector of g's numerator: explicitly, identity
-    with last row (-a_0, ..., -a_{n-1}, 1).
-    """
-    ring = g.ring
-    n = g.n
-    P = linalg.mat_identity(ring, n + 1)
-    for j in range(n):
-        P[n][j] = ring.neg(g.A.coeff(j))
-    return P

@@ -127,7 +127,7 @@ def _step_valid(kind, step, field):
         n = A.degree
         if not A.is_monic() or B.degree >= n:
             return "step is not a monic pair"
-        res = resultant_nn(A, B, n) if n > 0 else kt.one
+        res = resultant_nn(A, B, n)
         if not res.is_constant() or res.is_zero():
             return "non-constant resultant"
         return None
@@ -304,26 +304,18 @@ def _normal_form_cert_cached(f: PointedRat):
     if f.n == 0:
         return (), Certificate("pointed", field, (), f, f)
     slots = [poly_point(P, b) for P, b in cf_expand(f)]
-    cur = oplus_all(field, slots)
-    if cur.A != f.A or cur.B != f.B:
+    total = oplus_all(field, slots)
+    if total.A != f.A or total.B != f.B:
         raise FieldError("the continued-fraction blocks do not sum to the point")
     steps = []
 
     def push(i, G, new_slots_i):
-        nonlocal cur
-        step = _embed(kt, slots[:i], G, slots[i + 1 :])
+        steps.append(_embed(kt, slots[:i], G, slots[i + 1 :]))
         slots[i : i + 1] = new_slots_i
-        tgt = oplus_all(field, slots)
-        # step is a validated k[T]-point: its ends are points, compare coefficients
-        assert _coords("pointed", field, step, 0) == _coords("pointed", field, cur)
-        assert _coords("pointed", field, step, 1) == _coords("pointed", field, tgt)
-        steps.append(step)
-        cur = tgt
 
-    guard = 0
+    # each pass slides a non-monomial slot to a monomial, or splits a
+    # monomial slot into blocks of smaller degree, so the loop ends
     while True:
-        guard += 1
-        assert guard < 10_000
         i = next((i for i, g in enumerate(slots) if g.n > 1), None)
         if i is None:
             break
@@ -368,11 +360,12 @@ def _normal_form_cert_cached(f: PointedRat):
             AT = Poly.make(kt, [_interp_scalar(kt, a, field.zero), const(field, field.one)])
             G = poly_point(AT, const(field, u))
             push(i, G, [x_over(field, u)])
-    # every slot is now X/u_i, so cur is the fold monomial_sum(units) computes
+    # every slot is now X/u_i; verify, and concat_certificates on each join,
+    # check that the steps chain from f to monomial_sum(units)
     units = tuple(g.B.constant() for g in slots)
     if units != cf_values(f):
         raise FieldError("normal form units differ from the continued-fraction values")
-    return units, Certificate("pointed", field, tuple(steps), f, cur)
+    return units, Certificate("pointed", field, tuple(steps), f, monomial_sum(field, units))
 
 
 def _interp_scalar(kt, a, b):
@@ -613,12 +606,7 @@ def lift_move_to_step(field, units, mv: DiagMove, kt=None):
     Pt = linalg.mat_mul(field, J, linalg.mat_mul(field, P, J))
     D = SymMatrix.diagonal(field, (b, a))
     G = f2_iso_inv(oplog_to_path(D, sl2_elementary_factors(field, Pt)), kt.zero)
-    pair_src = monomial_sum(field, (a, b))
     after = apply_move(field, units, mv)
-    pair_tgt = monomial_sum(field, (after[i], after[i + 1]))
-    # G is a validated k[T]-point: its ends are points, compare coefficients
-    assert _coords("pointed", field, G, 0) == _coords("pointed", field, pair_src)
-    assert _coords("pointed", field, G, 1) == _coords("pointed", field, pair_tgt)
     left = [x_over(field, u) for u in units[:i]]
     right = [x_over(field, u) for u in units[i + 2 :]]
     return _embed(kt, left, G, right), after
@@ -680,12 +668,10 @@ def connect(f: PointedRat, g: PointedRat):
     if i1 != i2:
         return NotEquivalent(_invariant_diff(i1, i2))
     us, cert_f = normal_form_cert(f)
-    vs, cert_g = normal_form_cert(g)
+    vs = normal_form_cert(g)[0]
     out = cert_f
     if us != vs:
         middle = lift_chain_to_cert(field, us, diag_chain(field, us, vs))
-        # the chain ends at vs exactly
-        assert middle.target.key() == cert_g.target.key()
         out = concat_certificates(out, middle)
     return concat_certificates(out, _normal_form_cert_reversed(g))
 
@@ -824,11 +810,10 @@ def unpointed_connect(u1: UnpointedRat, u2: UnpointedRat):
     lam = _lambda_witness(field, f1.res, f2.res, n)
     if lam is None:
         return NotEquivalent("no rescaling witness exists")
-    g2 = scale_pointed(f2, lam)
-    assert pointed_invariant(f1) == pointed_invariant(g2)
-    pcert = connect(f1, g2)
+    pcert = connect(f1, scale_pointed(f2, lam))
     if isinstance(pcert, NotEquivalent):
-        return pcert
+        # the unpointed invariants agree, so lambda^2 f2 must match f1
+        raise FieldError(f"rescaling witness {field.format(lam)} is wrong: {pcert.reason}")
     steps = []
     if mv1.factors:
         steps.append(_normalization_step(mv1, kt))
@@ -841,23 +826,6 @@ def unpointed_connect(u1: UnpointedRat, u2: UnpointedRat):
             reverse_step("unpointed", _normalization_step(mv2, kt), field)
         )
     return Certificate("unpointed", field, tuple(steps), u1, u2)
-
-
-def oplus_constant(cert: Certificate, g: PointedRat, side: str = "right") -> Certificate:
-    """Sum a pointed certificate with a constant function on one side."""
-    assert cert.kind == "pointed"
-    field = cert.field
-    kt = PolyRing(field)
-    gpath = path_of_point(g, kt)
-    if side == "right":
-        steps = tuple(oplus(s, gpath) for s in cert.steps)
-        src = oplus(cert.source, g)
-        tgt = oplus(cert.target, g)
-    else:
-        steps = tuple(oplus(gpath, s) for s in cert.steps)
-        src = oplus(g, cert.source)
-        tgt = oplus(g, cert.target)
-    return Certificate("pointed", field, steps, src, tgt)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ class DiagForm:
     units: tuple
 
     def __post_init__(self):
-        assert all(not self.field.is_zero(u) for u in self.units)
+        if any(self.field.is_zero(u) for u in self.units):
+            raise FieldError("diagonal form with a zero unit")
 
     @property
     def rank(self):
@@ -74,16 +75,6 @@ def apply_op(field, M, op):
         M[r][j] = field.add(M[r][j], field.mul(lam, M[r][i]))
     for c in range(n):
         M[j][c] = field.add(M[j][c], field.mul(lam, M[i][c]))
-
-
-def oplog_matrix(field, n, ops):
-    """The det-1 matrix P with P^T S P = (result of replaying ops on S)."""
-    P = linalg.mat_identity(field, n)
-    for _, i, j, lam in ops:
-        E = linalg.mat_identity(field, n)
-        E[i][j] = lam
-        P = linalg.mat_mul(field, P, E)
-    return P
 
 
 def _swap_ops(field, i, j):
@@ -448,10 +439,6 @@ def _kt_check(S: SymMatrix):
     return kt
 
 
-def _deg(p: Poly) -> int:
-    return p.degree  # -1 for zero
-
-
 def kt_short_vector(S: SymMatrix):
     """A primitive vector x over k[T] with deg b(x, x) <= 0.
 
@@ -472,16 +459,16 @@ def kt_short_vector(S: SymMatrix):
     def col(j):
         return [basis[r][j] for r in range(n)]
 
-    max_iter = 200 * n * (2 + sum(max(_deg(G[i][i]), 0) for i in range(n)))
+    max_iter = 200 * n * (2 + sum(max(G[i][i].degree, 0) for i in range(n)))
     for _ in range(max_iter):
-        diags = [_deg(G[i][i]) for i in range(n)]
+        diags = [G[i][i].degree for i in range(n)]
         best = min(range(n), key=lambda i: diags[i] if diags[i] >= 0 else -10**9)
         if diags[best] <= 0:
             return col(best)
         i = best
         progressed = False
         for j in range(n):
-            if j == i or _deg(G[i][j]) < diags[i]:
+            if j == i or G[i][j].degree < diags[i]:
                 continue
             q = poly_divmod(G[i][j], G[i][i])[0]
             _gram_col_add(kt, G, basis, i, j, -q)
@@ -489,18 +476,18 @@ def kt_short_vector(S: SymMatrix):
         if not progressed:
             # row i is reduced; reduce the other rows against each other
             moved = False
-            order = sorted(range(n), key=lambda r: _deg(G[r][r]))
+            order = sorted(range(n), key=lambda r: G[r][r].degree)
             for a in order:
                 for b in range(n):
-                    if b == a or _deg(G[a][a]) < 1:
+                    if b == a or G[a][a].degree < 1:
                         continue
-                    if _deg(G[a][b]) >= _deg(G[a][a]):
+                    if G[a][b].degree >= G[a][a].degree:
                         q = poly_divmod(G[a][b], G[a][a])[0]
                         _gram_col_add(kt, G, basis, a, b, -q)
                         moved = True
             if not moved:
                 break
-    diags = [_deg(G[i][i]) for i in range(n)]
+    diags = [G[i][i].degree for i in range(n)]
     best = min(range(n), key=lambda i: diags[i] if diags[i] >= 0 else -10**9)
     if diags[best] <= 0:
         return col(best)
@@ -511,7 +498,7 @@ def kt_short_vector(S: SymMatrix):
     for bound in range(0, 7):
         for x in _vectors_of_degree(base, n, bound):
             val = _pairing(kt, S, x, x)
-            if _deg(val) <= 0:
+            if val.degree <= 0:
                 return _primitive(kt, x)
     raise AssertionError("Hermite bound violated: no short vector found")
 
@@ -563,18 +550,20 @@ def complete_unimodular(kt: PolyRing, x):
     """
     n = len(x)
     if n == 1:
-        assert kt.is_unit(x[0])
+        if not kt.is_unit(x[0]):
+            raise FieldError("a 1 x 1 completion needs a unit")
         return [[x[0]]]
     v = list(x)
     inv_ops = []  # inverses of the row ops applied to v, in order
-    guard = 0
+    # a pass reduces every other entry modulo one of least degree, so it
+    # leaves one nonzero entry or lowers the least degree: Euclid ends
     while True:
-        guard += 1
-        assert guard < 10_000
         nz = [i for i in range(n) if not v[i].is_zero()]
-        assert nz, "zero vector cannot be completed"
+        if not nz:
+            raise FieldError("zero vector cannot be completed")
         if len(nz) == 1:
-            assert v[nz[0]].degree == 0, "vector is not primitive"
+            if v[nz[0]].degree != 0:
+                raise FieldError("vector is not primitive")
             piv = nz[0]
             break
         nz.sort(key=lambda i: v[i].degree)
@@ -596,7 +585,6 @@ def complete_unimodular(kt: PolyRing, x):
     cinv = kt.inv(c)
     for row in M:
         row[0], row[1] = row[0] * c, row[1] * cinv
-    assert [M[r][0] for r in range(n)] == list(x)
     return M
 
 

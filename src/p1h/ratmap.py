@@ -117,7 +117,7 @@ def mk_pointed(A: Poly, B: Poly) -> PointedRat:
     if B.ring != ring:
         raise FieldError("numerator and denominator over different rings")
     n = A.degree
-    if n < 0 or not (n == 0 and _is_one(A) or A.is_monic()):
+    if not A.is_monic():
         raise FieldError("numerator must be monic")
     if B.degree >= n and not (n == 0 and B.is_zero()):
         raise FieldError("denominator degree must be below the numerator degree")
@@ -134,10 +134,6 @@ def mk_pointed(A: Poly, B: Poly) -> PointedRat:
     if not _unit_resultant(ring, res):
         _reject(ring, res)
     return PointedRat(ring, A, B, res, _steps=steps)
-
-
-def _is_one(p: Poly) -> bool:
-    return p.degree == 0 and p.ring.is_zero(p.ring.sub(p.coeffs[0], p.ring.one))
 
 
 def _reject(ring, res):

@@ -19,9 +19,18 @@ from fractions import Fraction
 import pytest
 
 import p1h
+from p1h.bezout_hankel import SymMatrix
 from p1h.fields import GF, QQ
 from p1h.poly import Poly, X, const, poly_divmod
 from p1h.ratmap import mk_pointed, monomial_sum, oplus, x_over
+
+
+def block_sum(S1, S2):
+    """The symmetric matrix S1 (+) S2."""
+    z = S1.ring.zero
+    rows = [list(r) + [z] * S2.n for r in S1.rows]
+    rows += [[z] * S1.n + list(r) for r in S2.rows]
+    return SymMatrix.make(S1.ring, rows)
 
 
 def perm_det(field, M):

@@ -10,7 +10,6 @@ from p1h.bezout_hankel import (
     HankelMatrix,
     SymMatrix,
     bezout_form,
-    block_sum_change_of_basis,
     f2_iso,
     f2_iso_inv,
     hankel_of,
@@ -20,7 +19,22 @@ from p1h.fields import GF, QQ, FieldError
 from p1h.poly import Poly, PolyRing, X, const
 from p1h.ratmap import eval_path, ga_act, mk_pointed, monomial_sum, oplus, phi_n, x_over
 
-from conftest import all_points, delta_matrix_oracle, perm_det, random_point
+from conftest import all_points, block_sum, delta_matrix_oracle, perm_det, random_point
+
+
+def block_sum_change_of_basis(u, g):
+    """The det-1 matrix P with P^T Bez(X/u (+) g) P = Bez(g) (+) <u>.
+
+    P is the contragredient of the unitriangular basis matrix whose last
+    column is the coefficient vector of g's numerator: explicitly, identity
+    with last row (-a_0, ..., -a_{n-1}, 1).
+    """
+    ring = g.ring
+    n = g.n
+    P = la.mat_identity(ring, n + 1)
+    for j in range(n):
+        P[n][j] = ring.neg(g.A.coeff(j))
+    return P
 
 
 def detsign(n):
@@ -91,8 +105,8 @@ class TestBezoutForm:
                     M = la.mat_mul(
                         F3, la.mat_transpose(P), la.mat_mul(F3, [list(r) for r in S.rows], P)
                     )
-                    block = [list(r) for r in bezout_form(g).block_sum(
-                        SymMatrix.diagonal(F3, [u])
+                    block = [list(r) for r in block_sum(
+                        bezout_form(g), SymMatrix.diagonal(F3, [u])
                     ).rows]
                     assert M == block
 
@@ -141,6 +155,10 @@ class TestPsi:
         for _ in range(200):
             f = random_point(QQ, rng.randrange(1, 6), rng)
             assert psi_n(hankel_of(f), phi_n(f)) == f
+
+    def test_wrong_length_raises(self):
+        with pytest.raises(FieldError):
+            HankelMatrix(QQ, 2, (Fraction(1), Fraction(0)))
 
     def test_identity_hankel(self):
         H = HankelMatrix(QQ, 2, (Fraction(1), Fraction(0), Fraction(1)))

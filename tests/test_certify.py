@@ -23,7 +23,6 @@ from p1h.certify import (
     lift_chain_to_cert,
     move_matrix,
     normal_form_cert,
-    oplus_constant,
     pd_cert,
     reverse_certificate,
     scale_pointed,
@@ -44,6 +43,7 @@ from p1h.ratmap import (
     mk_unpointed,
     monomial_sum,
     oplus,
+    path_of_point,
     poly_point,
     unpointed_of_pointed,
     x_over,
@@ -574,6 +574,21 @@ class TestVerify:
             assert verify(reverse_certificate(serial.certificate_from_json(data)))
 
 
+def oplus_constant(cert: Certificate, g: PointedRat, side: str) -> Certificate:
+    """Sum a pointed certificate with the constant path at g on one side."""
+    field = cert.field
+    gpath = path_of_point(g, PolyRing(field))
+    if side == "right":
+        steps = tuple(oplus(s, gpath) for s in cert.steps)
+        src = oplus(cert.source, g)
+        tgt = oplus(cert.target, g)
+    else:
+        steps = tuple(oplus(gpath, s) for s in cert.steps)
+        src = oplus(g, cert.source)
+        tgt = oplus(g, cert.target)
+    return Certificate("pointed", field, steps, src, tgt)
+
+
 class TestReversalAndCongruence:
     def test_reversal(self, rng):
         for _ in range(10):
@@ -618,6 +633,29 @@ class TestUnpointedConnect:
         u1 = unpointed_of_pointed(x_over(QQ, 1))
         u2 = unpointed_of_pointed(x_over(QQ, 2))
         assert isinstance(unpointed_connect(u1, u2), NotEquivalent)
+
+    def test_wrong_rescaling_witness_raises(self, monkeypatch):
+        # X/1 and X/4 are unpointed-equivalent by lambda = 2; lambda = 3 takes
+        # X/4 to X/(4/9), which is not pointed-equivalent to X/1
+        from p1h import certify
+
+        u1 = unpointed_of_pointed(x_over(QQ, 1))
+        u2 = unpointed_of_pointed(x_over(QQ, 4))
+        monkeypatch.setattr(certify, "_lambda_witness", lambda field, r1, r2, n: field.coerce(3))
+        with pytest.raises(FieldError, match="rescaling witness 3"):
+            unpointed_connect(u1, u2)
+        script = (
+            "from p1h import certify\n"
+            "from p1h.fields import QQ, FieldError\n"
+            "from p1h.ratmap import unpointed_of_pointed, x_over\n"
+            "certify._lambda_witness = lambda field, r1, r2, n: field.coerce(3)\n"
+            "try:\n"
+            "    print(certify.unpointed_connect(unpointed_of_pointed(x_over(QQ, 1)),\n"
+            "                                    unpointed_of_pointed(x_over(QQ, 4))))\n"
+            "except FieldError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        assert run_optimized(script).startswith("raised: rescaling witness 3 is wrong")
 
     def test_f5_random(self, rng):
         from p1h.classify import unpointed_equiv

@@ -287,6 +287,41 @@ class TestCommands:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["degree"] == 1
 
+    @pytest.mark.parametrize("field,f,g", [
+        ("F5", "X/1+X/1", "X/2+X/3"),
+        ("Q", "X/1+X/1+X/1", "X/3+X/2+X/(1/6)"),
+    ])
+    def test_certify_output_is_the_same_under_optimize(self, field, f, g):
+        import subprocess
+        import sys
+
+        outs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "p1h", "certify", "--field", field, f, g],
+                capture_output=True, env=p1h_env(), timeout=120,
+            )
+            for flags in ([], ["-O"])
+        ]
+        for out in outs:
+            assert out.returncode == 0, out.stderr
+        assert json.loads(outs[0].stdout)["steps"]
+        assert outs[0].stdout == outs[1].stdout
+
+    def test_src_has_no_assert(self):
+        # python -O strips asserts, so a check in src must be an explicit raise
+        import ast
+        import pathlib
+
+        import p1h
+
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(pathlib.Path(p1h.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
     def test_pd_commands(self, tmp_path, capsys):
         assert main(["pd-equiv", "--field", "Q", "X^2 ; 1 ; 1", "X^2+1 ; X ; 1"]) == 0
         capsys.readouterr()

@@ -21,7 +21,6 @@ from p1h.quadform import (
     hilbert_symbol,
     is_isotropic,
     kt_short_vector,
-    oplog_matrix,
     oplog_to_path,
     replay_oplog,
     stable_equal,
@@ -34,7 +33,18 @@ from p1h.quadform import (
 )
 from p1h.ratmap import elementary_path
 
-from conftest import perm_det, run_optimized
+from conftest import block_sum, perm_det, run_optimized
+
+
+def oplog_matrix(field, n, ops):
+    """The det-1 matrix P with P^T S P = (result of replaying ops on S): the
+    reference that the op log and elementary_path are checked against."""
+    P = la.mat_identity(field, n)
+    for _, i, j, lam in ops:
+        E = la.mat_identity(field, n)
+        E[i][j] = lam
+        P = la.mat_mul(field, P, E)
+    return P
 
 
 def _sym(field, rows):
@@ -363,7 +373,7 @@ class TestStableInvariant:
             S1 = _rand_sym(QQ, rng.randrange(1, 4), rng)
             S2 = _rand_sym(QQ, rng.randrange(1, 4), rng)
             i1, i2 = stable_invariant(S1), stable_invariant(S2)
-            direct = stable_invariant(S1.block_sum(S2))
+            direct = stable_invariant(block_sum(S1, S2))
             summed = witt_sum(i1, i2)
             assert stable_equal(direct, summed)
             h1 = dict(i1.hasse)
@@ -435,7 +445,7 @@ class TestStableEqualVsExhaustiveSearch:
         def pad_rows(S):
             padded = S
             for _ in range(pad):
-                padded = padded.block_sum(SymMatrix.diagonal(field, [1]))
+                padded = block_sum(padded, SymMatrix.diagonal(field, [1]))
             return tuple(tuple(int(x) for x in r) for r in padded.rows)
 
         def orbit_of(key):
@@ -457,6 +467,10 @@ class TestStableEqualVsExhaustiveSearch:
 
 
 class TestTensor:
+    def test_zero_unit_raises(self):
+        with pytest.raises(FieldError):
+            DiagForm(QQ, (Fraction(3), Fraction(0)))
+
     def test_scalar(self):
         d = tensor_diag(DiagForm(QQ, (Fraction(3),)), DiagForm(QQ, (1, -1, 2)))
         assert d.units == (3, -3, 6)
@@ -754,6 +768,14 @@ class TestCompleteUnimodular:
                 scales.add(w[piv].constant())
                 done += 1
         assert pivots - {0} and scales - {field.one}
+
+    def test_bad_vectors_raise(self):
+        F3 = GF(3)
+        kt = _kt(F3)
+        T = _cpoly(F3, [0, 1])
+        for x in ([kt.zero, kt.zero], [T, T * T], [T]):
+            with pytest.raises(FieldError):
+                complete_unimodular(kt, x)
 
 
 class TestHermiteReduce:
