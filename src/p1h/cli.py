@@ -20,6 +20,17 @@ from .ratmap import PointedRat, RejectedPoint, UnpointedRat, cf_expand, compose,
 from .serial import dumps
 
 
+# Caps on the size of what a command builds from one expression, each chosen
+# so that the largest accepted input finishes in about 2 s on a 2-core
+# machine over Q, the slower field: compose's output degree m*n (m*n = 1000
+# takes about 1 s over Q, most of it in the output's remainder sequence;
+# m*n = 2000 took 12 s), and the degree n of bezout and hankel, whose forms
+# have n^2 entries (n = 64 takes about 2 s over Q, in the O(n^3) determinant
+# and product check; n = 100 took 6 s).
+MAX_COMPOSE_DEGREE = 1000
+MAX_FORM_DEGREE = 64
+
+
 class CliError(Exception):
     pass
 
@@ -172,8 +183,14 @@ def cmd_verify(args):
     return 0 if res else 1
 
 
+def _form_degree_capped(f):
+    if f.n > MAX_FORM_DEGREE:
+        raise CliError(f"degree {f.n} exceeds the form cap MAX_FORM_DEGREE = {MAX_FORM_DEGREE}")
+    return f
+
+
 def cmd_bezout(args):
-    f = _parse_fn(args, args.fn, allow_sum=True)
+    f = _form_degree_capped(_parse_fn(args, args.fn, allow_sum=True))
     S = bezout_form(f)
     field = f.ring
     payload = {
@@ -189,7 +206,7 @@ def cmd_bezout(args):
 
 
 def cmd_hankel(args):
-    f = _parse_fn(args, args.fn, allow_sum=True)
+    f = _form_degree_capped(_parse_fn(args, args.fn, allow_sum=True))
     H = hankel_of(f)
     field = f.ring
     payload = {"s": [serial.elem_to_json(field, x) for x in H.s]}
@@ -208,6 +225,9 @@ def cmd_oplus(args):
 def cmd_compose(args):
     f = _parse_fn(args, args.f, allow_sum=True)
     g = _parse_fn(args, args.g, allow_sum=True)
+    if f.n * g.n > MAX_COMPOSE_DEGREE:
+        raise CliError(f"output degree {f.n}*{g.n} = {f.n * g.n} exceeds the compose cap "
+                       f"MAX_COMPOSE_DEGREE = {MAX_COMPOSE_DEGREE}")
     h = compose(f, g)
     _emit(args, serial.point_to_json(h), format_ratfun(h))
     return 0

@@ -8,6 +8,8 @@ polynomial in X whose coefficients are polynomials in T.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from . import linalg
@@ -112,17 +114,65 @@ class Poly:
         return Poly(R, tuple(R.neg(c) for c in self.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """The product by Kronecker substitution: each operand packed into
+        one integer, one big-integer product (in C; Karatsuba's method once
+        the operands pass about 2000 bits), and the slots read back (von zur
+        Gathen and Gerhard, Modern Computer Algebra, 8.4).
+
+        The entries become integers: F_p residues as they are, in [0, p);
+        over Q each operand is scaled by the lcm of its denominators, D_a
+        and D_b.  Over k[T] every X-coefficient takes s = s_a + s_b - 1
+        T-slots, s_a and s_b the operands' largest T-lengths, so slot
+        i s + t holds the coefficient of X^i T^t and a packed operand is its
+        value at T = 2^w, X = 2^(w s).  A slot of the product is a sum of at
+        most m = min(len a, len b) * min(s_a, s_b) products of entries.
+        Over F_p each is at most (p-1)^2, and w is the least width with
+        2^w > (p-1)^2 m.  Over Q each is at most h_a h_b in absolute value,
+        h_a and h_b the operands' largest scaled numerators, and w is the
+        least width with 2^(w-1) > h_a h_b m, one bit more for the sign;
+        adding 2^(w-1) to every slot then makes each a w-bit number >= 0.
+        So no slot carries into the next, and reading the product w bits at
+        a time gives the integer product exactly.  The T-degree of a
+        product coefficient is at most s_a + s_b - 2 < s, so X-coefficients
+        do not overlap either.  Each slot is then reduced mod p, or divided
+        by D_a D_b, and the result trimmed at both levels: the canonical
+        value the schoolbook sum gives."""
         R = self.ring
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(R, ())
-        out = [R.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if R.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = R.add(out[i + j], R.mul(ai, bj))
-        return Poly.trimmed(R, out)
+        la, lb = len(a), len(b)
+        n, m = la + lb - 1, la if la < lb else lb
+        nested = R.__class__ is PolyRing
+        K = R.base if nested else R
+        if nested:
+            sa = max(map(len, map(_coeffs, a)))
+            sb = max(map(len, map(_coeffs, b)))
+            s = sa + sb - 1
+            a, b, n, m = _flat(a, s), _flat(b, s), n * s, m * (sa if sa < sb else sb)
+        p = K.char
+        if p:
+            w = ((p - 1) * (p - 1) * m).bit_length()
+            cs = _unpack(_pack(a, w) * _pack(b, w), w, n, p)
+        else:
+            a, da = _cleared(a)
+            b, db = _cleared(b)
+            w = (max(map(abs, a)) * max(map(abs, b)) * m).bit_length() + 1
+            half, den = 1 << (w - 1), da * db
+            # the product, plus 2^(w-1) in each of its n slots
+            P = _pack(a, w) * _pack(b, w) + ((1 << (w * n)) - 1) // ((1 << w) - 1) * half
+            cs = [Fraction(v - half, den) if v != half else _Q_ZERO for v in _unpack(P, w, n, 0)]
+        if not nested:
+            while cs and not cs[-1]:
+                cs.pop()
+            return Poly(R, tuple(cs))
+        rows = []
+        for i in range(0, n, s):
+            row = cs[i:i + s]
+            while row and not row[-1]:
+                row.pop()
+            rows.append(Poly(K, tuple(row)))
+        return Poly.trimmed(R, rows)
 
     def scale(self, c) -> "Poly":
         R = self.ring
@@ -163,6 +213,56 @@ class Poly:
 
 _set_ring = Poly.ring.__set__
 _set_coeffs = Poly.coeffs.__set__
+_coeffs = Poly.coeffs.__get__
+
+
+# Slot runs longer than this are packed and read in two halves, so a run of
+# n slots costs O(n log n) word operations instead of the O(n^2) of a Horner
+# loop over one growing integer.
+_LEAF = 32
+_Q_ZERO = Fraction(0)
+
+
+def _pack(xs, w: int) -> int:
+    """sum x_i 2^(w i) for integers x_i (of either sign)."""
+    n = len(xs)
+    if n > _LEAF:
+        h = n // 2
+        return _pack(xs[:h], w) + (_pack(xs[h:], w) << (w * h))
+    acc = 0
+    for x in reversed(xs):
+        acc = (acc << w) + x
+    return acc
+
+
+def _unpack(P: int, w: int, n: int, p: int) -> list:
+    """The n w-bit slots of an integer 0 <= P < 2^(w n), lowest first;
+    reduced mod p unless p = 0."""
+    if n > _LEAF:
+        h = n // 2
+        return (_unpack(P & ((1 << (w * h)) - 1), w, h, p)
+                + _unpack(P >> (w * h), w, n - h, p))
+    mask, out = (1 << w) - 1, []
+    for _ in range(n):
+        out.append((P & mask) % p if p else P & mask)
+        P >>= w
+    return out
+
+
+def _flat(cs: tuple, s: int) -> list:
+    """The T-coefficients of k[T] entries, each entry padded to s slots."""
+    out = []
+    for c in cs:
+        out += c.coeffs
+        out += [0] * (s - len(c.coeffs))
+    return out
+
+
+def _cleared(cs: list) -> tuple[list, int]:
+    """Rationals (or ints) as integers over their common denominator D:
+    (D * cs, D)."""
+    den = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 def _ring_is_one(ring, c) -> bool:

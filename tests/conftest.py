@@ -1,9 +1,10 @@
 """Shared helpers: independent oracles and exhaustive/random generators.
 
 The oracles here deliberately avoid the library's own computation paths:
-determinants by permutation expansion, the two-variable numerator quotient
-by direct division in the second variable, Laurent coefficients by long
-division, discrete logs by scanning powers.  Expected values in the tests
+products by the schoolbook double loop, determinants by permutation
+expansion, the two-variable numerator quotient by direct division in the
+second variable, Laurent coefficients by long division, discrete logs by
+scanning powers.  Expected values in the tests
 are either computed by these or asserted as frozen literals checked
 against them.
 """
@@ -21,7 +22,7 @@ import pytest
 import p1h
 from p1h.bezout_hankel import SymMatrix
 from p1h.fields import GF, QQ
-from p1h.poly import Poly, X, const, poly_divmod
+from p1h.poly import Poly, PolyRing, X, const, poly_divmod
 from p1h.ratmap import mk_pointed, monomial_sum, oplus, x_over
 
 
@@ -31,6 +32,28 @@ def block_sum(S1, S2):
     rows = [list(r) + [z] * S2.n for r in S1.rows]
     rows += [[z] * S1.n + list(r) for r in S2.rows]
     return SymMatrix.make(S1.ring, rows)
+
+
+def _convolve(a, b, zero, add, mul):
+    out = [zero] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = add(out[i + j], mul(ai, bj))
+    return out
+
+
+def schoolbook_mul(x, y):
+    """x * y by the double loop, at both levels over k[T], with the base
+    field's own add and mul (independent of Poly.__mul__, which packs)."""
+    R = x.ring
+    if not isinstance(R, PolyRing):
+        return Poly.trimmed(R, _convolve(x.coeffs, y.coeffs, R.zero, R.add, R.mul))
+    K = R.base
+
+    def mul(u, v):
+        return Poly.trimmed(K, _convolve(u.coeffs, v.coeffs, K.zero, K.add, K.mul))
+
+    return Poly.trimmed(R, _convolve(x.coeffs, y.coeffs, R.zero, Poly.__add__, mul))
 
 
 def perm_det(field, M):

@@ -30,6 +30,7 @@ from conftest import (
     minor_det,
     perm_det,
     random_point,
+    schoolbook_mul,
     sylvester_nn,
 )
 
@@ -344,6 +345,117 @@ class TestPolyValue:
         for p in self._variants(ring, [2, 0, 1]):
             q = pickle.loads(pickle.dumps(p))
             assert q == p and hash(q) == hash(p) and type(q) is Poly
+
+
+class TestPackedProduct:
+    """Poly.__mul__ packs each operand into one integer (Kronecker
+    substitution) and multiplies once; it must give the schoolbook value,
+    hash and canonical form over Q, F_p and k[T], up to X-degree 40 and
+    T-degree 20, including the operands that fill the packed slots to
+    their bound."""
+
+    FIELDS = (QQ, GF(2), GF(3), GF(7), GF(101))
+    BIG = 10**40  # the largest numerator the Q cases use
+
+    def _entry(self, K, rng, kind):
+        if K is not QQ:
+            return K.p - 1 if kind in ("max", "min") else rng.randrange(K.p)
+        if kind == "max":
+            return Fraction(self.BIG)
+        if kind == "min":
+            return Fraction(-self.BIG)
+        d = rng.choice([1, 1, 2, 3, 10**6])
+        shape = rng.randrange(4)
+        if shape == 0:  # an integer-valued Fraction
+            return Fraction(rng.randint(-9, 9) * d, d)
+        if shape == 1:  # a large numerator of either sign
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, self.BIG), d)
+        return Fraction(rng.randint(-20, 20), d)
+
+    def _poly(self, R, rng, dx, dt, kind, zero_rate):
+        """Degree dx in X; over k[T] each coefficient has T-degree dt, or
+        is zero with probability zero_rate (never the leading one)."""
+        if dx < 0:
+            return Poly(R, ())
+        if not isinstance(R, PolyRing):
+            cs = [self._entry(R, rng, kind) for _ in range(dx + 1)]
+            cs[-1] = cs[-1] or R.one
+            return Poly.make(R, cs)
+        K = R.base
+        rows = []
+        for i in range(dx + 1):
+            if i < dx and rng.random() < zero_rate:
+                rows.append(Poly(K, ()))
+            else:
+                rows.append(self._poly(K, rng, dt, 0, kind, 0))
+        return Poly.make(R, rows)
+
+    @staticmethod
+    def _assert_canonical(P):
+        R = P.ring
+        K = R.base if isinstance(R, PolyRing) else R
+        entries = []
+        for c in P.coeffs:
+            if K is R:
+                entries.append(c)
+            else:
+                assert type(c) is Poly and c.ring == K and (not c.coeffs or c.coeffs[-1] != 0)
+                entries.extend(c.coeffs)
+        assert not P.coeffs or not R.is_zero(P.coeffs[-1])
+        for v in entries:
+            if K is QQ:
+                assert type(v) is Fraction
+            else:
+                assert type(v) is int and 0 <= v < K.p
+
+    def _cases(self, R, rng):
+        """(X-degree, T-degree) of each operand, the entry kind, and the
+        rate of zero X-coefficients."""
+        nested = isinstance(R, PolyRing)
+        top = 20 if nested else 0
+        fixed = [
+            ((-1, 0), (-1, 0)), ((-1, 0), (5, top)), ((7, top), (-1, 0)),
+            ((0, 0), (0, 0)), ((40, 0), (0, top)), ((0, top), (40, 0)),
+            ((40, top), (0, 0)), ((1, top), (40, 1)), ((3, top), (40, top)),
+        ]
+        if R.char:  # over Q the schoolbook reference takes seconds here
+            fixed.append(((40, top), (40, top)))
+        out = [(a, b, kind, 0.0) for a, b in fixed for kind in ("max", "min", "rand")]
+        for _ in range(30):
+            a = (rng.randint(0, 40), rng.randint(0, top))
+            b = (rng.randint(0, 40), rng.randint(0, top))
+            # keep the schoolbook reference quick: large in X or in T, not both
+            if nested and (a[0] + 1) * (b[0] + 1) * (a[1] + 1) * (b[1] + 1) > 40_000:
+                a, b = (a[0] // 4, a[1]), (b[0] // 4, b[1])
+            out.append((a, b, rng.choice(["max", "min", "rand", "rand"]), rng.choice([0.0, 0.3])))
+        return out
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["k", "kT"])
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_agrees_with_schoolbook(self, field, nested):
+        R = PolyRing(field) if nested else field
+        rng = random.Random(f"packed-{field}-{nested}")
+        for (dxa, dta), (dxb, dtb), kind, zeros in self._cases(R, rng):
+            x = self._poly(R, rng, dxa, dta, kind, zeros)
+            # the second operand of a "max" case takes the same sign, so the
+            # middle slots reach the bound; "min" pairs a negative with a
+            # positive operand over Q
+            y = self._poly(R, rng, dxb, dtb, "max" if kind == "min" else kind, zeros)
+            got, want = x * y, schoolbook_mul(x, y)
+            assert got == want and hash(got) == hash(want), (x, y)
+            assert y * x == want
+            self._assert_canonical(got)
+
+    def test_reference_is_the_double_loop(self):
+        F = GF(7)
+        x, y = Poly.make(F, [1, 6]), Poly.make(F, [6, 6, 6])
+        assert schoolbook_mul(x, y).coeffs == (6, 0, 0, 1)
+        kt = PolyRing(F)
+        T = Poly.make(F, [0, 1])
+        X_ = X(kt)
+        assert schoolbook_mul(X_ + const(kt, T), X_ - const(kt, T)) == Poly.make(
+            kt, [Poly.make(F, [0, 0, 6]), Poly.make(F, []), Poly.make(F, [1])]
+        )
 
 
 class TestAgainstSympy:

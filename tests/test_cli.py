@@ -435,6 +435,29 @@ class TestCommands:
         assert time.perf_counter() - t0 < 1.0
         assert "exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,cap", [
+        (["compose", "--field", "F7", "X^1000/(X+1)", "X^1000/(X+1)"], "MAX_COMPOSE_DEGREE = 1000"),
+        (["compose", "--field", "Q", "X^40/(X+1)", "X^26/(X+1)"], "MAX_COMPOSE_DEGREE = 1000"),
+        (["bezout", "--field", "F7", "X^1000/(1+X)"], "MAX_FORM_DEGREE = 64"),
+        (["hankel", "--field", "F7", "X^1000/(1+X)"], "MAX_FORM_DEGREE = 64"),
+        (["bezout", "--field", "Q", "X^65/(1+X)"], "MAX_FORM_DEGREE = 64"),
+    ], ids=["compose-F7", "compose-Q", "bezout", "hankel", "bezout-Q"])
+    def test_output_size_caps_are_input_errors(self, argv, cap, capsys):
+        # each ran past 20 s before the caps (the compose output has degree
+        # 10^6, the forms 10^6 entries)
+        import time
+
+        t0 = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert cap in capsys.readouterr().err
+
+    def test_output_size_caps_admit_their_bound(self, capsys):
+        assert main(["compose", "--field", "F7", "X^40/(X+1)", "X^25/(X+1)"]) == 0
+        assert capsys.readouterr().out.startswith("(X^1000)/")
+        assert main(["hankel", "--field", "F7", "X^64/(1+X)"]) == 0
+        assert capsys.readouterr().out.count(",") == 126
+
     def test_non_integer_field_spec_is_input_error(self, capsys):
         for spec in ("Fx", "Fp=abc", "F", "Fp=", "F1.5"):
             assert main(["classify", "--field", spec, "X/1"]) == 2
