@@ -268,10 +268,15 @@ def _embed(kt, left, G, right):
 
 
 def _interp_poly(kt, P: Poly, Q: Poly) -> Poly:
-    """(1-T) P + T Q over k[T] for field polynomials P, Q of equal arity."""
-    m = max(P.degree, Q.degree)
+    """(1-T) P + T Q over k[T] for field polynomials P, Q: the straight-line
+    step that every interpolating certificate step is built from."""
+    field = kt.base
     return Poly.make(
-        kt, [_interp_scalar(kt, P.coeff(i), Q.coeff(i)) for i in range(m + 1)]
+        kt,
+        [
+            Poly.make(field, [P.coeff(i), field.sub(Q.coeff(i), P.coeff(i))])
+            for i in range(max(P.degree, Q.degree) + 1)
+        ],
     )
 
 
@@ -313,6 +318,13 @@ def _normal_form_cert_cached(f: PointedRat):
         steps.append(_embed(kt, slots[:i], G, slots[i + 1 :]))
         slots[i : i + 1] = new_slots_i
 
+    def slide(i):
+        # slot i's numerator to its leading monomial, the denominator kept
+        g = slots[i]
+        u = g.B.constant()
+        xd = X(field).shift(g.n - 1)
+        push(i, poly_point(_interp_poly(kt, g.A, xd), u), [poly_point(xd, u)])
+
     # each pass slides a non-monomial slot to a monomial, or splits a
     # monomial slot into blocks of smaller degree, so the loop ends
     while True:
@@ -321,57 +333,35 @@ def _normal_form_cert_cached(f: PointedRat):
             break
         g = slots[i]
         d = g.n
-        u = g.B.constant()
         if any(not field.is_zero(g.A.coeff(j)) for j in range(d)):
-            # slide the polynomial to its leading monomial
-            AT = Poly.make(
-                kt,
-                [
-                    _interp_scalar(kt, g.A.coeff(j), field.zero)
-                    for j in range(d)
-                ]
-                + [const(field, field.one)],
-            )
-            G = poly_point(AT, const(field, u))
-            push(i, G, [poly_point(X(field).shift(d - 1), u)])
+            slide(i)
         else:
             # X^d/u -> X^d/(X^{d-1} + u), then split off the lead.  The path
             # B = u + T X^{d-1} has B V = 1 - (T/u)^2 X^{2d-2} = 1 mod X^d
             # for V = 1/u - (T/u^2) X^{d-1}, so U = (T/u)^2 X^{d-2}.
+            u = g.B.constant()
             T = Poly.make(field, [field.zero, field.one])
             w = T.scale(field.inv(u))
             pad = [zero(field)] * (d - 2)
+            xd = X(field).shift(d - 1)
+            B1 = Poly.make(field, [u] + [field.zero] * (d - 2) + [field.one])
             G = pointed_from_pair(
-                Poly.make(kt, [zero(field)] * d + [const(field, field.one)]),
-                Poly.make(kt, [const(field, u)] + pad + [T]),
+                _interp_poly(kt, xd, xd),
+                _interp_poly(kt, const(field, u), B1),
                 Poly.make(kt, pad + [w * w]),
                 Poly.make(kt, [const(field, field.inv(u))] + pad + [-w.scale(field.inv(u))]),
             )
-            target = mk_pointed(
-                X(field).shift(d - 1),
-                Poly.make(field, [u] + [field.zero] * (d - 2) + [field.one]),
-            )
-            push(i, G, [poly_point(P, b) for P, b in cf_expand(target)])
+            push(i, G, [poly_point(P, b) for P, b in cf_expand(mk_pointed(xd, B1))])
     # degree-1 slots: normalize (X+a)/u to X/u
-    for i, g in enumerate(list(slots)):
-        a = g.A.coeff(0)
-        u = g.B.constant()
-        if not field.is_zero(a):
-            AT = Poly.make(kt, [_interp_scalar(kt, a, field.zero), const(field, field.one)])
-            G = poly_point(AT, const(field, u))
-            push(i, G, [x_over(field, u)])
+    for i, g in enumerate(slots):
+        if not field.is_zero(g.A.coeff(0)):
+            slide(i)
     # every slot is now X/u_i; verify, and concat_certificates on each join,
     # check that the steps chain from f to monomial_sum(units)
     units = tuple(g.B.constant() for g in slots)
     if units != cf_values(f):
         raise FieldError("normal form units differ from the continued-fraction values")
     return units, Certificate("pointed", field, tuple(steps), f, monomial_sum(field, units))
-
-
-def _interp_scalar(kt, a, b):
-    """(1-T) a + T b as an element of k[T]."""
-    field = kt.base
-    return Poly.make(field, [a, field.sub(b, a)])
 
 
 # ---------------------------------------------------------------------------
@@ -800,12 +790,8 @@ def unpointed_connect(u1: UnpointedRat, u2: UnpointedRat):
         # are never anti-parallel, so the interpolant never vanishes)
         if u1.avec == u2.avec and u1.bvec == u2.bvec:
             return Certificate("unpointed", field, (), u1, u2)
-        step = PairStep(
-            kt,
-            0,
-            Poly.make(kt, [_interp_scalar(kt, u1.avec[0], u2.avec[0])]),
-            Poly.make(kt, [_interp_scalar(kt, u1.bvec[0], u2.bvec[0])]),
-        )
+        (A1, B1), (A2, B2) = u1.polys(), u2.polys()
+        step = PairStep(kt, 0, _interp_poly(kt, A1, A2), _interp_poly(kt, B1, B2))
         return Certificate("unpointed", field, (step,), u1, u2)
     lam = _lambda_witness(field, f1.res, f2.res, n)
     if lam is None:
@@ -880,11 +866,15 @@ def _coprime_split(A: Poly, Bs):
 def pd_cert(p: PdPoint) -> Certificate:
     """Certificate from p to the standard point (X^n, 1, ..., 1).
 
-    Splits A into pairwise coprime pieces on each of which some B_j is a
-    unit, aggregates these local units into one global unit W of k[X]/(A)
-    with Chinese-remainder selectors, and slides along straight-line
-    interpolation steps; every step carries explicit cofactors.  A point
-    whose A and B_j do not generate the unit ideal raises FieldError.
+    Every step is one straight-line slide of A and each B_j (`slide`): from
+    slot cofactors c_j with sum c_j B_j(T) = 1 modulo A(T), the A-cofactor
+    is -(sum c_j B_j(T) - 1)/A(T), an exact division.  Splits A into
+    pairwise coprime pieces on each of which some B_j is a unit, and
+    aggregates these local units into one global unit W of k[X]/(A) with
+    Chinese-remainder selectors.  The slides take B_2 to W (slot cofactors:
+    selector times local inverse), B_1 to 1 (1/W on B_2), the other B_j to
+    1 and then A to X^n (1 on B_1).  A point whose A and B_j do not
+    generate the unit ideal raises FieldError.
     """
     field = p.ring
     if isinstance(field, PolyRing):
@@ -895,81 +885,45 @@ def pd_cert(p: PdPoint) -> Certificate:
     kt = PolyRing(field)
     if n == 0:
         return Certificate("pd", field, (), p, p)
-    one = const(field, field.one)
-    ones = tuple(one for _ in range(d))
-    target = mk_pd(X(field).shift(n - 1), ones)
+    one, nil = const(field, field.one), zero(field)
+    ones, on_b1 = (one,) * d, (one,) + (nil,) * (d - 1)
     steps = []
-    cur = p
+    A, Bs = p.A, tuple(p.Bs)
 
-    def lift(poly):
-        return poly.map_coeffs(lambda c: const(field, c), kt)
+    def slide(A1, Bs1, slot_cofactors):
+        nonlocal A, Bs
+        A_T = _interp_poly(kt, A, A1)
+        Bs_T = tuple(_interp_poly(kt, B, B1) for B, B1 in zip(Bs, Bs1))
+        cofactors = tuple(Poly.make(kt, c.coeffs) for c in slot_cofactors)
+        total = zero(kt)
+        for c, B in zip(cofactors, Bs_T):
+            total = total + c * B
+        quo, rem = poly_divmod(total - const(kt, kt.one), A_T)
+        if not rem.is_zero():
+            raise FieldError("slot cofactors do not give 1 modulo A")
+        steps.append(mk_pd(A_T, Bs_T, (-quo,) + cofactors))
+        A, Bs = A1, tuple(Bs1)
 
-    def push(A_T, Bs_T, cofactors, endpoint):
-        step = mk_pd(A_T, Bs_T, cofactors)
-        steps.append(step)
-        return endpoint
-
-    if any(B != one for B in p.Bs):
-        pieces = _coprime_split(p.A, p.Bs)
-        sel = _crt_selectors(field, [Q for Q, _ in pieces])
-        js = [j for _, j in pieces]
-        W = zero(field)
-        for e, j in zip(sel, js):
-            W = W + e * p.Bs[j]
-        W = poly_divmod(W, p.A)[1]
-        inv_locals = []
-        for Q, j in pieces:
-            g, s, t = poly_xgcd(p.Bs[j], Q)
+    if any(B != one for B in Bs):
+        pieces = _coprime_split(A, Bs)
+        W, slot_cofactors = nil, [nil] * d
+        for e, (Q, j) in zip(_crt_selectors(field, [Q for Q, _ in pieces]), pieces):
+            g, s, _ = poly_xgcd(Bs[j], Q)
             if g.degree != 0:
                 raise FieldError("a piece's B_j is not a unit modulo the piece")
-            inv_locals.append(poly_divmod(s, Q)[1])
-        # step 1: slide slot 2 to W (slot 1 in 0-based indexing)
-        if p.Bs[1] != W:
-            slot_cof = [zero(field) for _ in range(d)]
-            for e, invq, j in zip(sel, inv_locals, js):
-                slot_cof[j] = poly_divmod(slot_cof[j] + e * invq, p.A)[1]
-            Bs_T = [lift(B) for B in p.Bs]
-            Bs_T[1] = _interp_poly(kt, p.Bs[1], W)
-            total = zero(kt)
-            for cof, BT in zip(slot_cof, Bs_T):
-                total = total + lift(cof) * BT
-            quo, rem = poly_divmod(total - const(kt, kt.one), lift(p.A))
-            if not rem.is_zero():
-                raise FieldError("slot cofactors do not give 1 modulo A")
-            cofactors = (-quo,) + tuple(lift(c) for c in slot_cof)
-            new_Bs = list(p.Bs)
-            new_Bs[1] = W
-            cur = push(lift(p.A), tuple(Bs_T), cofactors, mk_pd(p.A, new_Bs))
-        else:
-            cur = mk_pd(p.A, p.Bs)
-        # step 2: slide slot 1 to 1 (W is a global unit mod A)
-        g, s, t = poly_xgcd(W, p.A)
+            W = W + e * Bs[j]
+            slot_cofactors[j] = poly_divmod(slot_cofactors[j] + e * poly_divmod(s, Q)[1], A)[1]
+        W = poly_divmod(W, A)[1]
+        if Bs[1] != W:
+            slide(A, (Bs[0], W) + Bs[2:], slot_cofactors)
+        g, winv, _ = poly_xgcd(W, A)
         if g.degree != 0:
             raise FieldError("W is not a unit modulo A")
-        winv = s
-        if cur.Bs[0] != one:
-            Bs_T = [lift(B) for B in cur.Bs]
-            Bs_T[0] = _interp_poly(kt, cur.Bs[0], one)
-            c_w = lift(winv)
-            c0 = -poly_divmod(c_w * lift(W) - const(kt, kt.one), lift(p.A))[0]
-            cofactors = (c0, zero(kt), c_w) + tuple(zero(kt) for _ in range(d - 2))
-            new_Bs = list(cur.Bs)
-            new_Bs[0] = one
-            cur = push(lift(p.A), tuple(Bs_T), cofactors, mk_pd(p.A, new_Bs))
-        # step 3: slide the remaining slots to 1 simultaneously
-        if any(B != one for B in cur.Bs[1:]):
-            Bs_T = [lift(one)] + [_interp_poly(kt, B, one) for B in cur.Bs[1:]]
-            cofactors = (zero(kt), const(kt, kt.one)) + tuple(
-                zero(kt) for _ in range(d - 1)
-            )
-            cur = push(lift(p.A), tuple(Bs_T), cofactors, mk_pd(p.A, ones))
-    # final step: slide A to X^n
+        if Bs[0] != one:
+            slide(A, (one,) + Bs[1:], (nil, winv) + (nil,) * (d - 2))
+        if any(B != one for B in Bs[1:]):
+            slide(A, ones, on_b1)
     xn = X(field).shift(n - 1)
-    if cur.A != xn:
-        A_T = _interp_poly(kt, cur.A, xn)
-        cofactors = (zero(kt), const(kt, kt.one)) + tuple(
-            zero(kt) for _ in range(d - 1)
-        )
-        cur = push(A_T, tuple(lift(one) for _ in range(d)), cofactors, target)
-    cert = Certificate("pd", field, tuple(steps), p, target)
-    return cert
+    if A != xn:
+        slide(xn, ones, on_b1)
+    return Certificate("pd", field, tuple(steps), p, mk_pd(xn, ones))

@@ -7,12 +7,24 @@ Grammar (whitespace insensitive):
     term   := coeff | coeff "*"? VAR ("^" nat)? | VAR ("^" nat)?
     coeff  := int | int "/" int (over Q) | residue (over F_p)
 
-The ratfun separator is found by trying depth-0 "/" positions from the
-right; coefficient fractions like 1/2 therefore need no parentheses inside
-a poly-only context (matrix entries, --unpointed vectors) but at the top
-level an unparenthesized "/" is read as the numerator/denominator split.
-As a documented convenience, a depth-0 "+" joining two complete rational
-functions denotes their monoid sum.
+The ratfun separator is a depth-0 "/"; coefficient fractions like 1/2
+therefore need no parentheses inside a poly-only context (matrix entries,
+--unpointed vectors) but at the top level an unparenthesized "/" is read as
+the numerator/denominator split.  As a documented convenience, a depth-0
+"+" joining two complete rational functions denotes their monoid sum.
+
+The text is tokenized once; paren depths, the separator candidates and
+the sum's cuts are token indices, and each side is parsed from a slice of
+the one token list.  The poly parser consumes a "/" only between two
+numbers over Q, and never over F_p, so a depth-0 "/" of any other kind is
+the only possible separator, and two of them leave none.  Depth-0 slashes
+between numbers are tried from the right: a numerator that fails rules out
+the splits whose numerators run past the failure, and a denominator that
+fails rules out every split further left, so a few sides are parsed at
+most and parsing is linear in the length of the text.  Building the point
+of a long sum is not: `X/1+...+X/1` of 1000 blocks takes about 5 s over Q
+and 0.3 s over F5, and of 2000 blocks about 23 s and 1.2 s (2-core host,
+Python 3.11), in the monoid sums, not in parsing.
 """
 from __future__ import annotations
 
@@ -62,9 +74,12 @@ def _tokenize(text, var):
 
 
 class _PolyParser:
-    def __init__(self, field, text, var):
+    """Parses the tokens toks[lo:hi] as one poly; the end of input is at
+    toks[hi] (a separator, a parenthesis or the end)."""
+
+    def __init__(self, field, toks, lo, hi):
         self.field = field
-        self.toks = _tokenize(text, var)
+        self.toks = toks[lo:hi] + [("end", "", toks[hi][2])]
         self.k = 0
 
     def peek(self):
@@ -151,55 +166,79 @@ class _PolyParser:
 
 
 def parse_poly(text: str, field, var: str = "X") -> Poly:
-    return _PolyParser(field, text, var).parse()
+    toks = _tokenize(text, var)
+    return _PolyParser(field, toks, 0, len(toks) - 1).parse()
 
 
-def _strip_outer_parens(text: str) -> str:
-    text = text.strip()
-    while text.startswith("(") and text.endswith(")"):
-        depth = 0
-        for i, c in enumerate(text):
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth == 0 and i != len(text) - 1:
-                    return text
-        text = text[1:-1].strip()
-    return text
+def _nesting(toks):
+    """The paren depth before each token, and for each "(" token that is
+    closed, the index of its ")"."""
+    depth, opened, close = [], [], {}
+    d = 0
+    for k, tok in enumerate(toks):
+        depth.append(d)
+        if tok[0] == "(":
+            d += 1
+            opened.append(k)
+        elif tok[0] == ")":
+            d -= 1
+            if opened:
+                close[opened.pop()] = k
+    return depth, close
 
 
-def _depth0_positions(text: str, ch: str):
-    out = []
-    depth = 0
-    for i, c in enumerate(text):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif c == ch and depth == 0:
-            out.append(i)
-    return out
+def _unwrap(toks, close, lo, hi):
+    """toks[lo:hi] without the parentheses that enclose all of it (an
+    unclosed "(" at lo counts as enclosing)."""
+    while (
+        hi - lo >= 2
+        and toks[lo][0] == "("
+        and toks[hi - 1][0] == ")"
+        and close.get(lo, hi) >= hi - 1
+    ):
+        lo, hi = lo + 1, hi - 1
+    return lo, hi
+
+
+def _parse_ratfun_tokens(field, toks, depth, close, lo, hi):
+    slashes = [k for k in range(lo, hi) if toks[k][0] == "/" and depth[k] == 0]
+    if not slashes:
+        raise ParseError("a rational function needs a '/'", toks[hi][2])
+    over_q = isinstance(field, Rationals)
+    free = [
+        k
+        for k in slashes
+        if not (over_q and toks[k - 1][0] == "num" and toks[k + 1][0] == "num")
+    ]
+    if len(free) == 1:
+        tries = free
+    elif free:  # no split exists; the leftmost one reports where it fails
+        tries = slashes[:1]
+    else:
+        tries = slashes[::-1]
+    err = None
+    for k in tries:
+        # a shorter numerator that still runs past err.pos fails there again
+        if err is not None and toks[k - 1][2] > err.pos:
+            continue
+        try:
+            A = _PolyParser(field, toks, *_unwrap(toks, close, lo, k)).parse()
+        except ParseError as exc:
+            err = exc
+            continue
+        # a denominator that fails fails again on every split further left:
+        # it parses on from b as the longer one does from the fraction a/b
+        B = _PolyParser(field, toks, *_unwrap(toks, close, k + 1, hi)).parse()
+        return _classify_pair(field, A, B)
+    raise err
 
 
 def parse_ratfun(text: str, field):
     """Parse a rational function; pointedness is auto-detected (monic
     numerator of strictly larger degree), otherwise the pair becomes an
     unpointed homogeneous point."""
-    body = text.strip()
-    slashes = _depth0_positions(body, "/")
-    if not slashes:
-        raise ParseError("a rational function needs a '/'", len(body))
-    last_err = None
-    for pos in reversed(slashes):
-        try:
-            A = parse_poly(_strip_outer_parens(body[:pos]), field)
-            B = parse_poly(_strip_outer_parens(body[pos + 1 :]), field)
-        except ParseError as exc:
-            last_err = exc
-            continue
-        return _classify_pair(field, A, B)
-    raise last_err
+    toks = _tokenize(text, "X")
+    return _parse_ratfun_tokens(field, toks, *_nesting(toks), 0, len(toks) - 1)
 
 
 def _classify_pair(field, A: Poly, B: Poly):
@@ -215,19 +254,21 @@ def _classify_pair(field, A: Poly, B: Poly):
 
 def parse_ratfun_sum(text: str, field):
     """Parse `f+g+...` where each part is a complete rational function:
-    the documented convenience spelling for the monoid sum."""
-    body = text.strip()
-    segments = []
-    start = 0
-    for cut in _depth0_positions(body, "+"):
-        seg = body[start:cut]
-        if _depth0_positions(seg, "/"):
-            segments.append(seg)
-            start = cut + 1
-    segments.append(body[start:])
-    if len(segments) == 1:
-        return parse_ratfun(body, field)
-    fs = [parse_ratfun(seg, field) for seg in segments]
+    the documented convenience spelling for the monoid sum.  A depth-0 "+"
+    ends a part when the part has a depth-0 "/"."""
+    toks = _tokenize(text, "X")
+    depth, close = _nesting(toks)
+    parts, lo, slash = [], 0, False
+    for k, tok in enumerate(toks):
+        if depth[k] == 0 and tok[0] == "/":
+            slash = True
+        elif depth[k] == 0 and tok[0] == "+" and slash:
+            parts.append((lo, k))
+            lo, slash = k + 1, False
+    parts.append((lo, len(toks) - 1))
+    fs = [_parse_ratfun_tokens(field, toks, depth, close, lo, hi) for lo, hi in parts]
+    if len(fs) == 1:
+        return fs[0]
     if any(isinstance(f, UnpointedRat) for f in fs):
         raise ParseError("monoid sums need pointed summands", 0)
     return oplus_all(fs[0].ring, fs)

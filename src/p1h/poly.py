@@ -487,21 +487,30 @@ def resultant_nn(a: Poly, b: Poly, n: int):
     descending, both padded to degree n (the tests' reference; it is not
     built here).
 
-    For monic a of degree n the resultant is prod b(alpha) over the roots of
-    a: over a field it is read off remainder_sequence(a, b) in O(n^2)
-    operations (sequence_resultant); over k[T] it is the determinant of
-    multiplication by b on R[X]/(a) (_mult_matrix).  Otherwise (a not monic,
-    or of degree below n) it is (-1)^{n(n-1)/2} det Bez_n(a, b), the n x n
-    Bezoutian (bezout_coeffs).
+    Over a field every pair is read off one remainder_sequence, O(n^2)
+    operations (sequence_resultant, for a monic of degree n: the product of
+    b(alpha) over the roots of a).  Scaling the n a-rows gives
+    res(a, b) = lc(a)^n res(a/lc(a), b) when deg a = n; swapping the two
+    blocks of n rows gives (-1)^n res(b, a) when deg a < n = deg b; and when
+    both degrees are below n the first column is zero.  Over k[T] a monic a
+    of degree n takes the determinant of multiplication by b on R[X]/(a)
+    (_mult_matrix), and every other pair (-1)^{n(n-1)/2} det Bez_n(a, b),
+    the n x n Bezoutian (bezout_coeffs).
     """
     if n < max(a.degree, b.degree):
         raise FieldError("formal degree below an actual degree")
     R = a.ring
     if n == 0:
         return R.one
+    if not isinstance(R, PolyRing):
+        if a.degree < n:
+            if b.degree < n:
+                return R.zero
+            r = resultant_nn(b, a, n)
+            return R.neg(r) if n % 2 else r
+        r = sequence_resultant(*remainder_sequence(a.monic(), b))
+        return R.mul(R.pow(a.lead, n), r)
     if a.degree == n and a.is_monic():
-        if not isinstance(R, PolyRing):
-            return sequence_resultant(*remainder_sequence(a, b))
         return linalg.det(R, _mult_matrix(a, b, n))
     d = linalg.det(R, bezout_coeffs(a, b, n))
     return R.neg(d) if n * (n - 1) // 2 % 2 else d

@@ -21,9 +21,10 @@ import pytest
 
 import p1h
 from p1h.bezout_hankel import SymMatrix
-from p1h.fields import GF, QQ
+from p1h.fields import GF, QQ, Rationals
 from p1h.poly import Poly, PolyRing, X, const, poly_divmod
-from p1h.ratmap import mk_pointed, monomial_sum, oplus, x_over
+from p1h import expr
+from p1h.ratmap import UnpointedRat, mk_pointed, monomial_sum, oplus, oplus_all, x_over
 
 
 def block_sum(S1, S2):
@@ -272,6 +273,197 @@ def run_optimized(script, *args):
         [sys.executable, "-O", "-c", script, *args],
         capture_output=True, text=True, env=p1h_env(), check=True, timeout=120,
     ).stdout
+
+
+# ---------------------------------------------------------------------------
+# The expression parser as it was before it tokenized once: each try of a
+# ratfun separator re-tokenizes both sides from text, and each sum part is
+# rescanned as it grows.  Quadratic in the length, but the reference that the
+# token-slice parser (p1h.expr) is checked against, value for value and
+# exception type for exception type.
+# ---------------------------------------------------------------------------
+
+
+def _ref_tokenize(text, var):
+    toks = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            toks.append(("num", text[i:j], i))
+            i = j
+            continue
+        if c in "+-*/^()":
+            toks.append((c, c, i))
+            i += 1
+            continue
+        if c.upper() == var.upper():
+            toks.append(("var", var, i))
+            i += 1
+            continue
+        raise expr.ParseError(f"unexpected character {c!r}", i)
+    toks.append(("end", "", len(text)))
+    return toks
+
+
+class _RefPolyParser:
+    def __init__(self, field, text, var):
+        self.field = field
+        self.toks = _ref_tokenize(text, var)
+        self.k = 0
+
+    def peek(self):
+        return self.toks[self.k]
+
+    def take(self, kind=None):
+        tok = self.toks[self.k]
+        if kind and tok[0] != kind:
+            raise expr.ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        self.k += 1
+        return tok
+
+    def parse(self) -> Poly:
+        p = self.parse_poly()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise expr.ParseError(f"trailing input {tok[1]!r}", tok[2])
+        return p
+
+    def parse_poly(self) -> Poly:
+        field = self.field
+        coeffs: dict[int, object] = {}
+        sign = 1
+        if self.peek()[0] in "+-":
+            sign = -1 if self.take()[0] == "-" else 1
+        while True:
+            exp, c = self.parse_term()
+            if sign < 0:
+                c = field.neg(c)
+            coeffs[exp] = field.add(coeffs.get(exp, field.zero), c)
+            tok = self.peek()
+            if tok[0] in "+-":
+                sign = -1 if self.take()[0] == "-" else 1
+                continue
+            break
+        deg = max(coeffs) if coeffs else 0
+        return Poly.make(field, [coeffs.get(i, field.zero) for i in range(deg + 1)])
+
+    def parse_term(self):
+        field = self.field
+        tok = self.peek()
+        if tok[0] == "num":
+            c = self.parse_coeff()
+            if self.peek()[0] == "*":
+                self.take()
+                self.take("var")
+                return self.parse_power(), c
+            if self.peek()[0] == "var":
+                self.take()
+                return self.parse_power(), c
+            return 0, c
+        if tok[0] == "var":
+            self.take()
+            return self.parse_power(), field.one
+        raise expr.ParseError(f"expected a term, found {tok[1]!r}", tok[2])
+
+    def parse_power(self):
+        if self.peek()[0] == "^":
+            self.take()
+            tok = self.take("num")
+            exp = int(tok[1])
+            if exp > expr.MAX_EXPONENT:
+                raise expr.ParseError(f"exponent {exp} exceeds {expr.MAX_EXPONENT}", tok[2])
+            return exp
+        return 1
+
+    def parse_coeff(self):
+        field = self.field
+        num = int(self.take("num")[1])
+        if self.peek()[0] == "/" and isinstance(field, Rationals):
+            # only consumed in poly-only contexts; at the ratfun level the
+            # split has already removed the separator
+            save = self.k
+            self.take()
+            if self.peek()[0] == "num":
+                den = int(self.take("num")[1])
+                if den == 0:
+                    raise expr.ParseError("zero denominator", self.toks[save][2])
+                return Fraction(num, den)
+            self.k = save
+        return field.from_int(num)
+
+
+def ref_parse_poly(text: str, field, var: str = "X") -> Poly:
+    return _RefPolyParser(field, text, var).parse()
+
+
+def _ref_strip_outer_parens(text: str) -> str:
+    text = text.strip()
+    while text.startswith("(") and text.endswith(")"):
+        depth = 0
+        for i, c in enumerate(text):
+            if c == "(":
+                depth += 1
+            elif c == ")":
+                depth -= 1
+                if depth == 0 and i != len(text) - 1:
+                    return text
+        text = text[1:-1].strip()
+    return text
+
+
+def _ref_depth0_positions(text: str, ch: str):
+    out = []
+    depth = 0
+    for i, c in enumerate(text):
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        elif c == ch and depth == 0:
+            out.append(i)
+    return out
+
+
+def ref_parse_ratfun(text: str, field):
+    body = text.strip()
+    slashes = _ref_depth0_positions(body, "/")
+    if not slashes:
+        raise expr.ParseError("a rational function needs a '/'", len(body))
+    last_err = None
+    for pos in reversed(slashes):
+        try:
+            A = ref_parse_poly(_ref_strip_outer_parens(body[:pos]), field)
+            B = ref_parse_poly(_ref_strip_outer_parens(body[pos + 1 :]), field)
+        except expr.ParseError as exc:
+            last_err = exc
+            continue
+        return expr._classify_pair(field, A, B)
+    raise last_err
+
+
+def ref_parse_ratfun_sum(text: str, field):
+    body = text.strip()
+    segments = []
+    start = 0
+    for cut in _ref_depth0_positions(body, "+"):
+        seg = body[start:cut]
+        if _ref_depth0_positions(seg, "/"):
+            segments.append(seg)
+            start = cut + 1
+    segments.append(body[start:])
+    if len(segments) == 1:
+        return ref_parse_ratfun(body, field)
+    fs = [ref_parse_ratfun(seg, field) for seg in segments]
+    if any(isinstance(f, UnpointedRat) for f in fs):
+        raise expr.ParseError("monoid sums need pointed summands", 0)
+    return oplus_all(fs[0].ring, fs)
 
 
 @pytest.fixture

@@ -175,6 +175,38 @@ class TestResultant:
             B = _rand_poly(F3, rng, rng.randrange(0, 4))
             assert resultant_nn(A, B, 3) == perm_det(F3, sylvester_nn(A, B, 3))
 
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+    def test_field_pairs_of_every_shape_against_sylvester(self, field, rng):
+        """Over a field every pair takes one remainder sequence: non-monic A
+        of degree n (the lead scaled out), deg A < n = deg B (the blocks
+        swapped) and both below n (a zero first column), against the
+        Sylvester determinant expanded by permutations."""
+        shapes = Counter()
+        for n in (1, 2, 3):
+            for _ in range(40 if n == 3 else 80):
+                shape = rng.choice(("non-monic", "deg A < n", "both below n"))
+                if shape == "non-monic":
+                    A = _rand_poly(field, rng, n)
+                    B = _rand_poly(field, rng, rng.randrange(-1, n + 1))
+                elif shape == "deg A < n":
+                    A = _rand_poly(field, rng, rng.randrange(-1, n))
+                    B = _rand_poly(field, rng, n)
+                else:
+                    A = _rand_poly(field, rng, rng.randrange(-1, n))
+                    B = _rand_poly(field, rng, rng.randrange(-1, n))
+                got = resultant_nn(A, B, n)
+                assert got == perm_det(field, sylvester_nn(A, B, n)), (A, B, n)
+                if A.degree == n:
+                    shapes["non-monic" if not A.is_monic() else "monic"] += 1
+                elif B.degree == n:
+                    shapes["deg A < n"] += 1
+                else:
+                    shapes["both below n"] += 1
+                shapes["unit"] += not field.is_zero(got)
+        assert min(shapes[s] for s in ("deg A < n", "both below n", "unit")) >= 20, shapes
+        if field != GF(2):  # over F2 a lead that is not zero is 1
+            assert shapes["non-monic"] >= 20, shapes
+
     def test_kt_exhaustive_f2_against_sylvester(self):
         """Over F2[T], every pair of T-degree <= 1 at formal degree n <= 2:
         the monic route (multiplication matrix) and the rest (Bezoutian)

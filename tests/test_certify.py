@@ -948,6 +948,66 @@ class TestPdCert:
         with pytest.raises(Exception, match="unsupported|prime"):
             pd_cert(p)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_seeded_points_verify(self, p, d, rng):
+        F = GF(p)
+        one = const(F, 1)
+        split = 0
+        def monic(k):
+            return Poly.make(F, [rng.randrange(p) for _ in range(k)] + [1])
+
+        for i in range(40):
+            while True:
+                n = rng.randrange(1, 4) if i % 2 else 3
+                A = monic(n)
+                Bs = [Poly.make(F, [rng.randrange(p) for _ in range(n)]) for _ in range(d)]
+                if i % 2 == 0:
+                    # A = P Q with P dividing B_1: W is assembled from pieces
+                    P = monic(rng.randrange(1, 3))
+                    A = P * monic(n - P.degree)
+                    Bs[0] = P * Poly.make(F, [rng.randrange(p) for _ in range(n - P.degree)])
+                try:
+                    pt = mk_pd(A, Bs)
+                    break
+                except FieldError:
+                    continue
+            cert = pd_cert(pt)
+            assert verify(cert), verify(cert).reason
+            assert cert.target.A == X(F).shift(n - 1) and cert.target.Bs == (one,) * d
+            if any(B != one for B in Bs):
+                split += len(_coprime_split(A, tuple(Bs))) > 1
+        assert split >= 3  # points whose unit W needs the CRT pieces
+
+    def test_every_step_is_one_slide(self, monkeypatch, rng):
+        """pd_cert builds one mk_pd per step plus the target, and each step
+        interpolates A and every B_j through _interp_poly."""
+        import p1h.certify as certify
+
+        calls = {"mk_pd": 0, "_interp_poly": 0}
+
+        def spy(name):
+            real = getattr(certify, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(certify, name, wrapped)
+
+        spy("mk_pd")
+        spy("_interp_poly")
+        F5 = GF(5)
+        seen = set()
+        for _ in range(60):
+            pt, _ = _random_pd_point(F5, rng.choice([2, 3]), rng)
+            calls.update(mk_pd=0, _interp_poly=0)
+            cert = pd_cert(pt)
+            assert calls["mk_pd"] == len(cert.steps) + 1
+            assert calls["_interp_poly"] == len(cert.steps) * (pt.d + 1)
+            seen.add(len(cert.steps))
+        assert seen >= {3, 4}
+
     def test_every_enumerated_point_f2(self):
         from p1h import oracle as oc
 

@@ -13,11 +13,11 @@ from p1h.certify import connect, pd_cert, unpointed_connect
 from p1h.classify import mk_pd
 from p1h.cli import main
 from p1h.expr import ParseError, format_ratfun, parse_poly, parse_ratfun, parse_ratfun_sum
-from p1h.fields import GF, QQ
+from p1h.fields import GF, QQ, FieldError
 from p1h.poly import X, const
-from p1h.ratmap import PointedRat, UnpointedRat, mk_pointed, oplus, x_over
+from p1h.ratmap import PointedRat, RejectedPoint, UnpointedRat, mk_pointed, oplus, x_over
 
-from conftest import p1h_env, random_point, run_optimized
+from conftest import p1h_env, random_point, ref_parse_ratfun, ref_parse_ratfun_sum, run_optimized
 
 
 def _block_sum_60():
@@ -89,6 +89,130 @@ class TestParser:
 
     def test_whitespace_insensitive(self):
         assert parse_ratfun(" ( X^2 - 1 ) / X ", QQ) == parse_ratfun("(X^2-1)/X", QQ)
+
+
+# Expressions of 1-16 tokens over the grammar's alphabet: digits run together
+# into longer numbers and exponents (`3/4` then `X^2` then `70` is 3/4X^270).
+_TOKENS = st.one_of(
+    st.sampled_from(["X", " ", "/", "+", "-", "*", "^", "(", ")", "3/4", "X^2", "X^"]),
+    st.integers(0, 9).map(str),
+    st.integers(10, 999).map(str),
+)
+_EXPRESSIONS = st.lists(_TOKENS, min_size=1, max_size=16).map("".join)
+_FIELDS = st.sampled_from([QQ, GF(2), GF(5), GF(101)])
+
+
+class TestExpressionBoundary:
+    @settings(derandomize=True, max_examples=2000, deadline=1000, database=None)
+    @given(text=_EXPRESSIONS, field=_FIELDS)
+    def test_fuzz_parses_or_refuses_within_a_second(self, text, field):
+        """Untrusted expressions: a value or an input error, each within the
+        deadline (3/4X^270 over Q took over 2 s when unpointed points
+        came from an n x n determinant)."""
+        try:
+            parse_ratfun_sum(text, field)
+        except (ParseError, FieldError, RejectedPoint):
+            pass
+
+    @settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+    @given(text=st.lists(st.one_of(_TOKENS, st.just("y")), min_size=1, max_size=16).map("".join),
+           field=_FIELDS)
+    def test_token_slices_agree_with_the_text_parser(self, text, field):
+        """The parser against the one that re-tokenized each side from text
+        (conftest): the same value or the same exception type.  One change
+        is meant: a character outside the grammar is a ParseError for the
+        whole text, before any part of a sum is built."""
+
+        def outcome(parse):
+            try:
+                return parse(text, field)
+            except (ParseError, FieldError, RejectedPoint) as exc:
+                return type(exc)
+
+        for parse, reference in ((parse_ratfun_sum, ref_parse_ratfun_sum),
+                                 (parse_ratfun, ref_parse_ratfun)):
+            got = outcome(parse)
+            if "y" in text:
+                assert got is ParseError
+            else:
+                assert got == outcome(reference), text
+
+    @pytest.mark.parametrize("text", [
+        "1" + "/1" * 8191,
+        "X+" * 8191 + "X/1",
+        "X+" * 4095 + "X/1" + "/1" * 4095,
+        "X/1" + "-1/2" * 4095,
+        "1/2-" * 4095 + "X^",
+        "(" * 4095 + "X" + ")" * 4095 + "/1",
+    ], ids=["slashes", "sum-one-slash", "sum-then-slashes", "fraction-differences",
+            "fractions-error-at-end", "nested-parens"])
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+    def test_16k_inputs_parse_in_linear_time(self, text, field):
+        # the first four took 24.5, 3.7, 72 and 11.7 s over Q, and the fifth
+        # over 40 s, when each try of a "/" re-tokenized both sides
+        import time
+
+        t0 = time.perf_counter()
+        try:
+            parse_ratfun_sum(text, field)
+        except (ParseError, FieldError, RejectedPoint):
+            pass
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_foreign_character_is_refused_before_any_part_is_built(self):
+        # "X/X" alone is a RejectedPoint; the whole text is tokenized first
+        with pytest.raises(ParseError, match="unexpected character 'y'"):
+            parse_ratfun_sum("X/X+X/1+y", QQ)
+
+
+def _run_bounded(argv, seconds):
+    """`python -m p1h argv` in a child process with a wall timeout and a
+    1 GiB address-space limit, both on the child only."""
+    import resource
+    import subprocess
+    import sys
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "p1h", *argv], capture_output=True, text=True,
+        env=p1h_env(), timeout=seconds, preexec_fn=limit,
+    )
+
+
+class TestUntrustedInputInAChild:
+    """Inputs that once hung the tool, each run as a user runs it: exit 0, 1
+    or 2, no traceback, and a finish within 5 s."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--unpointed", "--field", "Q", "1/X^1000"],
+        ["classify", "--unpointed", "--field", "F7", "1/X^1000"],
+        ["classify", "--field", "Q", "1" + "/1" * 8191],
+        ["classify", "--field", "Q", "X+" * 8191 + "X/1"],
+        ["classify", "--field", "Q", "X+" * 4095 + "X/1" + "/1" * 4095],
+        ["classify", "--field", "Q", "X/1" + "-1/2" * 4095],
+        ["classify", "--field", "Q", "1/2-" * 4095 + "X^"],
+        ["compose", "--field", "F7", "X^1000/(X+1)", "X^1000/(X+1)"],
+        ["bezout", "--field", "F7", "X^1000/(1+X)"],
+        ["hankel", "--field", "F7", "X^1000/(1+X)"],
+    ], ids=["unpointed-Q", "unpointed-F7", "slashes", "sum-one-slash", "sum-then-slashes",
+            "fraction-differences", "fractions-error-at-end", "compose-cap", "bezout-cap",
+            "hankel-cap"])
+    def test_exits_cleanly_within_budget(self, argv):
+        import time
+
+        t0 = time.perf_counter()
+        out = _run_bounded(argv, 5.0)
+        assert time.perf_counter() - t0 < 5.0
+        assert out.returncode in (0, 1, 2), out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_unpointed_degree_1000_classifies(self):
+        for field in ("Q", "F7"):
+            out = _run_bounded(["classify", "--unpointed", "--field", field, "1/X^1000"], 5.0)
+            assert out.returncode == 0, out.stderr
+            assert json.loads(out.stdout)["degree"] == 1000
 
 
 class TestCommands:
