@@ -174,7 +174,8 @@ def _step_valid(kind, step, field):
 
 
 def _coords(kind, field, p, t=None):
-    """The coefficient vectors of a point, or of a step at T = t, in the one
+    """The coefficient vectors of a point, or of a step at T = t for t = 0
+    or 1 (read directly: constant terms, coefficient sums), in the one
     form endpoint equality compares: lowest degree first, padded with zeros
     to length n+1, and for an unpointed point scaled so that the first
     nonzero coordinate is 1.  A point of a step that passes `_step_valid` is
@@ -186,9 +187,12 @@ def _coords(kind, field, p, t=None):
         return p.avec, p.bvec  # stored padded and scaled
     polys = (p.A, *p.Bs) if kind == "pd" else (p.A, p.B)
     vecs = [P.coeffs for P in polys]
-    if t is not None:
-        t = field.coerce(t)
-        vecs = [[c.eval(t) for c in v] for v in vecs]
+    if t == 0:  # the constant terms
+        vecs = [[c.coeffs[0] if c.coeffs else field.zero for c in v] for v in vecs]
+    elif t == 1 and field.char:  # the coefficient sums
+        vecs = [[sum(c.coeffs) % field.char for c in v] for v in vecs]
+    elif t == 1:
+        vecs = [[sum(c.coeffs, field.zero) for c in v] for v in vecs]
     pad = [field.zero] * (p.n + 1)
     vecs = tuple(tuple(v) + tuple(pad[len(v):]) for v in vecs)
     return projective_normal(field, vecs) if kind == "unpointed" else vecs

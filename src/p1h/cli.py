@@ -42,6 +42,15 @@ def _field(args):
         raise CliError(str(exc))
 
 
+def _quote(text: str) -> str:
+    """The expression as an error message quotes it: whole up to 80
+    characters, else its first 80 and its length (a parse error's
+    position locates the fault in the rest)."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:80]!r}... ({len(text)} characters)"
+
+
 def _parse_fn(args, text, allow_sum=False, want_unpointed=False):
     field = _field(args)
     try:
@@ -49,14 +58,14 @@ def _parse_fn(args, text, allow_sum=False, want_unpointed=False):
             return _parse_unpointed_vectors(field, text)
         f = parse_ratfun_sum(text, field) if allow_sum else parse_ratfun(text, field)
     except (ParseError, RejectedPoint, FieldError) as exc:
-        raise CliError(f"cannot parse {text!r}: {exc}")
+        raise CliError(f"cannot parse {_quote(text)}: {exc}")
     if want_unpointed and isinstance(f, PointedRat):
         from .ratmap import unpointed_of_pointed
 
         return unpointed_of_pointed(f)
     if not want_unpointed and isinstance(f, UnpointedRat):
         raise CliError(
-            f"{text!r} is not pointed (numerator must be monic of larger degree)"
+            f"{_quote(text)} is not pointed (numerator must be monic of larger degree)"
         )
     return f
 
@@ -71,7 +80,7 @@ def _parse_unpointed_vectors(field, text):
         # input is written highest degree first
         return mk_unpointed(field, avec[::-1], bvec[::-1])
     except (ValueError, FieldError, RejectedPoint) as exc:
-        raise CliError(f"bad unpointed vector {text!r}: {exc}")
+        raise CliError(f"bad unpointed vector {_quote(text)}: {exc}")
 
 
 def _parse_pd(args, text):
@@ -84,7 +93,7 @@ def _parse_pd(args, text):
         Bs = [parse_poly(p, field) for p in parts[1:]]
         return classify.mk_pd(A, Bs)
     except (ParseError, FieldError) as exc:
-        raise CliError(f"bad P^d point {text!r}: {exc}")
+        raise CliError(f"bad P^d point {_quote(text)}: {exc}")
 
 
 def _parse_kt_matrix(args, text):
@@ -97,7 +106,7 @@ def _parse_kt_matrix(args, text):
         ]
         return SymMatrix.make(kt, rows)
     except (ParseError, FieldError) as exc:
-        raise CliError(f"bad matrix {text!r}: {exc}")
+        raise CliError(f"bad matrix {_quote(text)}: {exc}")
 
 
 def _emit(args, payload, text):

@@ -9,7 +9,8 @@ polynomial in X whose coefficients are polynomials in T.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add, neg, sub
 from typing import Iterable
 
 from . import linalg
@@ -20,7 +21,15 @@ class Poly:
     """An immutable value: equal and hashed as (ring, coeffs).  A slotted
     class rather than a frozen dataclass, because every k[T] product builds
     several, and writing the slots through their descriptors costs about
-    0.6 of the dataclass's construction."""
+    0.6 of the dataclass's construction.
+
+    Stored coefficients are canonical ring elements: F_p residues are ints
+    in [0, p), rationals are Fractions (in lowest terms, as Fraction keeps
+    them), and k[T] entries are trimmed Polys over the base field.  So a
+    zero coefficient is falsy (an empty Poly has no coefficients), and
+    equality with ring.one is the ring's own test; the arithmetic below
+    relies on both.  Poly.make coerces into that form; the constructor and
+    Poly.trimmed take it as given."""
 
     __slots__ = ("ring", "coeffs")
 
@@ -55,10 +64,14 @@ class Poly:
 
     @staticmethod
     def trimmed(ring, cs: list) -> "Poly":
-        """A list of ring elements, trailing zeros dropped; for arithmetic,
-        whose results are ring elements already."""
-        while cs and ring.is_zero(cs[-1]):
-            cs.pop()
+        """A list of canonical ring elements, trailing zeros dropped; for
+        arithmetic, whose results are ring elements already."""
+        if ring.__class__ is PolyRing:
+            while cs and not cs[-1].coeffs:
+                cs.pop()
+        else:
+            while cs and not cs[-1]:
+                cs.pop()
         return Poly(ring, tuple(cs))
 
     # -- basic structure --------------------------------------------------
@@ -87,26 +100,45 @@ class Poly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.ring.zero
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and _ring_is_one(self.ring, self.lead)
+        return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
 
     # -- arithmetic -------------------------------------------------------
+
+    # __add__ and __sub__ branch once on the coefficient ring, not once per
+    # coefficient through ring.add and ring.sub: F_p sums reduce inline,
+    # rationals add as they are, and k[T] entries recurse.
 
     def __add__(self, other: "Poly") -> "Poly":
         R = self.ring
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = R.add(out[i], c)
+        if R.__class__ is PolyRing:
+            out = list(map(_poly_add, a, b))
+        elif R.char:
+            p = R.char
+            out = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            out = list(map(add, a, b))
+        if len(a) > len(b):
+            return Poly(R, (*out, *a[len(b):]))
         return Poly.trimmed(R, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         R = self.ring
         a, b = self.coeffs, other.coeffs
-        out = list(a) + [R.zero] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = R.sub(out[i], c)
+        if R.__class__ is PolyRing:
+            out = list(map(_poly_sub, a, b))
+            tail = map(neg, b[len(a):])
+        elif R.char:
+            p = R.char
+            out = [(x - y) % p for x, y in zip(a, b)]
+            tail = [-y % p for y in b[len(a):]]
+        else:
+            out = list(map(sub, a, b))
+            tail = map(neg, b[len(a):])
+        if len(a) != len(b):
+            return Poly(R, (*out, *a[len(b):], *tail))
         return Poly.trimmed(R, out)
 
     def __neg__(self) -> "Poly":
@@ -214,6 +246,8 @@ class Poly:
 _set_ring = Poly.ring.__set__
 _set_coeffs = Poly.coeffs.__set__
 _coeffs = Poly.coeffs.__get__
+_poly_add = Poly.__add__
+_poly_sub = Poly.__sub__
 
 
 # Slot runs longer than this are packed and read in two halves, so a run of
@@ -263,10 +297,6 @@ def _cleared(cs: list) -> tuple[list, int]:
     (D * cs, D)."""
     den = lcm(*[c.denominator for c in cs])
     return [c.numerator * (den // c.denominator) for c in cs], den
-
-
-def _ring_is_one(ring, c) -> bool:
-    return ring.is_zero(ring.sub(c, ring.one))
 
 
 def poly(ring, coeffs: Iterable) -> Poly:
@@ -386,28 +416,110 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Euclidean division a = b*q + r with deg r < deg b.
 
     Requires an invertible leading coefficient on b; over k[T] that means a
-    nonzero constant (practically: a monic divisor).
+    nonzero constant (practically: a monic divisor).  Over a base field the
+    division runs on integers (_divmod_fp, _divmod_q); over k[T] it is the
+    schoolbook loop through the ring's own operations.
     """
     R = a.ring
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    if not R.is_unit(b.lead):
+    nested = R.__class__ is PolyRing
+    if nested and not R.is_unit(b.lead):
         raise FieldError("non-monic divisor over polynomial ring")
+    if len(a.coeffs) < len(b.coeffs):
+        return Poly(R, ()), a
+    if not nested:  # the quotient's top digit is lc(a)/lc(b), nonzero
+        if R.char:
+            q, r = _divmod_fp(a.coeffs, b.coeffs, R.char)
+        else:
+            q, r = _divmod_q(a.coeffs, b.coeffs)
+        return Poly(R, tuple(q)), Poly.trimmed(R, r)
     inv_lead = R.inv(b.lead)
     rem = list(a.coeffs)
     db = b.degree
-    if a.degree < db:
-        return Poly(R, ()), a
     q = [R.zero] * (a.degree - db + 1)
     for i in range(a.degree - db, -1, -1):
         c = rem[i + db]
-        if R.is_zero(c):
+        if not c.coeffs:
             continue
-        factor = R.mul(c, inv_lead)
+        factor = c * inv_lead
         q[i] = factor
         for j, bc in enumerate(b.coeffs):
-            rem[i + j] = R.sub(rem[i + j], R.mul(factor, bc))
+            rem[i + j] = rem[i + j] - factor * bc
     return Poly.trimmed(R, q), Poly.trimmed(R, rem[:db])
+
+
+def _divmod_fp(a: tuple, b: tuple, p: int) -> tuple[list, list]:
+    """Quotient and remainder coefficients of residues a by b != 0 mod p,
+    deg a >= deg b.  One inverse of the lead; the remainder entries are
+    reduced only when read, as a quotient digit or at the end (each is a
+    sum of at most deg b products below p^2)."""
+    n = len(b) - 1
+    inv, low = pow(b[-1], -1, p), b[:-1]
+    rem = list(a)
+    q = [0] * (len(a) - n)
+    for i in range(len(q) - 1, -1, -1):
+        c = rem[i + n] * inv % p
+        if c:
+            q[i] = c
+            for j, x in enumerate(low, i):
+                rem[j] -= c * x
+    return q, [c % p for c in rem[:n]]
+
+
+def _divmod_q(a: tuple, b: tuple) -> tuple[list, list]:
+    """Quotient and remainder coefficients of rationals a by b != 0,
+    deg a >= deg b, by pseudo-division on integers.  A constant b scales
+    each coefficient.  Otherwise b = c B/D_b with B integral and primitive,
+    lead beta > 0, and the steps divide a by B from the top on a window of
+    integers W over one scale M, the window's values being W/M.  M grows
+    only when it must: by the part of a coefficient's denominator it lacks
+    when that coefficient enters the window, and by g = beta/gcd(top, beta)
+    when a step's top is not divisible by beta, so that each quotient digit
+    is an exact integer division.  An integral a divided exactly by a
+    primitive B never scales (its quotient is integral, by Gauss's lemma),
+    and a digit is read over the scale of its own step, not the last one.
+    Digit i, read as the integer t_i at scale M_i, is
+    q_i = t_i D_b / (c M_i), and the remainder is W/M at the end: one
+    Fraction per nonzero coefficient (von zur Gathen and Gerhard, Modern
+    Computer Algebra, 2.4 and 6.12)."""
+    if len(b) == 1:
+        inv = 1 / b[0]
+        return [x * inv for x in a], []
+    B, db = _cleared(b)
+    c = gcd(*B)
+    if B[-1] < 0:
+        c = -c
+    if c != 1:
+        B = [x // c for x in B]
+    n = len(B) - 1
+    beta, low = B[-1], B[:-1]
+    m = len(a) - n
+    q, qs = [0] * m, [1] * m
+    rem, M = [0] * len(a), 1
+    for i in range(len(a) - 1, -1, -1):
+        x = a[i]
+        v = x.denominator
+        if M % v:  # coefficient i enters with a new denominator
+            g = v // gcd(M, v)
+            rem[i + 1:i + n + 1] = map(g.__mul__, rem[i + 1:i + n + 1])
+            M *= g
+        rem[i] = x.numerator * (M // v)
+        if i >= m:  # the window is not full yet
+            continue
+        t = rem[i + n]
+        if not t:
+            continue
+        g = beta // gcd(t, beta)
+        if g != 1:
+            rem[i:i + n + 1] = map(g.__mul__, rem[i:i + n + 1])
+            M *= g
+        t = rem[i + n] // beta
+        q[i], qs[i] = t, M
+        for j, y in enumerate(low, i):
+            rem[j] -= t * y
+    return ([Fraction(x * db, s * c) if x else _Q_ZERO for x, s in zip(q, qs)],
+            [Fraction(x, M) if x else _Q_ZERO for x in rem[:n]])
 
 
 def remainder_sequence(a: Poly, b: Poly) -> tuple[tuple, Poly]:

@@ -40,12 +40,15 @@ def poly_to_json(p: Poly):
 
 
 def poly_from_json(ring, data) -> Poly:
+    """elem_from_json validates each coefficient and returns it canonical,
+    so the lists are only trimmed, not coerced again."""
     if isinstance(ring, PolyRing):
-        return Poly.make(
+        base = ring.base
+        return Poly.trimmed(
             ring,
-            [Poly.make(ring.base, [elem_from_json(ring.base, c) for c in cs]) for cs in data],
+            [Poly.trimmed(base, [elem_from_json(base, c) for c in cs]) for cs in data],
         )
-    return Poly.make(ring, [elem_from_json(ring, c) for c in data])
+    return Poly.trimmed(ring, [elem_from_json(ring, c) for c in data])
 
 
 def point_to_json(p):

@@ -21,7 +21,7 @@ import pytest
 
 import p1h
 from p1h.bezout_hankel import SymMatrix
-from p1h.fields import GF, QQ, Rationals
+from p1h.fields import GF, QQ, FieldError, Rationals
 from p1h.poly import Poly, PolyRing, X, const, poly_divmod
 from p1h import expr
 from p1h.ratmap import UnpointedRat, mk_pointed, monomial_sum, oplus, oplus_all, x_over
@@ -43,18 +43,72 @@ def _convolve(a, b, zero, add, mul):
     return out
 
 
+def _trim(ring, cs):
+    """A Poly of the list cs with trailing zeros dropped by the ring's own
+    zero test (independent of Poly.trimmed)."""
+    cs = list(cs)
+    while cs and ring.is_zero(cs[-1]):
+        cs.pop()
+    return Poly(ring, tuple(cs))
+
+
+def _entry_ops(K):
+    """add, sub and mul of k[T] entries through the base field's own
+    operations (independent of Poly.__add__, __sub__ and __mul__)."""
+
+    def zip_with(op):
+        def f(u, v):
+            n = max(len(u.coeffs), len(v.coeffs))
+            return _trim(K, [op(u.coeff(i), v.coeff(i)) for i in range(n)])
+
+        return f
+
+    def mul(u, v):
+        return _trim(K, _convolve(u.coeffs, v.coeffs, K.zero, K.add, K.mul))
+
+    return zip_with(K.add), zip_with(K.sub), mul
+
+
 def schoolbook_mul(x, y):
     """x * y by the double loop, at both levels over k[T], with the base
     field's own add and mul (independent of Poly.__mul__, which packs)."""
     R = x.ring
     if not isinstance(R, PolyRing):
-        return Poly.trimmed(R, _convolve(x.coeffs, y.coeffs, R.zero, R.add, R.mul))
-    K = R.base
+        return _trim(R, _convolve(x.coeffs, y.coeffs, R.zero, R.add, R.mul))
+    add, _, mul = _entry_ops(R.base)
+    return _trim(R, _convolve(x.coeffs, y.coeffs, R.zero, add, mul))
 
-    def mul(u, v):
-        return Poly.trimmed(K, _convolve(u.coeffs, v.coeffs, K.zero, K.add, K.mul))
 
-    return Poly.trimmed(R, _convolve(x.coeffs, y.coeffs, R.zero, Poly.__add__, mul))
+def schoolbook_divmod(a, b):
+    """a = b*q + r, deg r < deg b, by the schoolbook loop: one call of the
+    coefficient ring's own operations per coefficient, over k[T] the entry
+    operations above (independent of poly_divmod's integer kernels)."""
+    R = a.ring
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if isinstance(R, PolyRing):
+        K = R.base
+        _, sub, mul = _entry_ops(K)
+        if not b.lead.coeffs or b.lead.degree > 0:
+            raise FieldError("non-monic divisor over polynomial ring")
+        inv_lead = Poly(K, (K.inv(b.lead.coeffs[0]),))
+    else:
+        sub, mul = R.sub, R.mul
+        inv_lead = R.inv(b.lead)
+    db = b.degree
+    if a.degree < db:
+        return Poly(R, ()), a
+    rem = list(a.coeffs)
+    q = [R.zero] * (a.degree - db + 1)
+    for i in range(a.degree - db, -1, -1):
+        c = rem[i + db]
+        if R.is_zero(c):
+            continue
+        factor = mul(c, inv_lead)
+        q[i] = factor
+        for j, bc in enumerate(b.coeffs):
+            rem[i + j] = sub(rem[i + j], mul(factor, bc))
+    return _trim(R, q), _trim(R, rem[:db])
 
 
 def perm_det(field, M):

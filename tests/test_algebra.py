@@ -30,6 +30,7 @@ from conftest import (
     minor_det,
     perm_det,
     random_point,
+    schoolbook_divmod,
     schoolbook_mul,
     sylvester_nn,
 )
@@ -488,6 +489,137 @@ class TestPackedProduct:
         assert schoolbook_mul(X_ + const(kt, T), X_ - const(kt, T)) == Poly.make(
             kt, [Poly.make(F, [0, 0, 6]), Poly.make(F, []), Poly.make(F, [1])]
         )
+
+
+class TestDivisionKernel:
+    """poly_divmod over a base field runs on integers: residues with one
+    inverse of the lead over F_p, fraction-free pseudo-division over Q.
+    It must give the schoolbook loop's quotient and remainder, canonical,
+    over Q, F2, F3, F7 and F101 at X-degree 0-40; k[T] exact_div, which
+    runs on it, must return the exact quotient at T-degree 0-40 and keep
+    refusing an inexact division; X-division with k[T] coefficients keeps
+    the schoolbook loop."""
+
+    FIELDS = (QQ, GF(2), GF(3), GF(7), GF(101))
+    BIG = 10**40
+
+    def _entry(self, K, rng, kind):
+        if K is not QQ:
+            return rng.randrange(K.p)
+        if kind == "big":  # a numerator of about 10^40, of either sign
+            return Fraction(rng.choice([-1, 1]) * rng.randint(self.BIG // 2, self.BIG),
+                            rng.choice([1, 3, 10**6]))
+        return Fraction(rng.randint(-20, 20), rng.choice([1, 1, 2, 3, 7, 10**6]))
+
+    def _poly(self, K, rng, d, kind="rand", lead=None):
+        """Degree d (zero for d < 0), with the given lead or a random
+        nonzero one."""
+        if d < 0:
+            return Poly(K, ())
+        cs = [self._entry(K, rng, kind) for _ in range(d)]
+        if lead is None:
+            lead = self._entry(K, rng, kind) or K.from_int(2 if K.char != 2 else 1)
+        return Poly.make(K, cs + [lead])
+
+    def _cases(self, K, rng):
+        """(deg a, deg b, entry kind, lead of b) of each division."""
+        half = Fraction(1, 3) if K is QQ else K.from_int(K.p - 1)
+        fixed = [
+            (-1, 0, "rand", None), (-1, 3, "rand", None), (-1, 40, "big", None),
+            (5, 12, "rand", None), (0, 1, "rand", None), (39, 40, "big", None),
+            (40, 0, "rand", None), (40, 0, "big", None), (40, 1, "rand", half),
+            (40, 40, "big", None), (40, 1, "big", None), (40, 3, "rand", K.one),
+            (40, 20, "rand", None), (7, 7, "rand", K.one),
+        ]
+        out = list(fixed)
+        for _ in range(25):
+            da, db = rng.randint(-1, 40), rng.randint(0, 40)
+            out.append((da, db, rng.choice(["rand", "rand", "big"]), None))
+        return out
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_agrees_with_schoolbook(self, field):
+        rng = random.Random(f"divmod-{field}")
+        for da, db, kind, lead in self._cases(field, rng):
+            a = self._poly(field, rng, da, kind)
+            b = self._poly(field, rng, db, kind, lead)
+            q, r = poly_divmod(a, b)
+            wq, wr = schoolbook_divmod(a, b)
+            assert (q, r) == (wq, wr) and hash((q, r)) == hash((wq, wr)), (a, b)
+            assert r.degree < b.degree
+            assert schoolbook_mul(b, q) + r == a
+            TestPackedProduct._assert_canonical(q)
+            TestPackedProduct._assert_canonical(r)
+
+    def test_the_q_kernel_cases(self):
+        """The divisions whose integer form takes each branch: a divisor
+        with a denominator and a non-unit lead (the window is scaled), an
+        exact division by a primitive divisor (it never is), a divisor
+        with a content, a negative lead, a dividend whose coefficients
+        bring new denominators as they enter the window, and a constant
+        divisor."""
+        x = X(QQ)
+        one = const(QQ, 1)
+        unit_fractions = Poly.make(QQ, [Fraction(1, k) for k in range(1, 60)])
+        cases = [
+            (Poly.make(QQ, [0] * 100 + [1]), x + const(QQ, Fraction(1, 3))),
+            ((x.scale(3) + one) * (x.scale(5) - const(QQ, 2)), x.scale(3) + one),
+            (x * x * x + const(QQ, 7), x.scale(6) + const(QQ, 4)),
+            (x * x + x.scale(Fraction(1, 2)), const(QQ, Fraction(-4, 9)) * x - const(QQ, 2)),
+            (Poly.make(QQ, [Fraction(1, 6), Fraction(-5, 4), 0, Fraction(7, 10)]), Poly.make(QQ, [0, 0, -2])),
+            (unit_fractions, Poly.make(QQ, [1, 1, 0, 1])),
+            (unit_fractions, Poly.make(QQ, [Fraction(2, 9), Fraction(-5, 3)])),
+            (unit_fractions, const(QQ, Fraction(-7, 3))),
+        ]
+        for a, b in cases:
+            assert poly_divmod(a, b) == schoolbook_divmod(a, b), (a, b)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_kt_exact_div(self, field):
+        """exact_div in k[T] is poly_divmod of T-polynomials: the exact
+        quotient back, and FieldError when a remainder is left."""
+        kt = PolyRing(field)
+        rng = random.Random(f"exact-{field}")
+        degrees = [(0, -1), (0, 0), (40, 0), (0, 40), (40, 40), (1, 40), (40, 1)]
+        degrees += [(rng.randint(0, 40), rng.randint(-1, 40)) for _ in range(20)]
+        for db, dq in degrees:
+            b = self._poly(field, rng, db, rng.choice(["rand", "big"]))
+            q = self._poly(field, rng, dq)
+            a = schoolbook_mul(b, q)
+            assert kt.exact_div(a, b) == q
+            if db > 0:
+                r = self._poly(field, rng, rng.randint(0, db - 1))
+                if r.is_zero():
+                    r = const(field, 1)
+                a = schoolbook_mul(b, q) + r
+                with pytest.raises(FieldError, match="non-exact"):
+                    kt.exact_div(a, b)
+
+    def _kt_poly(self, kt, rng, dx, dt, lead=None):
+        if dx < 0:
+            return Poly(kt, ())
+        K = kt.base
+        rows = [self._poly(K, rng, rng.randint(-1, dt)) for _ in range(dx)]
+        rows.append(lead if lead is not None else self._poly(K, rng, dt))
+        return Poly.make(kt, rows)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_x_division_over_kt(self, field):
+        """X-division with k[T] coefficients (the schoolbook loop in src):
+        a constant, not necessarily monic, lead divides; a lead that
+        depends on T is refused."""
+        kt = PolyRing(field)
+        rng = random.Random(f"xdiv-{field}")
+        for _ in range(12):
+            dx_a, dx_b = rng.randint(-1, 8), rng.randint(0, 5)
+            lead = self._poly(field, rng, 0)
+            a = self._kt_poly(kt, rng, dx_a, rng.randint(0, 6))
+            b = self._kt_poly(kt, rng, dx_b, rng.randint(0, 6), lead)
+            assert poly_divmod(a, b) == schoolbook_divmod(a, b), (a, b)
+        b = self._kt_poly(kt, rng, 2, 3, self._poly(field, rng, 1))
+        for fn in (poly_divmod, schoolbook_divmod):
+            with pytest.raises(FieldError, match="non-monic divisor"):
+                fn(X(kt).shift(3), b)
 
 
 class TestAgainstSympy:

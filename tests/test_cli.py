@@ -215,6 +215,27 @@ class TestUntrustedInputInAChild:
             assert json.loads(out.stdout)["degree"] == 1000
 
 
+class TestLongInputEcho:
+    """An error on a 16 KB expression quotes only its head and its length
+    (the parse position locates the fault): stderr stays under 1 KB, and
+    the exit code is still 2."""
+
+    @pytest.mark.parametrize("text", [
+        "1/2-" * 4095 + "X^",
+        "1/(" + "X+" * 8190 + "X)",
+    ], ids=["parse-error", "not-pointed"])
+    def test_stderr_is_short(self, text):
+        assert len(text) >= 16_000
+        out = _run_bounded(["classify", "--field", "Q", text], 5.0)
+        assert out.returncode == 2, out.stderr[:200]
+        assert len(out.stderr.encode()) < 1024
+        assert f"({len(text)} characters)" in out.stderr and text[:80] in out.stderr
+
+    def test_short_input_is_quoted_whole(self, capsys):
+        assert main(["classify", "--field", "Q", "X^2/(X"]) == 2
+        assert "cannot parse 'X^2/(X':" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_equiv_paper_example(self, capsys):
         code = main(["equiv", "--field", "Q", "(X^2-1)/X", "X/1+X/1"])
