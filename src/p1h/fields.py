@@ -83,8 +83,12 @@ def factorize(n: int) -> dict[int, int]:
     primes below 1000, then Miller-Rabin and Pollard rho on what survives
     (resultants at desk scale can still have 10-plus-digit square parts).
 
-    Factorizations are memoized, since one invariant needs the same
-    determinant's primes several times; every call returns a fresh dict."""
+    Two memos of constant size serve it, since one decision needs the same
+    primes several times: `_factor_pairs` keeps whole integers, and
+    `_hard_factor_pairs` keeps what survives trial division and every part
+    that rho splits off.  The resultants N a and N b of two points share
+    their hard part N, so a decision splits N once.  Every call returns a
+    fresh dict."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     return dict(_factor_pairs(n))
@@ -106,17 +110,23 @@ def _factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        f = _rho_factor(m)
-        stack.append(f)
-        stack.append(m // f)
+    if n > 1:
+        for p, e in _hard_factor_pairs(n):
+            out[p] = out.get(p, 0) + e
+    return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=4096)
+def _hard_factor_pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of m > 1 left by trial division: m itself if
+    Miller-Rabin passes it, else the pairs of the two parts that rho splits
+    it into, each found through this memo."""
+    if is_prime(m):
+        return ((m, 1),)
+    f = _rho_factor(m)
+    out = dict(_hard_factor_pairs(f))
+    for p, e in _hard_factor_pairs(m // f):
+        out[p] = out.get(p, 0) + e
     return tuple(sorted(out.items()))
 
 
@@ -391,16 +401,20 @@ def GF(p: int) -> PrimeField:
 
 
 def field_from_name(name: str):
-    """Parse a CLI field spec: Q | F2 | F3 | F5 | Fp=101."""
+    """Parse a CLI field spec: Q | F2 | F3 | F5 | Fp=101.  Only ASCII digits
+    may follow F or Fp=: int() alone would also take signs, underscores,
+    spaces and other scripts' digits (F1_01 would be F101)."""
     name = name.strip()
     if name in ("Q", "QQ"):
         return QQ
     if name.startswith("F"):
         digits = name[3:] if name.startswith("Fp=") else name[1:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise FieldError(f"unknown field {name!r}: no prime after F")
         try:
             p = int(digits)
-        except ValueError:
-            raise FieldError(f"unknown field {name!r}: no prime after F") from None
+        except ValueError:  # more digits than int() converts
+            raise FieldError(f"unknown field {name!r}: prime too long") from None
         return GF(p)
     raise FieldError(f"unknown field {name!r}")
 

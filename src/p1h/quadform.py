@@ -202,51 +202,56 @@ def oplog_to_path(S: SymMatrix, ops) -> SymMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _val_unit(a: Fraction, p: int):
-    """(v, u) with a = p^v u and u a p-adic unit (as Fraction)."""
-    v = 0
+def _val_unit(a, p: int) -> tuple[int, int]:
+    """(v, r) for a nonzero rational (Fraction or int) a = p^v u, u a p-adic
+    unit: r is u modulo m, in [1, m), with m = 8 at p = 2 and m = p
+    otherwise.  Both are read off a's numerator and denominator, and r fixes
+    u's class modulo squares of Q_p units (Serre, A Course in Arithmetic,
+    ch. II, 3.3)."""
     num, den = a.numerator, a.denominator
+    if not num:
+        raise FieldError("a local symbol needs a nonzero rational")
+    v = 0
     while num % p == 0:
         num //= p
         v += 1
     while den % p == 0:
         den //= p
         v -= 1
-    return v, Fraction(num, den)
+    m = 8 if p == 2 else p
+    return v, num * pow(den, -1, m) % m
 
 
-def _legendre_frac(u: Fraction, p: int) -> int:
-    r = (u.numerator * pow(u.denominator, -1, p)) % p
-    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+def _hilbert_local(alpha: int, u: int, beta: int, w: int, p: int) -> int:
+    """(a, b)_p from a = p^alpha u and b = p^beta w as `_val_unit` gives
+    them (Serre, ch. III, Thm. 1): at odd p,
+    (-1)^(alpha beta eps(p)) (u/p)^beta (w/p)^alpha; at p = 2,
+    (-1)^(eps(u) eps(w) + alpha omega(w) + beta omega(u)), where
+    eps(x) = (x - 1)/2 and omega(x) = (x^2 - 1)/8 modulo 2.  Only the
+    parities of alpha and beta enter."""
+    if p == 2:
+        e = ((u - 1) // 2) * ((w - 1) // 2) + alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
+        return -1 if e % 2 else 1
+    sign = 1
+    if alpha % 2 and beta % 2 and p % 4 == 3:
+        sign = -sign
+    if beta % 2 and pow(u, (p - 1) // 2, p) != 1:
+        sign = -sign
+    if alpha % 2 and pow(w, (p - 1) // 2, p) != 1:
+        sign = -sign
+    return sign
 
 
 def hilbert_symbol(a, b, place) -> int:
-    """The Hilbert symbol (a, b)_v over Q at a prime or the real place."""
+    """The Hilbert symbol (a, b)_v over Q at a prime or the real place.  The
+    arguments are converted to Fraction once; at a prime the symbol is
+    `_hilbert_local` on their `_val_unit` pairs, on integers only."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise FieldError("hilbert symbol needs nonzero arguments")
     if place == REAL_PLACE:
         return -1 if (a < 0 and b < 0) else 1
-    p = place
-    alpha, u = _val_unit(a, p)
-    beta, w = _val_unit(b, p)
-    if p == 2:
-        eps_u = ((u.numerator * pow(u.denominator, -1, 8)) % 8 - 1) // 2 % 2
-        eps_w = ((w.numerator * pow(w.denominator, -1, 8)) % 8 - 1) // 2 % 2
-        u8 = (u.numerator * pow(u.denominator, -1, 8)) % 8
-        w8 = (w.numerator * pow(w.denominator, -1, 8)) % 8
-        omega_u = (u8 * u8 - 1) // 8 % 2
-        omega_w = (w8 * w8 - 1) // 8 % 2
-        e = eps_u * eps_w + alpha * omega_w + beta * omega_u
-        return -1 if e % 2 else 1
-    sign = 1
-    if (alpha * beta) % 2 and (p % 4) == 3:
-        sign = -sign
-    if beta % 2 and _legendre_frac(u, p) == -1:
-        sign = -sign
-    if alpha % 2 and _legendre_frac(w, p) == -1:
-        sign = -sign
-    return sign
+    return _hilbert_local(*_val_unit(a, place), *_val_unit(b, place), place)
 
 
 def is_isotropic(values) -> bool:
@@ -273,19 +278,22 @@ def isotropic_at(values, p: int) -> bool:
     n, d = len(values), math.prod(values)
     if n == 2:
         return _is_local_square(-d, p)
+    minus_one = _val_unit(-1, p)
     if n == 3:
-        return hilbert_symbol(-1, -d, p) == _hasse(values, p)
-    return n >= 5 or not _is_local_square(d, p) or _hasse(values, p) == hilbert_symbol(-1, -1, p)
+        return _hilbert_local(*minus_one, *_val_unit(-d, p), p) == _hasse(values, p)
+    return (n >= 5 or not _is_local_square(d, p)
+            or _hasse(values, p) == _hilbert_local(*minus_one, *minus_one, p))
 
 
-def _is_local_square(a: Fraction, p: int) -> bool:
-    """Whether a nonzero rational is a square in Q_p."""
-    v, u = _val_unit(a, p)
+def _is_local_square(a, p: int) -> bool:
+    """Whether a nonzero rational is a square in Q_p: even valuation and
+    unit residue 1 modulo 8 (p = 2) or a quadratic residue modulo p."""
+    v, r = _val_unit(a, p)
     if v % 2:
         return False
     if p == 2:
-        return u.numerator * pow(u.denominator, -1, 8) % 8 == 1
-    return _legendre_frac(u, p) == 1
+        return r == 1
+    return pow(r, (p - 1) // 2, p) == 1
 
 
 @dataclass(frozen=True)
@@ -338,14 +346,14 @@ def _hasse(values, p) -> int:
     """The Hasse symbol prod_{i<j} (a_i, a_j)_p of <a_1, ..., a_n>, as the
     cocycle prod_j (a_1 ... a_{j-1}, a_j)_p: linear in n.  The running
     product enters the symbol only through its class modulo squares of
-    Q_p, so it is kept as p^(v mod 2) times its unit part reduced modulo
-    8 (p = 2) or p, which fixes that class."""
+    Q_p, so it is kept as the pair (v mod 2, r) of `_val_unit`, which
+    fixes that class; the loop works on integers and builds no Fraction."""
     m = 8 if p == 2 else p
-    h, d = 1, Fraction(1)
+    h, dv, dr = 1, 0, 1
     for a in values:
-        h *= hilbert_symbol(d, a, p)
-        v, u = _val_unit(d * a, p)
-        d = Fraction(p ** (v % 2) * (u.numerator * pow(u.denominator, -1, m) % m))
+        v, r = _val_unit(a, p)
+        h *= _hilbert_local(dv, dr, v, r, p)
+        dv, dr = (dv + v) % 2, dr * r % m
     return h
 
 

@@ -24,6 +24,7 @@ from p1h.bezout_hankel import SymMatrix
 from p1h.fields import GF, QQ, FieldError, Rationals
 from p1h.poly import Poly, PolyRing, X, const, poly_divmod
 from p1h import expr
+from p1h.quadform import REAL_PLACE
 from p1h.ratmap import UnpointedRat, mk_pointed, monomial_sum, oplus, oplus_all, x_over
 
 
@@ -518,6 +519,80 @@ def ref_parse_ratfun_sum(text: str, field):
     if any(isinstance(f, UnpointedRat) for f in fs):
         raise expr.ParseError("monoid sums need pointed summands", 0)
     return oplus_all(fs[0].ring, fs)
+
+
+# The Fraction-based local symbols that quadform's integer kernel replaced,
+# kept as its reference: each unit part is a Fraction, and the Hasse
+# cocycle's running product is rebuilt as a Fraction at every step.
+
+
+def _ref_val_unit(a: Fraction, p: int):
+    """(v, u) with a = p^v u and u a p-adic unit (as Fraction)."""
+    v = 0
+    num, den = a.numerator, a.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, Fraction(num, den)
+
+
+def _ref_legendre_frac(u: Fraction, p: int) -> int:
+    r = (u.numerator * pow(u.denominator, -1, p)) % p
+    return 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+
+
+def ref_hilbert_symbol(a, b, place) -> int:
+    """The Hilbert symbol (a, b)_v over Q at a prime or the real place."""
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise FieldError("hilbert symbol needs nonzero arguments")
+    if place == REAL_PLACE:
+        return -1 if (a < 0 and b < 0) else 1
+    p = place
+    alpha, u = _ref_val_unit(a, p)
+    beta, w = _ref_val_unit(b, p)
+    if p == 2:
+        eps_u = ((u.numerator * pow(u.denominator, -1, 8)) % 8 - 1) // 2 % 2
+        eps_w = ((w.numerator * pow(w.denominator, -1, 8)) % 8 - 1) // 2 % 2
+        u8 = (u.numerator * pow(u.denominator, -1, 8)) % 8
+        w8 = (w.numerator * pow(w.denominator, -1, 8)) % 8
+        omega_u = (u8 * u8 - 1) // 8 % 2
+        omega_w = (w8 * w8 - 1) // 8 % 2
+        e = eps_u * eps_w + alpha * omega_w + beta * omega_u
+        return -1 if e % 2 else 1
+    sign = 1
+    if (alpha * beta) % 2 and (p % 4) == 3:
+        sign = -sign
+    if beta % 2 and _ref_legendre_frac(u, p) == -1:
+        sign = -sign
+    if alpha % 2 and _ref_legendre_frac(w, p) == -1:
+        sign = -sign
+    return sign
+
+
+def ref_hasse(values, p) -> int:
+    """prod_j (a_1 ... a_{j-1}, a_j)_p, the running product kept as the
+    Fraction p^(v mod 2) times its unit part reduced modulo 8 or p."""
+    m = 8 if p == 2 else p
+    h, d = 1, Fraction(1)
+    for a in values:
+        h *= ref_hilbert_symbol(d, a, p)
+        v, u = _ref_val_unit(d * a, p)
+        d = Fraction(p ** (v % 2) * (u.numerator * pow(u.denominator, -1, m) % m))
+    return h
+
+
+def ref_is_local_square(a: Fraction, p: int) -> bool:
+    """Whether a nonzero rational is a square in Q_p."""
+    v, u = _ref_val_unit(a, p)
+    if v % 2:
+        return False
+    if p == 2:
+        return u.numerator * pow(u.denominator, -1, 8) % 8 == 1
+    return _ref_legendre_frac(u, p) == 1
 
 
 @pytest.fixture

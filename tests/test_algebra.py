@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from p1h.fields import GF, QQ, FieldError, factorize, is_prime
+from p1h.fields import GF, QQ, FieldError, factorize, is_prime, squarefree_part
 from p1h.poly import (
     Poly,
     PolyRing,
@@ -851,12 +851,38 @@ class TestFactorize:
         factor = fields._rho_factor
         monkeypatch.setattr(fields, "_rho_factor", spy)
         fields._factor_pairs.cache_clear()
+        fields._hard_factor_pairs.cache_clear()
         try:
             for n in ns:
                 assert factorize(n) == sympy.factorint(n), n
         finally:
             fields._factor_pairs.cache_clear()
+            fields._hard_factor_pairs.cache_clear()
         assert len(rho) >= 75 + 16
+
+    def test_hard_part_is_split_once(self, monkeypatch):
+        """The resultants of two points of one decision share a hard part N
+        beside different small primes: what survives trial division is
+        memoized, so rho splits N once."""
+        sympy = pytest.importorskip("sympy")
+        from p1h import fields
+
+        N = 571266167 * 409746383  # 18 digits
+        rho = []
+        factor = fields._rho_factor
+        monkeypatch.setattr(fields, "_rho_factor", lambda m: rho.append(m) or factor(m))
+        fields._factor_pairs.cache_clear()
+        fields._hard_factor_pairs.cache_clear()
+        try:
+            assert factorize(6 * N) == sympy.factorint(6 * N)
+            assert factorize(35 * N) == sympy.factorint(35 * N)
+            assert squarefree_part(-11 * N) == -11 * N
+            assert squarefree_part(-11 * N * 49) == -11 * N
+        finally:
+            fields._factor_pairs.cache_clear()
+            fields._hard_factor_pairs.cache_clear()
+        assert rho == [N]
+        assert fields._hard_factor_pairs.cache_info().maxsize is not None
 
     def test_returns_a_fresh_dict(self):
         n = 2**3 * 3 * 1000000007

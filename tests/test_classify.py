@@ -183,6 +183,7 @@ class TestFactorOnce:
         rho = fields._rho_factor
         monkeypatch.setattr(fields, "_rho_factor", lambda m: calls.append(m) or rho(m))
         fields._factor_pairs.cache_clear()
+        fields._hard_factor_pairs.cache_clear()
         classify._pointed_invariant_cached.cache_clear()
         assert pointed_equiv(f, g)
         assert calls == [N]

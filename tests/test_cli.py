@@ -165,6 +165,34 @@ class TestExpressionBoundary:
             parse_ratfun_sum("X/X+X/1+y", QQ)
 
 
+_FIELD_CHARS = "0123456789FpQ=+-_ .\t\u0663\uff17\u00b2\u0967"
+_FIELD_SPECS = st.one_of(
+    st.text(_FIELD_CHARS, max_size=12),
+    st.builds(str.__add__, st.sampled_from(["F", "Fp=", " F", "Q"]),
+              st.text(_FIELD_CHARS, max_size=26)),
+    st.integers(0, 10**25).map("F{}".format),
+)
+
+
+class TestFieldNames:
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=_FIELD_SPECS)
+    def test_fuzz_field_spec_runs_or_exits_2(self, spec, capsys):
+        """Untrusted --field text: classify runs (exit 0) only on Q, QQ, or
+        ASCII digits after F or Fp= naming a prime, and exits 2 with a
+        message on anything else; it never raises."""
+        import re
+
+        code = main(["classify", f"--field={spec}", "X/1"])
+        err = capsys.readouterr().err
+        assert code in (0, 2), spec
+        if code == 0:
+            assert re.fullmatch(r"QQ?|F(p=)?[0-9]+", spec.strip()), spec
+        else:
+            assert err.startswith("error: "), spec
+
+
 def _run_bounded(argv, seconds):
     """`python -m p1h argv` in a child process with a wall timeout and a
     1 GiB address-space limit, both on the child only."""
@@ -608,6 +636,17 @@ class TestCommands:
             assert main(["classify", "--field", spec, "X/1"]) == 2
             assert "unknown field" in capsys.readouterr().err
 
+    def test_field_digits_are_ascii_only(self, capsys):
+        # int() takes each of these: F1_01 ran over F101, F\u0663 (Arabic-
+        # Indic 3) over F3 and Fp=+1_1 over F11
+        for spec in ("F1_01", "F\u0663", "Fp=+1_1", "F+7", "F-7", "F 7", "Fp= 7", "F7_",
+                     "F\uff17", "F\u00b2", "F" + "7" * 5000):
+            assert main(["classify", f"--field={spec}", "X/1"]) == 2, spec
+            assert "unknown field" in capsys.readouterr().err
+        for spec in ("F101", "Fp=101", " F7 ", "F0007"):
+            assert main(["classify", f"--field={spec}", "X/1"]) == 0, spec
+        capsys.readouterr()
+
     def test_failed_self_check_writes_nothing(self, tmp_path, capsys, monkeypatch):
         from p1h import certify
 
@@ -731,6 +770,16 @@ class TestVerifyTrustBoundary:
             assert "cannot load certificate: schema" in capsys.readouterr().err
         del data["schema"]
         assert self._verify(tmp_path, data) == 2
+
+    def test_field_name_is_checked_at_load(self, tmp_path, capsys):
+        good = _f3_certificates()["pointed"]
+        for name in ("F+3", "F0_3", "Fp=\u0663", "F\u0663", "F 3"):
+            data = copy.deepcopy(good)
+            data["field"] = name
+            with pytest.raises(FieldError, match="unknown field"):
+                serial.certificate_from_json(data)
+            assert self._verify(tmp_path, data) == 2
+            assert "unknown field" in capsys.readouterr().err
 
     def test_zero_denominator_over_q_is_input_error(self, tmp_path, capsys):
         point = {"A": [0, 1], "B": ["1/0"]}

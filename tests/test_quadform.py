@@ -26,6 +26,7 @@ from p1h.quadform import (
     stable_equal,
     stable_invariant,
     _hasse,
+    _is_local_square,
     _sqrt_exact,
     tensor_diag,
     witt_sum,
@@ -33,7 +34,14 @@ from p1h.quadform import (
 )
 from p1h.ratmap import elementary_path
 
-from conftest import block_sum, perm_det, run_optimized
+from conftest import (
+    block_sum,
+    perm_det,
+    ref_hasse,
+    ref_hilbert_symbol,
+    ref_is_local_square,
+    run_optimized,
+)
 
 
 def oplog_matrix(field, n, ops):
@@ -311,6 +319,66 @@ class TestHasseCocycle:
                 for a, b in itertools.combinations(values, 2):
                     pairwise *= hilbert_symbol(a, b, p)
                 assert _hasse(values, p) == pairwise
+
+
+_KERNEL_PRIMES = (2, 3, 5, 7, 1009, 10**9 + 7)
+
+
+def _local_rational(rng, p):
+    """+-p^v u/w with v in -3..3 and u, w of 1 to 40 digits, which may
+    carry further powers of p; now and then a square, so that every branch
+    of the square test is reached."""
+    def part():
+        x = rng.randrange(1, 10 ** rng.randint(1, 40))
+        return x * p ** rng.choice((0, 0, 0, 1, 2)) if rng.random() < 0.3 else x
+
+    v = rng.randint(-3, 3)
+    a = Fraction(part() * p ** max(v, 0), part() * p ** max(-v, 0))
+    if rng.random() < 0.15:
+        a *= a
+    return a if rng.random() < 0.5 else -a
+
+
+class TestLocalKernel:
+    """The integer kernel against the Fraction-based symbols it replaced
+    (conftest.ref_*), on the primes and sizes decisions meet."""
+
+    @pytest.mark.parametrize("p", _KERNEL_PRIMES)
+    def test_symbols_match_the_fraction_reference(self, p):
+        rng = random.Random(2500 + p % 1000)
+        seen = {"hilbert -1": 0, "hasse -1": 0, "square": 0}
+        for _ in range(400):
+            a, b = _local_rational(rng, p), _local_rational(rng, p)
+            assert hilbert_symbol(a, b, REAL_PLACE) == ref_hilbert_symbol(a, b, REAL_PLACE)
+            h = hilbert_symbol(a, b, p)
+            assert h == ref_hilbert_symbol(a, b, p), (a, b, p)
+            seen["hilbert -1"] += h == -1
+            sq = _is_local_square(a, p)
+            assert sq == ref_is_local_square(a, p), (a, p)
+            seen["square"] += sq
+            values = [_local_rational(rng, p) for _ in range(rng.randint(1, 7))]
+            hs = _hasse(values, p)
+            assert hs == ref_hasse(values, p), (values, p)
+            seen["hasse -1"] += hs == -1
+        # each outcome of each symbol occurs
+        assert all(0 < k < 400 for k in seen.values()), seen
+
+    def test_small_integers_at_two_cover_every_unit_residue(self):
+        # every pair of classes v mod 2 and u mod 8 at p = 2, as ints
+        values = [s * 2**v * u for s in (1, -1) for v in range(4) for u in (1, 3, 5, 7)]
+        for a in values:
+            assert _is_local_square(a, 2) == ref_is_local_square(Fraction(a), 2), a
+            for b in values:
+                assert hilbert_symbol(a, b, 2) == ref_hilbert_symbol(a, b, 2), (a, b)
+
+    def test_zero_is_refused(self):
+        for p in (2, 5):
+            with pytest.raises(FieldError):
+                _hasse([Fraction(1), Fraction(0)], p)
+            with pytest.raises(FieldError):
+                _is_local_square(Fraction(0), p)
+            with pytest.raises(FieldError):
+                hilbert_symbol(0, 3, p)
 
 
 class TestStableInvariant:
