@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
@@ -22,14 +21,15 @@ from .classify import (
     PdPoint,
     PointedInvariant,
     mk_pd,
+    normalized_equiv,
     pointed_invariant,
-    unpointed_invariant,
 )
 from .fields import (
     FieldError,
     PrimeField,
     Rationals,
     factorize,
+    rational_root,
     sqrt_mod,
     squarefree_part,
 )
@@ -658,6 +658,10 @@ def connect(f: PointedRat, g: PointedRat):
     field = f.ring
     if f.A == g.A and f.B == g.B:
         return Certificate("pointed", field, (), f, g)
+    if isinstance(field, PolyRing):
+        raise FieldError("invariants are taken over the base field")
+    if f.n != g.n:  # decided before any invariant is built
+        return NotEquivalent(f"degree {f.n} vs {g.n}")
     i1, i2 = pointed_invariant(f), pointed_invariant(g)
     if i1 != i2:
         return NotEquivalent(_invariant_diff(i1, i2))
@@ -700,25 +704,8 @@ def _lambda_witness(field, r1, r2, n):
     """lambda with r1 = r2 / lambda^{2n} (exists when the 2n-power classes
     of r1 and r2 agree)."""
     if isinstance(field, Rationals):
-        ratio = field.div(r2, r1)
-        if ratio <= 0:
-            return None
-        num = _int_root(ratio.numerator, 2 * n)
-        den = _int_root(ratio.denominator, 2 * n)
-        return None if num is None or den is None else Fraction(num, den)
+        return rational_root(field.div(r2, r1), 2 * n)
     return _root_mod_p(field.div(r2, r1), 2 * n, field.p, field.generator())
-
-
-def _int_root(x: int, k: int):
-    """The positive integer r with r^k = x, for x >= 1, or None: Newton's
-    iteration on integers from 2^ceil(bits/k), which is at least the root,
-    falls to the floor of the k-th root."""
-    r = 1 << -(-x.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + x // r ** (k - 1)) // k
-        if s >= r:
-            return r if r**k == x else None
-        r = s
 
 
 def _root_mod_p(c: int, m: int, p: int, g: int):
@@ -782,12 +769,11 @@ def unpointed_connect(u1: UnpointedRat, u2: UnpointedRat):
     if u1.field != u2.field:
         raise FieldError("points over different fields")
     field = u1.field
-    inv1, inv2 = unpointed_invariant(u1), unpointed_invariant(u2)
-    if inv1 != inv2:
-        return NotEquivalent("unpointed invariants differ")
-    kt = PolyRing(field)
     f1, mv1 = normalize_unpointed(u1)
     f2, mv2 = normalize_unpointed(u2)
+    if not normalized_equiv(f1, f2):
+        return NotEquivalent("unpointed invariants differ")
+    kt = PolyRing(field)
     n = f1.n
     if n == 0:
         # constant maps: one straight-line path (distinct projective points

@@ -12,6 +12,10 @@ pair (Witt class, determinant) ranges over the fiber product cut out by
 the discriminant; the coherence check below is the stronger statement that
 the values multiply to the exact determinant.
 
+A decision compares the invariants cheapest first: degree, resultant and,
+over Q, signature need no prime, so the full invariant, whose Hasse symbols
+need the primes of the resultant, is built only when these agree.
+
 Unpointed classes reduce the determinant further modulo 2n-th powers;
 maps to higher-dimensional projective spaces are classified by the degree
 alone.
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .fields import FieldError, Rationals, factorize
+from .fields import FieldError, Rationals, factorize, rational_root
 from .poly import Poly, PolyRing, poly_xgcd, const, zero
 from .quadform import (
     WittInvariant,
@@ -79,19 +83,41 @@ def pointed_invariant(f: PointedRat) -> PointedInvariant:
     return _pointed_invariant_cached(f)
 
 
+def _checked_values(f: PointedRat) -> tuple:
+    """cf_values(f) of a field point of degree >= 1, after the coherence
+    check: the values multiply to the exact determinant of the Bezout form
+    (so the discriminant is that of the determinant).  The cheap stage of a
+    decision and the full invariant both read them here, and each runs the
+    check; the point keeps its values, so a decision expands it once."""
+    field = f.ring
+    values = cf_values(f)
+    det = f.res if _detbez_sign(f.n) > 0 else field.neg(f.res)
+    if isinstance(field, Rationals):
+        # cross-multiplied on integers: the values are in lowest terms, and
+        # no Fraction is built
+        coherent = (math.prod(v.numerator for v in values) * det.denominator
+                    == det.numerator * math.prod(v.denominator for v in values))
+    else:
+        coherent = field.is_zero(field.sub(reduce(field.mul, values), det))
+    if not coherent:
+        raise FieldError("continued-fraction values do not multiply to det Bez")
+    return values
+
+
+def _signature(f: PointedRat) -> int:
+    """The number of positive values of a Q point of degree >= 1: with the
+    rank, its signature."""
+    return sum(1 for v in _checked_values(f) if v > 0)
+
+
 @lru_cache(maxsize=65536)
 def _pointed_invariant_cached(f: PointedRat) -> PointedInvariant:
     field = f.ring
-    values = cf_values(f)
+    values = _checked_values(f)
     relevant = None
     if isinstance(field, Rationals):
         relevant = relevant_primes_q(f.A.coeffs + f.B.coeffs, f.res)
-    inv = PointedInvariant(f.n, invariant_from_values(field, values, relevant), f.res, field)
-    # coherence: the values multiply to the exact determinant (so the
-    # discriminant is that of the determinant)
-    if not field.is_zero(field.sub(reduce(field.mul, values), inv.detbez())):
-        raise FieldError("continued-fraction values do not multiply to det Bez")
-    return inv
+    return PointedInvariant(f.n, invariant_from_values(field, values, relevant), f.res, field)
 
 
 def sum_invariant(i1: PointedInvariant, i2: PointedInvariant) -> PointedInvariant:
@@ -131,9 +157,26 @@ def compose_invariant(i1: PointedInvariant, i2: PointedInvariant) -> PointedInva
 
 
 def pointed_equiv(f: PointedRat, g: PointedRat) -> bool:
-    """Same naive homotopy class iff all invariants agree."""
-    if f.ring != g.ring:
+    """Same naive homotopy class iff all invariants agree.
+
+    The invariants are compared cheapest first, and a mismatch answers at
+    once: the degree, then the exact resultant each point holds, then over
+    Q the signature (the positive continued-fraction values, after the
+    coherence check).  None of these needs a prime.  Only when all agree
+    are the full invariants built, which over Q factor the resultant for
+    the Hasse symbols.  An identical point is equivalent without either
+    stage."""
+    field = f.ring
+    if field != g.ring:
         raise FieldError("points over different fields")
+    if isinstance(field, PolyRing):
+        raise FieldError("invariants are taken over the base field")
+    if f.A == g.A and f.B == g.B:
+        return True
+    if f.n != g.n or f.res != g.res:
+        return False
+    if isinstance(field, Rationals) and _signature(f) != _signature(g):
+        return False
     return pointed_invariant(f) == pointed_invariant(g)
 
 
@@ -196,7 +239,11 @@ class UnpointedInvariant:
 
 
 def unpointed_invariant(u: UnpointedRat) -> UnpointedInvariant:
-    f, _ = normalize_unpointed(u)
+    return _unpointed_invariant_of(normalize_unpointed(u)[0])
+
+
+def _unpointed_invariant_of(f: PointedRat) -> UnpointedInvariant:
+    """The unpointed invariant of a point with normalized representative f."""
     base = pointed_invariant(f)
     if base.n == 0:
         return UnpointedInvariant(0, None, base.field.one, base.field)
@@ -205,10 +252,35 @@ def unpointed_invariant(u: UnpointedRat) -> UnpointedInvariant:
     )
 
 
+def normalized_equiv(f1: PointedRat, f2: PointedRat) -> bool:
+    """Unpointed equivalence of two points given by their normalized
+    representatives (ratmap.normalize_unpointed), cheapest invariant
+    first: the degree, then over Q the signature and the class of the
+    resultant modulo 2n-th powers.  Over Q that class is equal when
+    r2/r1 is the 2n-th power of a positive rational, decided by exact
+    integer roots (fields.rational_root) with no factoring.  A mismatch
+    answers at once; only when all agree are the full invariants built,
+    which over Q factor the resultants for the Hasse symbols and the
+    class (over F_p they need no factoring)."""
+    if f1.n != f2.n:
+        return False
+    field = f1.ring
+    if f1.n and isinstance(field, Rationals) and (
+        _signature(f1) != _signature(f2)
+        or rational_root(field.div(f2.res, f1.res), 2 * f1.n) is None
+    ):
+        return False
+    return _unpointed_invariant_of(f1) == _unpointed_invariant_of(f2)
+
+
 def unpointed_equiv(u1: UnpointedRat, u2: UnpointedRat) -> bool:
+    """Same unpointed class iff the unpointed invariants agree, compared
+    cheapest first (normalized_equiv): the degree, over Q the signature
+    and the 2n-th-power class of the resultant, and only then the full
+    invariants."""
     if u1.field != u2.field:
         raise FieldError("points over different fields")
-    return unpointed_invariant(u1) == unpointed_invariant(u2)
+    return normalized_equiv(normalize_unpointed(u1)[0], normalize_unpointed(u2)[0])
 
 
 # ---------------------------------------------------------------------------

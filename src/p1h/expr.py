@@ -22,11 +22,18 @@ between numbers are tried from the right: a numerator that fails rules out
 the splits whose numerators run past the failure, and a denominator that
 fails rules out every split further left, so a few sides are parsed at
 most and parsing is linear in the length of the text.  Building the point
-of a long sum is not: `X/1+...+X/1` of 1000 blocks takes about 5 s over Q
-and 0.3 s over F5, and of 2000 blocks about 23 s and 1.2 s (2-core host,
-Python 3.11), in the monoid sums, not in parsing.
+of a long sum is not: `parse_ratfun_sum` of `X/1+...+X/1` with 1000 blocks
+takes about 4.0 s over Q and 0.46 s over F5, and with 2000 blocks about
+22 s and 1.1 s (in process, one run each, 2-core host, Python 3.11.7), in
+the monoid sums, not in parsing.
+
+A poly sums its terms as plain Python numbers (ints, and a Fraction only
+for an a/b coefficient over Q), and Poly.make coerces each sum into the
+field once.
 """
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .fields import FieldError, Rationals
 from .poly import Poly, poly_str
@@ -100,26 +107,21 @@ class _PolyParser:
         return p
 
     def parse_poly(self) -> Poly:
-        field = self.field
         coeffs: dict[int, object] = {}
         sign = 1
         if self.peek()[0] in "+-":
             sign = -1 if self.take()[0] == "-" else 1
         while True:
             exp, c = self.parse_term()
-            if sign < 0:
-                c = field.neg(c)
-            coeffs[exp] = field.add(coeffs.get(exp, field.zero), c)
+            coeffs[exp] = coeffs.get(exp, 0) + (c if sign > 0 else -c)
             tok = self.peek()
             if tok[0] in "+-":
                 sign = -1 if self.take()[0] == "-" else 1
                 continue
             break
-        deg = max(coeffs) if coeffs else 0
-        return Poly.make(field, [coeffs.get(i, field.zero) for i in range(deg + 1)])
+        return Poly.make(self.field, [coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
 
     def parse_term(self):
-        field = self.field
         tok = self.peek()
         if tok[0] == "num":
             c = self.parse_coeff()
@@ -133,7 +135,7 @@ class _PolyParser:
             return 0, c
         if tok[0] == "var":
             self.take()
-            return self.parse_power(), field.one
+            return self.parse_power(), 1
         raise ParseError(f"expected a term, found {tok[1]!r}", tok[2])
 
     def parse_power(self):
@@ -147,9 +149,9 @@ class _PolyParser:
         return 1
 
     def parse_coeff(self):
-        field = self.field
+        """An int, or over Q a Fraction for a/b."""
         num = int(self.take("num")[1])
-        if self.peek()[0] == "/" and isinstance(field, Rationals):
+        if self.peek()[0] == "/" and isinstance(self.field, Rationals):
             # only consumed in poly-only contexts; at the ratfun level the
             # split has already removed the separator
             save = self.k
@@ -158,11 +160,9 @@ class _PolyParser:
                 den = int(self.take("num")[1])
                 if den == 0:
                     raise ParseError("zero denominator", self.toks[save][2])
-                from fractions import Fraction
-
                 return Fraction(num, den)
             self.k = save
-        return field.from_int(num)
+        return num
 
 
 def parse_poly(text: str, field, var: str = "X") -> Poly:

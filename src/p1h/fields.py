@@ -142,6 +142,29 @@ def squarefree_part(n: int) -> int:
     return sign * out
 
 
+def _int_root(x: int, k: int):
+    """The positive integer r with r^k = x, for x >= 1, or None: Newton's
+    iteration on integers from 2^ceil(bits/k), which is at least the root,
+    falls to the floor of the k-th root."""
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r if r**k == x else None
+        r = s
+
+
+def rational_root(x: Fraction, k: int):
+    """The positive rational r with r^k = x, or None when x <= 0 or has no
+    such root.  x is in lowest terms, so r exists exactly when its
+    numerator and denominator are k-th powers of integers: two exact
+    integer roots, and no factoring."""
+    if x <= 0:
+        return None
+    num, den = _int_root(x.numerator, k), _int_root(x.denominator, k)
+    return None if num is None or den is None else Fraction(num, den)
+
+
 def sqrt_mod(a: int, p: int):
     """The smaller square root of a modulo an odd prime p, or None when a is
     not a square: Euler's criterion, then Tonelli-Shanks (O(log^2 p)
@@ -186,13 +209,10 @@ class Rationals:
     def __repr__(self):
         return "Q"
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    # class constants: a Fraction is immutable, so one instance serves
+    # every read
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
@@ -275,13 +295,8 @@ class PrimeField:
     def __repr__(self):
         return f"F{self.p}"
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    zero = 0
+    one = 1
 
     def from_int(self, n):
         return n % self.p

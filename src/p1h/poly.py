@@ -573,7 +573,7 @@ def sequence_cofactors(steps: tuple, g: Poly) -> tuple[Poly, Poly]:
     deg_a = steps[0][2]
     deg_b = steps[1][2] if len(steps) > 1 else g.degree  # deg a_1 = deg b
     if deg_a > deg_b and (s.degree >= deg_b - g.degree or t.degree >= deg_a - g.degree):
-        raise AssertionError("Euclidean cofactor degree bounds violated")
+        raise FieldError("Euclidean cofactor degree bounds violated")
     return s, t
 
 

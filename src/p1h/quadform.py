@@ -508,7 +508,7 @@ def kt_short_vector(S: SymMatrix):
             val = _pairing(kt, S, x, x)
             if val.degree <= 0:
                 return _primitive(kt, x)
-    raise AssertionError("Hermite bound violated: no short vector found")
+    raise FieldError("Hermite bound violated: no short vector found")
 
 
 def _gram_col_add(kt, G, basis, i, j, q: Poly):
@@ -648,7 +648,7 @@ def _split(S: SymMatrix, C, k):
     try:
         Binv = linalg.inverse(kt, B)
     except FieldError:
-        raise AssertionError("split block does not have unit determinant") from None
+        raise FieldError("split block does not have unit determinant") from None
     E = linalg.mat_identity(kt, n)
     for j in range(k, n):
         for i in range(k):
@@ -674,9 +674,9 @@ def _check_hermite(S, P, N):
     check survives python -O)."""
     kt = S.ring
     if not linalg.mat_eq(kt, _congruence(kt, S, P), [list(r) for r in N.rows]):
-        raise AssertionError("block reduction: P^T S P differs from N")
+        raise FieldError("block reduction: P^T S P differs from N")
     if linalg.det(kt, P) != kt.one:
-        raise AssertionError("block reduction: det P is not 1")
+        raise FieldError("block reduction: det P is not 1")
 
 
 def _block_one(kt, Psub, top):

@@ -54,9 +54,10 @@ class PointedRat:
     deg U <= n-2 and deg V <= n-1, is built when first read and then kept.
     A field point validated by a remainder sequence of (A, B) keeps its
     steps, which cf_expand reads and U, V are folded from; a point built
-    from a known pair keeps the pair.  Equality and hashing see
-    (ring, A, B, res) only, so a point is the same cache key whether or not
-    its pair has been built.
+    from a known pair keeps the pair.  Its continued-fraction values are
+    kept after the first read too, so the stages of one decision expand it
+    once.  Equality and hashing see (ring, A, B, res) only, so a point is
+    the same cache key whether or not its pair has been built.
     """
 
     ring: object
@@ -65,6 +66,9 @@ class PointedRat:
     res: object
     _pair: tuple | None = dataclass_field(default=None, compare=False, repr=False)
     _steps: tuple | None = dataclass_field(default=None, compare=False, repr=False)
+    # derived from A and B; not an __init__ argument, so a dataclasses.replace
+    # that changes them carries no stale values
+    _values: tuple | None = dataclass_field(default=None, init=False, compare=False, repr=False)
 
     @property
     def U(self) -> Poly:
@@ -296,14 +300,16 @@ def cf_values(f: PointedRat) -> tuple:
     degree d to the monomial sum [1]*(d//2) + [b]*(d%2) + [-b^2]*(d//2)
     (normal_form_cert builds these homotopies and emits its units in this
     order), whose Bezout form is congruent to that diagonal form by a
-    det-1 matrix.
+    det-1 matrix.  Computed on the first read and kept on the point.
     """
-    ring = f.ring
-    out = []
-    for P, b in cf_expand(f):
-        half, odd = divmod(P.degree, 2)
-        out += [ring.one] * half + [b] * odd + [ring.neg(ring.mul(b, b))] * half
-    return tuple(out)
+    if f._values is None:
+        ring = f.ring
+        out = []
+        for P, b in cf_expand(f):
+            half, odd = divmod(P.degree, 2)
+            out += [ring.one] * half + [b] * odd + [ring.neg(ring.mul(b, b))] * half
+        object.__setattr__(f, "_values", tuple(out))
+    return f._values
 
 
 def cf_assemble(exp: CFExpansion) -> PointedRat:

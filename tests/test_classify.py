@@ -366,6 +366,156 @@ class TestUnpointed:
             assert unpointed_equiv(unpointed_of_pointed(f), unpointed_of_pointed(g))
 
 
+def _disguised(f, rng):
+    """(A + Q B)/B for a random Q with deg QB < n: the path (A + T Q B)/B
+    has a constant resultant, so the point is in f's class."""
+    field = f.ring
+    room = f.n - 1 - f.B.degree
+    if field is QQ:
+        cs = [Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2])) for _ in range(room + 1)]
+    else:
+        cs = [rng.randrange(field.p) for _ in range(room + 1)]
+    return mk_pointed(f.A + Poly.make(field, cs) * f.B, f.B)
+
+
+def _over_scaled(f, mu):
+    """(A, B/mu): its resultant is res(f)/mu^n, and for mu a square it is
+    unpointed-equivalent to f."""
+    field = f.ring
+    return mk_pointed(f.A, f.B.scale(field.inv(field.coerce(mu))))
+
+
+# Bases of equal resultant -1: X/1 (+) X/1 against another signature, and
+# against the same signature with another Hasse symbol at 3.
+_Q_BASES = {
+    "signature": ((1, 1), (-1, -1)),
+    "hasse": ((1, 1), (3, Fraction(1, 3))),
+}
+
+
+def _seeded_pairs(field, rng, count):
+    """Pointed pairs (f, g) of every kind the cascade separates: equal
+    classes, and classes that differ in degree, resultant, and over Q in
+    signature or in the Hasse symbol at 3; each g disguised."""
+    kinds = ["equal", "degree", "resultant", "scaled"]
+    if field is QQ:
+        kinds += list(_Q_BASES)
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        n = rng.randrange(1, 5)
+        f = random_point(field, n, rng)
+        if kind == "equal":
+            g = f
+        elif kind == "degree":
+            g = random_point(field, rng.choice([m for m in range(1, 6) if m != n]), rng)
+        elif kind == "resultant":
+            g = random_point(field, n, rng)
+        elif kind == "scaled":
+            mu = rng.choice([2, 3, 4, 9]) if field is QQ else rng.randrange(1, field.p)
+            g = _over_scaled(f, mu)
+        else:
+            us, vs = _Q_BASES[kind]
+            f, g = (oplus(monomial_sum(QQ, units), f) for units in (us, vs))
+        yield _disguised(f, rng), _disguised(g, rng)
+
+
+def _pointed_split(f, g):
+    """The first invariant on which f and g differ, or None."""
+    i1, i2 = pointed_invariant(f), pointed_invariant(g)
+    if i1.n != i2.n:
+        return "degree"
+    if i1.res != i2.res:
+        return "resultant"
+    if i1.field is QQ and i1.witt.signature != i2.witt.signature:
+        return "signature"
+    if i1.field is QQ and dict(i1.witt.hasse).get(3, 1) != dict(i2.witt.hasse).get(3, 1):
+        return "hasse3"
+    return None if i1 == i2 else "witt"
+
+
+def _unpointed_split(u1, u2):
+    i1, i2 = unpointed_invariant(u1), unpointed_invariant(u2)
+    if i1.n != i2.n:
+        return "degree"
+    if i1.field is QQ and i1.witt.signature != i2.witt.signature:
+        return "signature"
+    if i1.res_class != i2.res_class:
+        return "power class"
+    return None if i1 == i2 else "witt"
+
+
+class TestCheapestInvariantFirst:
+    """pointed_equiv and unpointed_equiv decide on degree, resultant (or
+    its 2n-th-power class) and the signature before the full invariants;
+    the answers must be those of comparing the full invariants."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(7)], ids=str)
+    def test_agrees_with_the_full_invariants(self, field, rng):
+        from p1h import classify
+
+        seen = {"pointed": set(), "unpointed": set()}
+        for f, g in _seeded_pairs(field, rng, 240):
+            u1, u2 = unpointed_of_pointed(f), unpointed_of_pointed(g)
+            classify._pointed_invariant_cached.cache_clear()
+            decided = pointed_equiv(f, g), unpointed_equiv(u1, u2)
+            splits = _pointed_split(f, g), _unpointed_split(u1, u2)
+            assert decided == (splits[0] is None, splits[1] is None), (f, g)
+            seen["pointed"].add(splits[0])
+            seen["unpointed"].add(splits[1])
+        # F_2 has one unit, so every resultant and class is 1 there
+        expected = {
+            "pointed": {None, "degree"} | ({"resultant"} if field.char != 2 else set()),
+            "unpointed": {None, "degree"} | ({"power class"} if field.char != 2 else set()),
+        }
+        if field is QQ:
+            expected["pointed"] |= {"signature", "hasse3"}
+            expected["unpointed"] |= {"signature", "witt"}
+        for key in expected:
+            assert expected[key] <= seen[key], (key, seen[key])
+
+    def test_cheap_mismatches_do_not_factor(self, rng, monkeypatch):
+        from p1h import certify, classify, fields
+
+        def refuse(n):
+            raise AssertionError("factorize called")
+
+        _patch_everywhere(monkeypatch, fields.factorize, refuse)
+        classify._pointed_invariant_cached.cache_clear()
+        f = random_point(QQ, 3, rng)
+        sig_f, sig_g = (oplus(monomial_sum(QQ, us), f) for us in _Q_BASES["signature"])
+        pairs = [
+            (f, random_point(QQ, 4, rng)),  # degree
+            (f, _over_scaled(f, 5)),  # resultant
+            (_disguised(sig_f, rng), _disguised(sig_g, rng)),  # signature
+        ]
+        for f1, f2 in pairs:
+            assert not pointed_equiv(f1, f2)
+        for f1, f2 in pairs[:1] + [(f, _over_scaled(f, 2))] + pairs[2:]:
+            u1, u2 = unpointed_of_pointed(f1), unpointed_of_pointed(f2)
+            assert not unpointed_equiv(u1, u2)
+            assert certify.unpointed_connect(u1, u2).reason == "unpointed invariants differ"
+        out = certify.connect(x_over(QQ, 1), f)
+        assert out.reason == "degree 1 vs 3"
+
+    def test_mixed_fields_and_paths_raise(self):
+        from p1h.certify import connect
+        from p1h.poly import PolyRing
+        from p1h.ratmap import path_of_point
+
+        f, g = x_over(QQ, 1), x_over(GF(7), 1)
+        with pytest.raises(FieldError):
+            pointed_equiv(f, g)
+        with pytest.raises(FieldError):
+            unpointed_equiv(unpointed_of_pointed(f), unpointed_of_pointed(g))
+        F = path_of_point(f, PolyRing(QQ))
+        G = path_of_point(oplus(f, f), PolyRing(QQ))
+        for a, b in ((F, F), (F, G)):
+            with pytest.raises(FieldError):
+                pointed_equiv(a, b)
+        with pytest.raises(FieldError):
+            connect(F, G)
+
+
 class TestPd:
     def test_degree_decides(self):
         p1 = mk_pd(X(QQ).shift(1), (const(QQ, 1), const(QQ, 1)))

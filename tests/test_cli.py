@@ -4,6 +4,7 @@ import copy
 import functools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,9 +13,11 @@ from p1h import serial
 from p1h.certify import connect, pd_cert, unpointed_connect
 from p1h.classify import mk_pd
 from p1h.cli import main
-from p1h.expr import ParseError, format_ratfun, parse_poly, parse_ratfun, parse_ratfun_sum
+from p1h.expr import (
+    MAX_EXPONENT, ParseError, format_ratfun, parse_poly, parse_ratfun, parse_ratfun_sum,
+)
 from p1h.fields import GF, QQ, FieldError
-from p1h.poly import X, const
+from p1h.poly import Poly, X, const
 from p1h.ratmap import PointedRat, RejectedPoint, UnpointedRat, mk_pointed, oplus, x_over
 
 from conftest import p1h_env, random_point, ref_parse_ratfun, ref_parse_ratfun_sum, run_optimized
@@ -89,6 +92,94 @@ class TestParser:
 
     def test_whitespace_insensitive(self):
         assert parse_ratfun(" ( X^2 - 1 ) / X ", QQ) == parse_ratfun("(X^2-1)/X", QQ)
+
+
+def _field_sum(field, terms):
+    """The reference: the terms (sign, coefficient, exponent) summed one by
+    one with the field's own operations."""
+    coeffs = {}
+    for sign, c, e in terms:
+        c = field.coerce(c)
+        coeffs[e] = field.add(coeffs.get(e, field.zero), c if sign > 0 else field.neg(c))
+    return Poly.make(field, [coeffs.get(i, field.zero) for i in range(max(coeffs) + 1)])
+
+
+def _term_text(c, e, rng):
+    """One spelling of the term c X^e the grammar accepts."""
+    coeff = f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else str(c)
+    if e == 0:
+        return coeff
+    power = "X" if e == 1 and rng.random() < 0.5 else f"X^{e}"
+    if c == 1 and rng.random() < 0.5:
+        return power
+    return coeff + rng.choice(["*", ""]) + power
+
+
+def _terms_text(terms, rng):
+    parts = []
+    for k, (sign, c, e) in enumerate(terms):
+        if k == 0:
+            op = "-" if sign < 0 else rng.choice(["", "+"])
+        else:
+            op = " - " if sign < 0 else " + "
+        parts.append(op + _term_text(c, e, rng))
+    return "".join(parts)
+
+
+class TestParserSums:
+    """parse_poly sums its terms as plain numbers and coerces each sum
+    once; the reference sums them term by term in the field."""
+
+    @staticmethod
+    def _random_terms(field, rng):
+        p = field.p if field.char else 10
+        terms = []
+        for _ in range(rng.randrange(1, 9)):
+            if field.char == 0 and rng.random() < 0.3:
+                c = Fraction(rng.randrange(0, 30), rng.randrange(1, 12))
+            else:
+                c = rng.randrange(0, 3 * p + 2)  # residues >= p included
+            terms.append((rng.choice([1, -1]), c, rng.randrange(0, 5)))
+        if rng.random() < 0.3:  # a term and its negative: a cancelled sum
+            sign, c, e = rng.choice(terms)
+            terms.insert(rng.randrange(len(terms) + 1), (-sign, c, e))
+        if rng.random() < 0.1:
+            terms.append((rng.choice([1, -1]), rng.randrange(1, 5), MAX_EXPONENT))
+        return terms
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(101)], ids=str)
+    def test_sums_agree_with_field_operations(self, field, rng):
+        for _ in range(300):
+            terms = self._random_terms(field, rng)
+            text = _terms_text(terms, rng)
+            got = parse_poly(text, field)
+            assert got == _field_sum(field, terms), text
+            # stored coefficients are canonical: Fractions over Q, residues in [0, p)
+            if field.char:
+                assert all(type(c) is int and 0 <= c < field.p for c in got.coeffs), text
+            else:
+                assert all(type(c) is Fraction for c in got.coeffs), text
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(101)], ids=str)
+    @pytest.mark.parametrize("terms", [
+        [(1, 3, 2), (1, 4, 2), (-1, 1, 0)],  # a repeated exponent
+        [(-1, 5, 1), (1, 2, 0)],  # a leading sign
+        [(1, 1, 1), (-1, 1, 1)],  # cancels to the zero polynomial
+        [(1, 2, 3), (1, 1, 0), (-1, 2, 3)],  # the top term cancels
+        [(1, 250, 0), (-1, 999, 1), (1, 102, 1)],  # residues >= p, negatives
+        [(1, 1, MAX_EXPONENT), (-1, 7, 0)],  # the largest exponent accepted
+        [(-1, 1, MAX_EXPONENT), (1, 1, MAX_EXPONENT), (1, 1, 2)],
+    ], ids=["repeated", "leading-sign", "zero", "top-cancels", "residues", "max-exponent",
+            "max-exponent-cancels"])
+    def test_edge_sums(self, field, terms, rng):
+        text = _terms_text(terms, rng)
+        assert parse_poly(text, field) == _field_sum(field, terms), text
+
+    def test_fraction_coefficients_over_q(self):
+        terms = [(1, Fraction(1, 2), 1), (-1, Fraction(3, 4), 1), (1, Fraction(6, 8), 0),
+                 (-1, 1, 0), (1, Fraction(1, 4), 1)]
+        text = "1/2*X - 3/4X + 6/8 - 1 + 1/4*X"
+        assert parse_poly(text, QQ) == _field_sum(QQ, terms) == Poly.make(QQ, [Fraction(-1, 4)])
 
 
 # Expressions of 1-16 tokens over the grammar's alphabet: digits run together
@@ -209,6 +300,24 @@ def _run_bounded(argv, seconds):
     )
 
 
+def _degree_20_pair():
+    """Two seeded points of degree 20 over Q, coefficients in -99..99 (A
+    monic, B of degree 19 with a nonzero lead).  Their resultants have
+    about 80 digits and no small factorization, so building either full
+    invariant hangs in rho."""
+    rng = random.Random(21)
+
+    def text(cs):
+        return "".join(f"{c:+d}*X^{k}" for k, c in enumerate(cs) if c).lstrip("+")
+
+    def point():
+        A = [rng.randint(-99, 99) for _ in range(20)] + [1]
+        B = [rng.randint(-99, 99) for _ in range(19)] + [rng.choice([-1, 1]) * rng.randint(1, 99)]
+        return f"({text(A)})/({text(B)})"
+
+    return point(), point()
+
+
 class TestUntrustedInputInAChild:
     """Inputs that once hung the tool, each run as a user runs it: exit 0, 1
     or 2, no traceback, and a finish within 5 s."""
@@ -235,6 +344,20 @@ class TestUntrustedInputInAChild:
         assert time.perf_counter() - t0 < 5.0
         assert out.returncode in (0, 1, 2), out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command,first", [
+        ("equiv", "X/1"), ("equiv", "g"), ("certify", "X/1"),
+    ], ids=["equiv-degree", "equiv-resultant", "certify-degree"])
+    def test_degree_20_q_pair_decides_without_factoring(self, command, first):
+        # each was still in rho after 15 s when the full invariants were
+        # built before any comparison
+        import time
+
+        f, g = _degree_20_pair()
+        t0 = time.perf_counter()
+        out = _run_bounded([command, "--field", "Q", g if first == "g" else first, f], 5.0)
+        assert time.perf_counter() - t0 < 5.0
+        assert out.returncode == 1, out.stderr
 
     def test_unpointed_degree_1000_classifies(self):
         for field in ("Q", "F7"):
@@ -272,6 +395,15 @@ class TestCommands:
 
     def test_equiv_negative(self, capsys):
         assert main(["equiv", "--field", "Q", "X/1", "X/2"]) == 1
+
+    def test_failed_self_check_exits_2_with_a_message(self, monkeypatch, capsys):
+        # every self-check raises FieldError, which the CLI reports
+        from p1h import linalg
+
+        monkeypatch.setattr(linalg, "mat_eq", lambda ring, A, B: False)
+        assert main(["reduce-kt", "--field", "F3", "T,1;1,0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: block reduction: P^T S P differs from N\n"
 
     def test_classify_json_shape(self, capsys):
         code = main(["classify", "--field", "F3", "X/2", "--json"])
