@@ -337,7 +337,7 @@ def relevant_primes_q(entries, det: Fraction) -> list[int]:
     give the matrix (its own entries, or a function's coefficients for its
     Bezout form); at any other odd prime the matrix is p-adically
     unimodular."""
-    den = math.lcm(1, *(Fraction(x).denominator for x in entries))
+    den = math.lcm(1, *(x.denominator for x in entries))  # ints have one too
     return sorted({2} | set(factorize(den)) | set(factorize(abs(det.numerator)))
                   | set(factorize(det.denominator)))
 

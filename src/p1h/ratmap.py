@@ -54,9 +54,10 @@ class PointedRat:
     deg U <= n-2 and deg V <= n-1, is built when first read and then kept.
     A field point validated by a remainder sequence of (A, B) keeps its
     steps, which cf_expand reads and U, V are folded from; a point built
-    from a known pair keeps the pair.  Its continued-fraction values are
-    kept after the first read too, so the stages of one decision expand it
-    once.  Equality and hashing see (ring, A, B, res) only, so a point is
+    from a known pair (a monoid sum, a polynomial point) keeps the pair,
+    and the remainder sequence that cf_expand runs on its first read.  Its
+    continued-fraction values are kept after the first read too, so the
+    stages of one decision expand it once.  Equality and hashing see (ring, A, B, res) only, so a point is
     the same cache key whether or not its pair has been built.
     """
 
@@ -213,9 +214,10 @@ def monomial_sum(ring, units) -> PointedRat:
 def oplus_all(ring, points) -> PointedRat:
     """f_1 (+) ... (+) f_m in this order (1/0 for none), folded pairwise as a
     balanced tree.  oplus is associative, so the point is that of the fold
-    from the left; but each oplus checks its result at the degree it builds,
-    quadratic in that degree, and a left fold would rebuild every running
-    prefix: m small blocks cost O(m^3) there and O(m^2) here."""
+    from the left; but each oplus multiplies (and over a field checks) at
+    the degree it builds, and a left fold would rebuild every running
+    prefix: m small blocks cost m products of degree up to m there, and
+    log2(m) levels of products of total degree m here."""
     pts = list(points)
     if not pts:
         return identity_point(ring)
@@ -228,9 +230,14 @@ def oplus_all(ring, points) -> PointedRat:
 def oplus(f: PointedRat, g: PointedRat) -> PointedRat:
     """The graded addition: multiply the attached 2x2 unimodular matrices.
 
-    The Bezout pair of the result is read off the product matrix, and
-    `pointed_from_pair` checks that it is one (which makes it the unique
-    pair); the resultant must equal the multiplicative twist of the two.
+    The product matrix [A3 -V3; B3 U3] gives the sum and its Bezout pair,
+    and its resultant is read off the summands': the determinant of the
+    Bezout form is multiplicative, res_{n,n} twisted by (-1)^{n1 n2}.  The
+    degree bounds hold by construction.  Over a field the result is a point
+    exactly when A3 U3 + B3 V3 = 1, which is checked (FieldError otherwise);
+    no remainder sequence is run, and cf_expand runs one on the first read.
+    Over k[T] a sum is a certificate step, and `certify.verify` checks each
+    step's resultant and endpoints, so nothing is checked here.
     """
     if f.ring != g.ring:
         raise FieldError("oplus over different rings")
@@ -244,14 +251,12 @@ def oplus(f: PointedRat, g: PointedRat) -> PointedRat:
     B3 = f.B * g.A + f.U * g.B
     V3 = f.A * g.V + f.V * g.U
     U3 = f.U * g.U - f.B * g.V
-    out = pointed_from_pair(A3, B3, U3, V3)
-    # det of the Bezout form is multiplicative; res twists by (-1)^{n1 n2}
+    if not isinstance(ring, PolyRing) and (A3 * U3 + B3 * V3).coeffs != (ring.one,):
+        raise FieldError("oplus: A U + B V != 1: the sum is not a point")
     res3 = ring.mul(f.res, g.res)
     if (f.n * g.n) % 2:
         res3 = ring.neg(res3)
-    if out.n != f.n + g.n or not ring.is_zero(ring.sub(out.res, res3)):
-        raise FieldError("oplus: degree or resultant is not that of the summands")
-    return out
+    return PointedRat(ring, A3, B3, res3, _pair=(U3, V3))
 
 
 @dataclass(frozen=True)
@@ -272,7 +277,8 @@ def cf_expand(f: PointedRat) -> CFExpansion:
     """Expand A/B = P_0/b_0 - 1/(b_0^2 (P_1/b_1 - ...)); unique and finite.
 
     The blocks are read off the steps of poly.remainder_sequence(A, B), the
-    ones the point keeps when it has them: the expansion divides A by B, takes
+    ones the point keeps (run here and kept on the first read of a point
+    built from its pair): the expansion divides A by B, takes
     P = lc(B) (A div B), b = lc(B) and goes on with (B/b, -b (A mod B)), so
     P_i = q_i and b_i = -b_{i-1} c_i.
     """
@@ -281,9 +287,11 @@ def cf_expand(f: PointedRat) -> CFExpansion:
     if f.n < 1:
         raise FieldError("cf expansion needs degree >= 1")
     ring = f.ring
+    if f._steps is None:  # a point built from its pair: kept from here on
+        object.__setattr__(f, "_steps", remainder_sequence(f.A, f.B)[0])
     terms = []
     b = ring.neg(ring.one)
-    for q, c, _ in f._steps or remainder_sequence(f.A, f.B)[0]:
+    for q, c, _ in f._steps:
         b = ring.neg(ring.mul(b, c))
         terms.append((q, b))
     if sum(P.degree for P, _ in terms) != f.n:
@@ -413,15 +421,12 @@ def reflect(c: Poly) -> Poly:
 
 
 def reverse_path(F: PointedRat) -> PointedRat:
-    """Substitute T -> 1-T, swapping source and target."""
+    """Substitute T -> 1-T, swapping source and target.  Only A and B are
+    reflected: a certificate step is written and verified from them alone,
+    and a later read of U or V solves the pair, as for any point built
+    without one."""
     kt = F.ring
-    return PointedRat(
-        kt,
-        F.A.map_coeffs(reflect, kt),
-        F.B.map_coeffs(reflect, kt),
-        F.res,
-        _pair=(F.U.map_coeffs(reflect, kt), F.V.map_coeffs(reflect, kt)),
-    )
+    return PointedRat(kt, F.A.map_coeffs(reflect, kt), F.B.map_coeffs(reflect, kt), F.res)
 
 
 # ---------------------------------------------------------------------------

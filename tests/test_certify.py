@@ -111,7 +111,7 @@ class TestNormalForm:
 
     def test_wrong_blocks_or_gcd_raise_under_optimize(self):
         # python -O strips asserts: certificates that do not chain, blocks
-        # that do not sum to the point, a gcd that is not 1 and a k[T] V
+        # that are not the point's, a gcd that is not 1 and a k[T] V
         # that is not 1/B mod A (solved when the pair is first read) must
         # still raise
         script = (
@@ -148,7 +148,7 @@ class TestNormalForm:
         assert run_optimized(script).splitlines() == [
             "raised: the first certificate does not end where the second starts",
             "raised: certificates of different kinds or fields",
-            "raised: the continued-fraction blocks do not sum to the point",
+            "raised: normal form units differ from the continued-fraction values",
             "raised: CRT moduli are not pairwise coprime",
             "raised: A does not divide 1 - B V: the solved V is not 1/B mod A",
         ]
@@ -833,6 +833,74 @@ class TestGenerationSolvesOnce:
         assert calls["psi"] == 2
         assert calls["kt_pair"] == 0 and calls["eval_path"] == 0
         assert verify(cert)
+
+
+class TestStepChecksLiveInVerify:
+    """oplus checks no k[T] sum: a wrong step built inside _embed is
+    refused by verify, and the CLI writes nothing."""
+
+    F5 = GF(5)
+    F_TEXT, G_TEXT = "(X^3+4*X^2+4*X+1)/(4*X^2+2*X+1)", "(X^3+3*X^2+3*X+3)/(X^2+3*X+4)"
+
+    def _perturb_embed(self, monkeypatch, bad_call):
+        """Add T(1-T) to B's constant term in every k[T] sum of the
+        `bad_call`-th _embed call: the endpoints stay, the resultant does not."""
+        from p1h import certify
+
+        real_embed, real_oplus = certify._embed, certify.oplus
+        seen = {"embed": -1}
+
+        def embed(*args):
+            seen["embed"] += 1
+            return real_embed(*args)
+
+        def oplus(f, g):
+            out = real_oplus(f, g)
+            if out.is_path and seen["embed"] == bad_call:
+                field = out.ring.base
+                bump = const(out.ring, Poly.make(field, [0, 1, field.neg(field.one)]))
+                return PointedRat(out.ring, out.A, out.B + bump, out.res, _pair=out._pair)
+            return out
+
+        monkeypatch.setattr(certify, "_embed", embed)
+        monkeypatch.setattr(certify, "oplus", oplus)
+        for cache in (certify._normal_form_cert_cached, certify._normal_form_cert_reversed,
+                      certify._diag_chain_cached, certify._lift_chain_cached):
+            cache.cache_clear()
+
+    def teardown_method(self):
+        from p1h import certify
+
+        for cache in (certify._normal_form_cert_cached, certify._normal_form_cert_reversed,
+                      certify._diag_chain_cached, certify._lift_chain_cached):
+            cache.cache_clear()
+
+    def test_verify_names_the_perturbed_step(self, monkeypatch):
+        from p1h.expr import parse_ratfun
+
+        f = parse_ratfun(self.F_TEXT, self.F5)
+        assert len(normal_form_cert(f)[1].steps) >= 2
+        for bad in (0, 1):
+            self._perturb_embed(monkeypatch, bad)
+            cert = normal_form_cert(f)[1]
+            res = verify(cert)
+            assert not res and res.step == bad
+            assert res.reason == f"non-constant resultant at step {bad}"
+
+    def test_cli_refuses_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        from p1h.cli import main
+
+        out = tmp_path / "cert.json"
+        argv = ["certify", "--field", "F5", self.F_TEXT, self.G_TEXT, "--out", str(out)]
+        self._perturb_embed(monkeypatch, 1)
+        assert main(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "error: generated certificate fails verification: " \
+                      "non-constant resultant at step 1\n"
+        monkeypatch.undo()
+        self.teardown_method()
+        assert main(argv) == 0 and out.exists()
 
 
 def _random_pd_point(field, d, rng):

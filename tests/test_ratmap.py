@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from p1h.fields import GF, QQ, FieldError
-from p1h.poly import Poly, PolyRing, X, bezout_pair, const, laurent_expand, zero
+from p1h.poly import Poly, PolyRing, X, bezout_pair, const, laurent_expand, resultant_nn, zero
 from p1h.ratmap import (
+    PointedRat,
     RejectedPath,
     RejectedPoint,
     cf_assemble,
     cf_expand,
+    cf_values,
     compose,
     elementary_product,
     eval_path,
@@ -343,6 +345,76 @@ class TestOplus:
                 if (f.n * g.n) % 2:
                     expected = field.neg(expected)
                 assert field.is_zero(field.sub(s.res, expected))
+
+
+class TestOplusFromSummands:
+    """oplus takes the sum's resultant from the summands' and runs no
+    remainder sequence; the point it builds is the one mk_pointed solves
+    from (A, B) alone."""
+
+    @staticmethod
+    def _chain(field, rng, top=40):
+        """Seeded sums of growing degree up to `top`: each link adds a small
+        point, a polynomial point or an earlier sum, on either side."""
+        sums = [random_point(field, rng.randrange(1, 4), rng)]
+        while sums[-1].n < top:
+            acc = sums[-1]
+            pick = rng.randrange(3)
+            if pick == 0:
+                g = random_point(field, rng.randrange(1, 5), rng)
+            elif pick == 1:
+                cs = [rng.randrange(-3, 4) for _ in range(rng.randrange(1, 4))]
+                b = field.coerce(rng.choice([1, -1, 2]))
+                g = poly_point(Poly.make(field, cs + [1]), b if b else field.one)
+            else:
+                g = rng.choice(sums[: max(1, len(sums) // 2)])
+            if acc.n + g.n > top:
+                g = random_point(field, top - acc.n, rng)
+            sums.append(oplus(acc, g) if rng.randrange(2) else oplus(g, acc))
+        return sums[1:]
+
+    @pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(7), GF(101)), ids=str)
+    def test_sum_chains_match_mk_pointed(self, field, rng):
+        degrees = set()
+        for _ in range(3):
+            for h in self._chain(field, rng):
+                assert h._steps is None  # no remainder sequence was run
+                twin = mk_pointed(h.A, h.B)
+                assert (h.A, h.B, h.res, h.U, h.V) == (twin.A, twin.B, twin.res, twin.U, twin.V)
+                assert cf_expand(h).terms == cf_expand(twin).terms
+                assert h._steps == twin._steps  # kept from the first read
+                assert cf_values(h) == cf_values(twin)
+                degrees.add(h.n)
+        assert max(degrees) == 40
+
+    @pytest.mark.parametrize("field", (QQ, GF(2), GF(3), GF(7), GF(101)), ids=str)
+    def test_embedded_steps_carry_the_constant_resultant(self, field, rng):
+        from p1h import certify
+
+        kt = PolyRing(field)
+        steps = 0
+        for _ in range(4):
+            f = random_point(field, rng.randrange(2, 6), rng)
+            certify._normal_form_cert_cached.cache_clear()
+            units, cert = certify.normal_form_cert(f)
+            left = [random_point(field, rng.randrange(1, 3), rng)]
+            right = [random_point(field, rng.randrange(1, 3), rng)]
+            G = _random_path(field, rng.randrange(1, 3), rng)
+            for F in cert.steps + (certify._embed(kt, left, G, right),):
+                want = resultant_nn(F.A, F.B, F.n)
+                assert want.is_constant() and not want.is_zero()
+                assert F.res == want
+                assert (F.A * F.U + F.B * F.V).coeffs == (kt.one,)
+                steps += 1
+        assert steps >= 8
+        certify._normal_form_cert_cached.cache_clear()
+
+    def test_a_corrupted_field_product_raises(self):
+        f = mk_pointed(Poly.make(GF(5), [1, 4, 4, 1]), Poly.make(GF(5), [1, 2, 4]))
+        bad = PointedRat(f.ring, f.A, f.B, f.res, _pair=(f.U, f.V + const(f.ring, 1)))
+        for a, b in ((bad, x_over(GF(5), 2)), (x_over(GF(5), 2), bad)):
+            with pytest.raises(FieldError, match="not a point"):
+                oplus(a, b)
 
 
 class TestContinuedFractions:
