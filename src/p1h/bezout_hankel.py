@@ -7,7 +7,8 @@ whose entries are read off the expansion of V/A in descending powers of X,
 which yields an explicit inverse reconstruction (psi) of a rational
 function from (Hankel matrix, translation coordinate).  psi solves nothing:
 with the Bezout form S = H^{-1} in hand, the numerator's coefficients are
-S applied to a vector of Hankel entries and B is the last row of S.
+S applied to a vector of Hankel entries and B is the last row of S
+(f2_iso_inv writes psi_2 out in closed form).
 """
 from __future__ import annotations
 
@@ -124,23 +125,19 @@ def psi_n(H: HankelMatrix, v) -> PointedRat:
     coefficients (a_0..a_{n-1}) solve H a = (-s_{n+1}, ..., -s_{2n-1}, v),
     so a = S times that vector, and the last row of S is (b_0..b_{n-1}).
     V is the polynomial part of (s_1 X^{-1} + ... + s_n X^{-n}) * A and
-    U = (1 - B V)/A exactly.  Exact over a field and over k[T] (where the
-    Hankel determinant is a nonzero constant).
+    U = (1 - B V)/A.  Exact over a field and over k[T] (where the Hankel
+    determinant is a nonzero constant); the tests' reference for f2_iso_inv.
     """
-    return _psi(inverse_sym(H.to_sym()), H, v)
-
-
-def _psi(S: SymMatrix, H: HankelMatrix, v) -> PointedRat:
-    """psi_n with the Bezout form S = H^{-1} already in hand."""
     ring = H.ring
     n = H.n
     v = ring.coerce(v)
     s = H.s
+    S = linalg.inverse(ring, H.to_sym().rows)
     rhs = [ring.neg(s[n + i]) for i in range(n - 1)] + [v]
-    acoef = linalg.mat_vec(ring, S.rows, rhs) + [ring.one]
+    acoef = linalg.mat_vec(ring, S, rhs) + [ring.one]
     A = Poly.make(ring, acoef)
     # for monic A the last row of Bez(f) is a_n b_j - a_j b_n = b_j
-    B = Poly.make(ring, S.rows[n - 1])
+    B = Poly.make(ring, S[n - 1])
     # polynomial part of (sum s_i X^{-i}) A: X^j coefficient is
     # sum_{i=1}^{n-j} s_i a_{j+i} with a_n = 1
     vcoef = []
@@ -150,9 +147,8 @@ def _psi(S: SymMatrix, H: HankelMatrix, v) -> PointedRat:
             acc = ring.add(acc, ring.mul(s[i - 1], acoef[j + i]))
         vcoef.append(acc)
     V = Poly.make(ring, vcoef)
-    U, rem = poly_divmod(const(ring, ring.one) - B * V, A)
-    if not rem.is_zero():
-        raise FieldError("A does not divide 1 - B V: the Hankel data is not a point")
+    # a nonzero remainder would make A U + B V != 1, which pointed_from_pair refuses
+    U = poly_divmod(const(ring, ring.one) - B * V, A)[0]
     f = pointed_from_pair(A, B, U, V)
     # V/A = s_1 X^{-1} + s_2 X^{-2} + ...: hankel_of(f) reads its first 2n-1
     # terms and phi_n(f) is -s_{2n}, so one expansion checks both
@@ -160,26 +156,6 @@ def _psi(S: SymMatrix, H: HankelMatrix, v) -> PointedRat:
     if t[:-1] != H.s or not ring.is_zero(ring.add(t[-1], v)):
         raise FieldError("the point's Laurent expansion differs from the Hankel data")
     return f
-
-
-def inverse_sym(S: SymMatrix) -> SymMatrix:
-    """Exact inverse of a symmetric matrix of unit determinant (over k[T] a
-    nonzero constant); FieldError otherwise."""
-    return SymMatrix.make(S.ring, linalg.inverse(S.ring, S.rows))
-
-
-def hankel_from_sym(S: SymMatrix) -> HankelMatrix:
-    """View a symmetric matrix as Hankel data; requires the Hankel constraint."""
-    n = S.n
-    ring = S.ring
-    s = []
-    for k in range(2 * n - 1):
-        vals = [S.rows[i][k - i] for i in range(max(0, k - n + 1), min(k, n - 1) + 1)]
-        for x in vals[1:]:
-            if not ring.is_zero(ring.sub(x, vals[0])):
-                raise FieldError("matrix is not Hankel")
-        s.append(vals[0])
-    return HankelMatrix(ring, n, tuple(s))
 
 
 def f2_iso(f: PointedRat):
@@ -190,13 +166,29 @@ def f2_iso(f: PointedRat):
 
 
 def f2_iso_inv(S: SymMatrix, t) -> PointedRat:
-    """Inverse of f2_iso: psi_2 applied to S^{-1} read as Hankel data.
-
-    Works identically over k and over k[T]; equivariant for the translation
-    action in the second coordinate.  _psi checks Hank(f) = S^{-1}, so
-    Bez(f) = Hank(f)^{-1} = S.
-    """
+    """Inverse of f2_iso: psi_2 of S^{-1} in closed form.  For
+    S = [[a, b], [b, c]] and w = 1/(b^2 - ac), A = X^2 + a_1 X + a_0 with
+    a_1 = abw + ct, a_0 = a^2 w + bt, B = cX + b, V = (b - c a_1)w - cwX and
+    U = c^2 w.  pointed_from_pair checks A U + B V = 1, and the expansion of
+    V/A is checked to be S^{-1} = -w[[c, -b], [-b, a]] as Hankel data, then
+    -t.  Works identically over k and over k[T]; FieldError when b^2 - ac
+    is not a unit (over k[T]: a nonzero constant)."""
     if S.n != 2:
         raise FieldError("f2_iso_inv is the degree-2 chart")
-    return _psi(S, hankel_from_sym(inverse_sym(S)), t)
-
+    ring = S.ring
+    (a, b), (_, c) = S.rows
+    t = ring.coerce(t)
+    disc = ring.sub(ring.mul(b, b), ring.mul(a, c))
+    if not ring.is_unit(disc):
+        raise FieldError("b^2 - ac is not a unit: S is not the Bezout form of a point")
+    w = ring.inv(disc)
+    bw, cw = ring.mul(b, w), ring.mul(c, w)
+    a1 = ring.add(ring.mul(a, bw), ring.mul(c, t))
+    a0 = ring.add(ring.mul(ring.mul(a, a), w), ring.mul(b, t))
+    A = Poly.make(ring, [a0, a1, ring.one])
+    V = Poly.make(ring, [ring.sub(bw, ring.mul(cw, a1)), ring.neg(cw)])
+    f = pointed_from_pair(A, Poly.make(ring, [b, c]), Poly.make(ring, [ring.mul(c, cw)]), V)
+    hank = (ring.neg(cw), bw, ring.neg(ring.mul(a, w)), ring.neg(t))
+    if laurent_expand(V, A, 4) != hank:
+        raise FieldError("the point's Laurent expansion differs from S^{-1}")
+    return f

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import linalg
 from .bezout_hankel import SymMatrix, f2_iso_inv
 from .classify import (
     PdPoint,
@@ -595,8 +594,7 @@ def lift_move_to_step(field, units, mv: DiagMove, kt=None):
     i = mv.i
     a, b = units[i], units[i + 1]
     P = move_matrix(field, a, b, mv)
-    J = [[field.zero, field.one], [field.one, field.zero]]
-    Pt = linalg.mat_mul(field, J, linalg.mat_mul(field, P, J))
+    Pt = [[P[1][1], P[1][0]], [P[0][1], P[0][0]]]  # J P J, J = [[0, 1], [1, 0]]
     D = SymMatrix.diagonal(field, (b, a))
     G = f2_iso_inv(oplog_to_path(D, sl2_elementary_factors(field, Pt)), kt.zero)
     after = apply_move(field, units, mv)
@@ -890,7 +888,8 @@ def pd_cert(p: PdPoint) -> Certificate:
         quo, rem = poly_divmod(total - const(kt, kt.one), A_T)
         if not rem.is_zero():
             raise FieldError("slot cofactors do not give 1 modulo A")
-        steps.append(mk_pd(A_T, Bs_T, (-quo,) + cofactors))
+        # rem = 0 is A_T c_0 + sum c_j B_j = 1; both ends are valid points
+        steps.append(PdPoint(kt, d, A_T, Bs_T, (-quo,) + cofactors))
         A, Bs = A1, tuple(Bs1)
 
     if any(B != one for B in Bs):

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success (and "equivalent"/"verified"), 1 for a negative
-decision (not equivalent, verification failed, search exhausted) or a
-generated certificate that fails its own verification, 2 for malformed
-input.  `--json` emits deterministic JSON on stdout.
+decision (not equivalent, verification failed) or a generated certificate
+that fails its own verification, 2 for malformed input or a failed
+self-check.  `--json` emits deterministic JSON on stdout.
 """
 from __future__ import annotations
 

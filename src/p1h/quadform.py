@@ -361,14 +361,16 @@ def invariant_from_values(field, values, relevant) -> WittInvariant:
     """Stable invariant of the diagonal form with the given entries; over Q
     the Hasse map is taken on the supplied relevant prime set."""
     rank = len(values)
-    det = field.one
-    for v in values:
-        det = field.mul(det, v)
     if isinstance(field, Rationals):
+        det = Fraction(math.prod(v.numerator for v in values),
+                       math.prod(v.denominator for v in values))
         pos = sum(1 for v in values if v > 0)
         hasse = tuple((p, _hasse(values, p)) for p in sorted(set(relevant) | {2}))
         return WittInvariant(field, rank, field.square_class(det), (pos, rank - pos),
                              hasse, tuple(values))
+    det = field.one
+    for v in values:
+        det = field.mul(det, v)
     if field.p == 2:
         return WittInvariant(field, rank, field.one, None, None, tuple(values))
     return WittInvariant(field, rank, field.square_class(det), None, None, tuple(values))

@@ -17,6 +17,7 @@ from p1h.bezout_hankel import (
 )
 from p1h.fields import GF, QQ, FieldError
 from p1h.poly import Poly, PolyRing, X, const
+from p1h.quadform import oplog_to_path
 from p1h.ratmap import eval_path, ga_act, mk_pointed, monomial_sum, oplus, phi_n, x_over
 
 from conftest import all_points, block_sum, delta_matrix_oracle, perm_det, random_point
@@ -230,3 +231,52 @@ class TestF2Iso:
         S1 = ST.eval(1)
         assert eval_path(G, 0) == f2_iso_inv(S0, 0)
         assert eval_path(G, 1) == f2_iso_inv(S1, 0)
+
+    @pytest.mark.parametrize("field", (GF(2), GF(3), GF(5), GF(101), QQ), ids=str)
+    def test_closed_form_matches_psi(self, field, rng):
+        """f2_iso_inv(S, t) against psi_2 of S^{-1} read as Hankel data: the
+        same A, B, U, V and res, and the same S refused by both, over the
+        field and on k[T] paths (as certify lifts them) with t a T-polynomial."""
+        kt = PolyRing(field)
+
+        def entry():
+            if field == QQ:
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            return rng.randrange(field.p)
+
+        def t_poly():
+            return Poly.make(field, [entry() for _ in range(rng.randrange(4))])
+
+        def via_psi(S, t):
+            inv = la.inverse(S.ring, S.rows)
+            return psi_n(HankelMatrix(S.ring, 2, (inv[0][0], inv[0][1], inv[1][1])), t)
+
+        def outcome(chart, S, t):
+            try:
+                f = chart(S, t)
+            except FieldError:
+                return None
+            return f.A, f.B, f.U, f.V, f.res
+
+        cases = []
+        for _ in range(120):
+            a, b, c = (entry() for _ in range(3))
+            cases.append((SymMatrix.make(field, [[a, b], [b, c]]), entry()))
+            a, x = entry(), entry()  # rank at most 1: refused
+            cases.append((SymMatrix.make(field, [[a, a * x], [a * x, a * x * x]]), entry()))
+        for _ in range(60):
+            units = [entry() or 1 for _ in range(2)]
+            ops = [("add", i, 1 - i, entry()) for i in (rng.randrange(2) for _ in range(4))]
+            path = oplog_to_path(SymMatrix.diagonal(field, units), ops)
+            cases.append((path, t_poly() + X(field).shift(rng.randrange(2))))
+            # random k[T] entries: a non-constant determinant is refused
+            rows = [[t_poly() for _ in range(2)] for _ in range(2)]
+            rows[1][0] = rows[0][1]
+            cases.append((SymMatrix.make(kt, rows), t_poly()))
+        refused = lifted = 0
+        for S, t in cases:
+            got = outcome(f2_iso_inv, S, t)
+            assert got == outcome(via_psi, S, t)
+            refused += got is None
+            lifted += got is not None and S.ring == kt and t.degree > 0
+        assert refused >= 120 and lifted >= 50

@@ -803,9 +803,10 @@ class TestGeneratedStepsAreSolvedPoints:
 
 class TestGenerationSolvesOnce:
     def test_connect_solves_only_in_psi(self, monkeypatch):
-        """connect builds its k[T] points from pairs in hand and psi reads A
-        and B off the Bezout form: no k[T] Bezout solve runs at all, and no
-        endpoint is rebuilt by eval_path."""
+        """connect builds its k[T] points from pairs in hand, and each SL_2
+        move runs the degree-2 chart inverse (psi_2 in closed form) once:
+        the general psi_n never runs, no k[T] Bezout solve runs at all, and
+        no endpoint is rebuilt by eval_path."""
         import importlib
         from collections import Counter
 
@@ -819,8 +820,11 @@ class TestGenerationSolvesOnce:
         kt_pair = poly._bezout_pair_kt
         monkeypatch.setattr(poly, "_bezout_pair_kt",
                             lambda *a: calls.update(["kt_pair"]) or kt_pair(*a))
-        psi = bezout_hankel._psi
-        monkeypatch.setattr(bezout_hankel, "_psi", lambda *a: calls.update(["psi"]) or psi(*a))
+        chart = certify.f2_iso_inv
+        monkeypatch.setattr(certify, "f2_iso_inv",
+                            lambda *a: calls.update(["chart"]) or chart(*a))
+        psi = bezout_hankel.psi_n
+        monkeypatch.setattr(bezout_hankel, "psi_n", lambda *a: calls.update(["psi"]) or psi(*a))
         evp = ratmap.eval_path
         spy_eval = lambda *a: calls.update(["eval_path"]) or evp(*a)
         monkeypatch.setattr(ratmap, "eval_path", spy_eval)
@@ -830,7 +834,7 @@ class TestGenerationSolvesOnce:
             cache.cache_clear()
         cert = connect(f, g)
         assert len(diag_chain(F5, normal_form_cert(f)[0], normal_form_cert(g)[0])) == 2
-        assert calls["psi"] == 2
+        assert calls["chart"] == 2 and calls["psi"] == 0
         assert calls["kt_pair"] == 0 and calls["eval_path"] == 0
         assert verify(cert)
 
@@ -1048,7 +1052,8 @@ class TestPdCert:
         assert split >= 3  # points whose unit W needs the CRT pieces
 
     def test_every_step_is_one_slide(self, monkeypatch, rng):
-        """pd_cert builds one mk_pd per step plus the target, and each step
+        """pd_cert validates only the target with mk_pd (each step's
+        identity is the zero remainder inside slide), and each step
         interpolates A and every B_j through _interp_poly."""
         import p1h.certify as certify
 
@@ -1071,7 +1076,7 @@ class TestPdCert:
             pt, _ = _random_pd_point(F5, rng.choice([2, 3]), rng)
             calls.update(mk_pd=0, _interp_poly=0)
             cert = pd_cert(pt)
-            assert calls["mk_pd"] == len(cert.steps) + 1
+            assert calls["mk_pd"] == 1
             assert calls["_interp_poly"] == len(cert.steps) * (pt.d + 1)
             seen.add(len(cert.steps))
         assert seen >= {3, 4}
