@@ -186,12 +186,8 @@ def _coords(kind, field, p, t=None):
         return p.avec, p.bvec  # stored padded and scaled
     polys = (p.A, *p.Bs) if kind == "pd" else (p.A, p.B)
     vecs = [P.coeffs for P in polys]
-    if t == 0:  # the constant terms
-        vecs = [[c.coeffs[0] if c.coeffs else field.zero for c in v] for v in vecs]
-    elif t == 1 and field.char:  # the coefficient sums
-        vecs = [[sum(c.coeffs) % field.char for c in v] for v in vecs]
-    elif t == 1:
-        vecs = [[sum(c.coeffs, field.zero) for c in v] for v in vecs]
+    if t is not None:
+        vecs = [_end_coeffs(field, v, t) for v in vecs]
     pad = [field.zero] * (p.n + 1)
     vecs = tuple(tuple(v) + tuple(pad[len(v):]) for v in vecs)
     return projective_normal(field, vecs) if kind == "unpointed" else vecs
@@ -262,7 +258,9 @@ def concat_certificates(a: Certificate, b: Certificate) -> Certificate:
 
 
 def _embed(kt, left, G, right):
-    """left (+) G (+) right with constant companions, as one k[T]-step."""
+    """left (+) G (+) right with constant companions, as one k[T]-step: the
+    normal form's splits and the lifted SL_2 moves.  A slide needs no sum:
+    it is a straight line (`_line_step`)."""
     F = path_of_point(oplus_all(G.ring.base, left), kt) if left else identity_point(kt)
     F = oplus(F, G)
     if right:
@@ -274,12 +272,47 @@ def _interp_poly(kt, P: Poly, Q: Poly) -> Poly:
     """(1-T) P + T Q over k[T] for field polynomials P, Q: the straight-line
     step that every interpolating certificate step is built from."""
     field = kt.base
-    return Poly.make(
+    # the coefficients are canonical field elements already: trimmed, not make
+    return Poly.trimmed(
         kt,
         [
-            Poly.make(field, [P.coeff(i), field.sub(Q.coeff(i), P.coeff(i))])
+            Poly.trimmed(field, [P.coeff(i), field.sub(Q.coeff(i), P.coeff(i))])
             for i in range(max(P.degree, Q.degree) + 1)
         ],
+    )
+
+
+def _line_step(kt, f: PointedRat, g: PointedRat) -> PointedRat:
+    """The straight line from the field point f to g as a k[T]-point, its
+    Bezout pair the line between theirs.  A step only when the attached
+    matrices stay unimodular along the line, as for a normal-form slide."""
+    return PointedRat(
+        kt,
+        _interp_poly(kt, f.A, g.A),
+        _interp_poly(kt, f.B, g.B),
+        const(kt.base, f.res),
+        _pair=(_interp_poly(kt, f.U, g.U), _interp_poly(kt, f.V, g.V)),
+    )
+
+
+def _end_coeffs(field, cs, t) -> list:
+    """The values at T = t, for t = 0 or 1, of the k[T] elements cs, read
+    directly: their constant terms, or their coefficient sums."""
+    if t == 0:
+        return [c.coeffs[0] if c.coeffs else field.zero for c in cs]
+    if field.char:
+        return [sum(c.coeffs) % field.char for c in cs]
+    return [sum(c.coeffs, field.zero) for c in cs]
+
+
+def _end_point(step: PointedRat, t) -> PointedRat:
+    """The field point a pointed step passes at T = t (0 or 1), with its
+    pair, read off the step's coefficients; the resultant is the step's
+    constant one."""
+    field = step.ring.base
+    at = lambda P: Poly.trimmed(field, _end_coeffs(field, P.coeffs, t))
+    return PointedRat(
+        field, at(step.A), at(step.B), step.res.constant(), _pair=(at(step.U), at(step.V))
     )
 
 
@@ -289,9 +322,12 @@ def normal_form_cert(f: PointedRat):
     Follows the continued-fraction decomposition: each polynomial block is
     slid to its leading monomial, each monomial X^d/u is slid to
     X^d/(X^{d-1}+u) which splits into blocks of smaller degree; degree-1
-    blocks normalize to X/u.  Every step is a single k[T]-point embedded in
-    the full-degree sum with constant companions.  Results are memoized
-    (everything involved is immutable).
+    blocks normalize to X/u.  Every step is a single k[T]-point of the
+    full-degree sum.  A slide changes one block's matrix by a rank-one
+    term, so its step is the straight line (`_line_step`) between two field
+    points, the second computed from the first; a split is embedded with
+    constant companions (`_embed`).  The target is the last point reached.
+    Results are memoized (everything involved is immutable).
     """
     return _normal_form_cert_cached(f)
 
@@ -315,17 +351,29 @@ def _normal_form_cert_cached(f: PointedRat):
     # T = 0 with f, and the units are checked against cf_values(f) below
     slots = [poly_point(P, b) for P, b in cf_expand(f)]
     steps = []
-
-    def push(i, G, new_slots_i):
-        steps.append(_embed(kt, slots[:i], G, slots[i + 1 :]))
-        slots[i : i + 1] = new_slots_i
+    cur = f  # the field point the chain has reached
 
     def slide(i):
-        # slot i's numerator to its leading monomial, the denominator kept
+        # slot i's numerator P to its leading monomial X^d, the denominator
+        # kept.  Slot i's matrix [P, -1/u; u, 0] gains (X^d - P) E_11, so the
+        # sum's gains (X^d - P) (A_L, B_L)^t (A_R, -V_R), with L and R the
+        # sums of the slots left and right of i: affine in T, and the
+        # determinant stays 1 since the slot's U is 0.
+        nonlocal cur
         g = slots[i]
-        u = g.B.constant()
         xd = X(field).shift(g.n - 1)
-        push(i, poly_point(_interp_poly(kt, g.A, xd), u), [poly_point(xd, u)])
+        left, right = oplus_all(field, slots[:i]), oplus_all(field, slots[i + 1 :])
+        dA, dV = (xd - g.A) * right.A, (xd - g.A) * right.V
+        nxt = PointedRat(
+            field,
+            cur.A + dA * left.A,
+            cur.B + dA * left.B,
+            f.res,
+            _pair=(cur.U - dV * left.B, cur.V + dV * left.A),
+        )
+        steps.append(_line_step(kt, cur, nxt))
+        cur = nxt
+        slots[i] = poly_point(xd, g.B.constant())
 
     # each pass slides a non-monomial slot to a monomial, or splits a
     # monomial slot into blocks of smaller degree, so the loop ends
@@ -353,17 +401,19 @@ def _normal_form_cert_cached(f: PointedRat):
                 Poly.make(kt, pad + [w * w]),
                 Poly.make(kt, [const(field, field.inv(u))] + pad + [-w.scale(field.inv(u))]),
             )
-            push(i, G, [poly_point(P, b) for P, b in cf_expand(mk_pointed(xd, B1))])
+            steps.append(_embed(kt, slots[:i], G, slots[i + 1 :]))
+            cur = _end_point(steps[-1], 1)
+            slots[i : i + 1] = [poly_point(P, b) for P, b in cf_expand(mk_pointed(xd, B1))]
     # degree-1 slots: normalize (X+a)/u to X/u
     for i, g in enumerate(slots):
         if not field.is_zero(g.A.coeff(0)):
             slide(i)
-    # every slot is now X/u_i; verify, and concat_certificates on each join,
-    # check that the steps chain from f to monomial_sum(units)
+    # every slot is now X/u_i, and cur is their sum; verify, and
+    # concat_certificates on each join, check that the steps chain from f
     units = tuple(g.B.constant() for g in slots)
     if units != cf_values(f):
         raise FieldError("normal form units differ from the continued-fraction values")
-    return units, Certificate("pointed", field, tuple(steps), f, monomial_sum(field, units))
+    return units, Certificate("pointed", field, tuple(steps), f, cur)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +654,9 @@ def lift_move_to_step(field, units, mv: DiagMove, kt=None):
 
 
 def lift_chain_to_cert(field, us, chain) -> Certificate:
-    """Certificate from [u_1..u_n] to the chain's end tuple."""
+    """Certificate from [u_1..u_n] to the chain's end tuple, one step per
+    move.  Its source is read off the first step at T = 0 and its target off
+    the last at T = 1; only an empty chain builds the monomial sum."""
     return _lift_chain_cached(field, tuple(us), tuple(chain))
 
 
@@ -616,12 +668,10 @@ def _lift_chain_cached(field, us, chain) -> Certificate:
     for mv in chain:
         step, cur = lift_move_to_step(field, cur, mv, kt)
         steps.append(step)
+    if not steps:
+        return Certificate("pointed", field, (), monomial_sum(field, us), monomial_sum(field, us))
     return Certificate(
-        "pointed",
-        field,
-        tuple(steps),
-        monomial_sum(field, us),
-        monomial_sum(field, cur),
+        "pointed", field, tuple(steps), _end_point(steps[0], 0), _end_point(steps[-1], 1)
     )
 
 

@@ -129,7 +129,7 @@ def mk_pointed(A: Poly, B: Poly) -> PointedRat:
     if n == 0:
         if not B.is_zero():
             raise FieldError("degree-0 point must be 1/0")
-        return PointedRat(ring, A, B, ring.one, _pair=(const(ring, ring.one), zero(ring)))
+        return identity_point(ring)
     steps = None
     if isinstance(ring, PolyRing):
         res = resultant_nn(A, B, n)
@@ -180,7 +180,8 @@ def pointed_from_pair(A: Poly, B: Poly, U: Poly, V: Poly) -> PointedRat:
 
 def identity_point(ring) -> PointedRat:
     """The unique degree-0 point 1/0, the unit for the addition law."""
-    return mk_pointed(const(ring, ring.one), zero(ring))
+    one = const(ring, ring.one)
+    return PointedRat(ring, one, zero(ring), ring.one, _pair=(one, zero(ring)))
 
 
 def poly_point(P: Poly, b) -> PointedRat:

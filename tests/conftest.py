@@ -25,7 +25,16 @@ from p1h.fields import GF, QQ, FieldError, Rationals
 from p1h.poly import Poly, PolyRing, X, const, poly_divmod
 from p1h import expr
 from p1h.quadform import REAL_PLACE
-from p1h.ratmap import UnpointedRat, mk_pointed, monomial_sum, oplus, oplus_all, x_over
+from p1h.ratmap import (
+    UnpointedRat,
+    cf_expand,
+    mk_pointed,
+    monomial_sum,
+    oplus,
+    oplus_all,
+    poly_point,
+    x_over,
+)
 
 
 def block_sum(S1, S2):
@@ -110,6 +119,40 @@ def schoolbook_divmod(a, b):
         for j, bc in enumerate(b.coeffs):
             rem[i + j] = sub(rem[i + j], mul(factor, bc))
     return _trim(R, q), _trim(R, rem[:db])
+
+
+def reference_normal_form_steps(f):
+    """The steps of normal_form_cert(f) by the route slides took before they
+    became straight lines: each slide is `_embed` of the slid slot's k[T]
+    point between its constant companions, two k[T] oplus calls.  A split
+    is built by `_embed` on both routes, so it is left as None here and only
+    its blocks are replayed."""
+    from p1h.certify import _embed, _interp_poly
+
+    field = f.ring
+    kt = PolyRing(field)
+    slots = [poly_point(P, b) for P, b in cf_expand(f)]
+    steps = []
+
+    def slide(i):
+        g = slots[i]
+        u, xd = g.B.constant(), X(field).shift(g.n - 1)
+        steps.append(_embed(kt, slots[:i], poly_point(_interp_poly(kt, g.A, xd), u), slots[i + 1:]))
+        slots[i] = poly_point(xd, u)
+
+    while (i := next((i for i, g in enumerate(slots) if g.n > 1), None)) is not None:
+        g = slots[i]
+        if any(not field.is_zero(g.A.coeff(j)) for j in range(g.n)):
+            slide(i)
+        else:
+            u, d = g.B.constant(), g.n
+            B1 = Poly.make(field, [u] + [field.zero] * (d - 2) + [field.one])
+            steps.append(None)
+            slots[i:i + 1] = [poly_point(P, b) for P, b in cf_expand(mk_pointed(g.A, B1))]
+    for i, g in enumerate(slots):
+        if not field.is_zero(g.A.coeff(0)):
+            slide(i)
+    return steps
 
 
 def perm_det(field, M):

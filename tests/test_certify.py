@@ -839,16 +839,152 @@ class TestGenerationSolvesOnce:
         assert verify(cert)
 
 
+class TestSlidesAreStraightLines:
+    """A slide changes one block's matrix by a rank-one term, so the step is
+    the straight line between two field points: checked against the k[T]
+    sums slides were built as (conftest.reference_normal_form_steps), with
+    the certificate ends read off the steps."""
+
+    @staticmethod
+    def _block_point(field, rng):
+        """A sum of random blocks P/b of degree 1-4, total degree 1-8."""
+        f = identity_point(field)
+        while f.n < 8:
+            d = rng.randrange(1, min(4, 8 - f.n) + 1)
+            if field == QQ:
+                cs = [Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(d)]
+                b = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
+            else:
+                cs = [rng.randrange(field.p) for _ in range(d)]
+                b = rng.randrange(1, field.p)
+            f = oplus(f, poly_point(Poly.make(field, cs + [1]), b))
+            if rng.random() < 0.3:
+                break
+        return f
+
+    @pytest.mark.parametrize("field", (GF(2), GF(3), GF(5), GF(101), QQ), ids=str)
+    def test_steps_and_ends_match_the_reference(self, field, rng):
+        from conftest import reference_normal_form_steps
+
+        slides = splits = 0
+        for _ in range(12):
+            f = self._block_point(field, rng) if rng.random() < 0.7 else random_point(
+                field, rng.randrange(1, 9 if field != QQ else 6), rng)
+            units, cert = normal_form_cert(f)
+            ref = reference_normal_form_steps(f)
+            assert len(cert.steps) == len(ref)
+            for got, want in zip(cert.steps, ref):
+                if want is None:
+                    splits += 1
+                    continue
+                slides += 1
+                assert (got.A, got.B, got.U, got.V, got.res) == (want.A, want.B, want.U, want.V, want.res)
+            assert cert.source == f and cert.target == monomial_sum(field, units)
+            assert verify(cert)
+            # a chain of one to three moves, each (u_i, u_i+1) -> (c, u_i u_i+1 / c)
+            chain, end = [], units
+            for _ in range(rng.randrange(1, 4) if len(units) > 1 else 0):
+                i = rng.randrange(len(end) - 1)
+                x, y = (field.coerce(rng.randrange(0, 4)) for _ in range(2))
+                c = field.add(field.mul(end[i], field.mul(x, x)), field.mul(end[i + 1], field.mul(y, y)))
+                if not field.is_zero(c):
+                    chain.append(DiagMove(i, c, x, y))
+                    end = apply_move(field, end, chain[-1])
+            lift = lift_chain_to_cert(field, units, tuple(chain))
+            assert lift.source == monomial_sum(field, units)
+            assert lift.target == monomial_sum(field, end)
+            assert verify(lift)
+        assert slides >= 12 and splits >= 1
+
+    def test_degree_one_blocks_run_no_kt_oplus(self, monkeypatch):
+        from p1h import certify, ratmap
+
+        F5 = GF(5)
+        f = mk_pointed(Poly.make(F5, [1, 4, 4, 1]), Poly.make(F5, [1, 2, 4]))
+        assert [P.degree for P, _ in ratmap.cf_expand(f)] == [1, 1, 1]
+        calls = {"field": 0, "kt": 0}
+        real = ratmap.oplus
+
+        def oplus(f, g):
+            calls["kt" if f.is_path else "field"] += 1
+            return real(f, g)
+
+        monkeypatch.setattr(ratmap, "oplus", oplus)
+        monkeypatch.setattr(certify, "oplus", oplus)
+        certify._normal_form_cert_cached.cache_clear()
+        assert len(normal_form_cert(f)[1].steps) == 3
+        certify._normal_form_cert_cached.cache_clear()
+        assert calls == {"field": 2, "kt": 0}
+
+    def test_connect_builds_no_monomial_sum(self, monkeypatch):
+        from p1h import certify
+
+        F5 = GF(5)  # TestGenerationSolvesOnce's pair: 3 + 2 slides, two moves
+        f = mk_pointed(Poly.make(F5, [1, 4, 4, 1]), Poly.make(F5, [1, 2, 4]))
+        g = mk_pointed(Poly.make(F5, [3, 3, 3, 1]), Poly.make(F5, [4, 3, 1]))
+        calls = []
+        real = certify.monomial_sum
+        monkeypatch.setattr(certify, "monomial_sum", lambda *a: calls.append(a) or real(*a))
+        for cache in (certify._normal_form_cert_cached, certify._normal_form_cert_reversed,
+                      certify._diag_chain_cached, certify._lift_chain_cached):
+            cache.cache_clear()
+        cert = connect(f, g)
+        assert calls == [] and verify(cert)
+
+    def test_chart_re_proves_nothing(self, monkeypatch):
+        from p1h import bezout_hankel
+
+        calls = []
+        for name in ("laurent_expand", "pointed_from_pair"):
+            monkeypatch.setattr(bezout_hankel, name, lambda *a, name=name: calls.append(name))
+        for field in (GF(5), QQ):
+            S = SymMatrix.make(field, [[1, 2], [2, 3]])
+            f = bezout_hankel.f2_iso_inv(S, 1)
+            assert (f.A * f.U + f.B * f.V).coeffs == (field.one,)
+        assert calls == []
+
+
 class TestStepChecksLiveInVerify:
-    """oplus checks no k[T] sum: a wrong step built inside _embed is
+    """Generation checks no k[T] step: a wrong slide (a straight line built
+    by _line_step) or a wrong lift step (a k[T] sum built inside _embed) is
     refused by verify, and the CLI writes nothing."""
 
     F5 = GF(5)
     F_TEXT, G_TEXT = "(X^3+4*X^2+4*X+1)/(4*X^2+2*X+1)", "(X^3+3*X^2+3*X+3)/(X^2+3*X+4)"
 
+    @staticmethod
+    def _bump(F):
+        """F with T(1-T) added to B's constant term: the endpoints stay,
+        the resultant does not."""
+        field = F.ring.base
+        bump = const(F.ring, Poly.make(field, [0, 1, field.neg(field.one)]))
+        return PointedRat(F.ring, F.A, F.B + bump, F.res, _pair=F._pair)
+
+    @staticmethod
+    def _clear_caches():
+        from p1h import certify
+
+        for cache in (certify._normal_form_cert_cached, certify._normal_form_cert_reversed,
+                      certify._diag_chain_cached, certify._lift_chain_cached):
+            cache.cache_clear()
+
+    def _perturb_slide(self, monkeypatch, bad_call):
+        """Perturb the `bad_call`-th slide step that _line_step builds."""
+        from p1h import certify
+
+        real_line = certify._line_step
+        seen = {"line": -1}
+
+        def line_step(*args):
+            seen["line"] += 1
+            out = real_line(*args)
+            return self._bump(out) if seen["line"] == bad_call else out
+
+        monkeypatch.setattr(certify, "_line_step", line_step)
+        self._clear_caches()
+
     def _perturb_embed(self, monkeypatch, bad_call):
-        """Add T(1-T) to B's constant term in every k[T] sum of the
-        `bad_call`-th _embed call: the endpoints stay, the resultant does not."""
+        """Perturb every k[T] sum of the `bad_call`-th _embed call."""
         from p1h import certify
 
         real_embed, real_oplus = certify._embed, certify.oplus
@@ -860,24 +996,14 @@ class TestStepChecksLiveInVerify:
 
         def oplus(f, g):
             out = real_oplus(f, g)
-            if out.is_path and seen["embed"] == bad_call:
-                field = out.ring.base
-                bump = const(out.ring, Poly.make(field, [0, 1, field.neg(field.one)]))
-                return PointedRat(out.ring, out.A, out.B + bump, out.res, _pair=out._pair)
-            return out
+            return self._bump(out) if out.is_path and seen["embed"] == bad_call else out
 
         monkeypatch.setattr(certify, "_embed", embed)
         monkeypatch.setattr(certify, "oplus", oplus)
-        for cache in (certify._normal_form_cert_cached, certify._normal_form_cert_reversed,
-                      certify._diag_chain_cached, certify._lift_chain_cached):
-            cache.cache_clear()
+        self._clear_caches()
 
     def teardown_method(self):
-        from p1h import certify
-
-        for cache in (certify._normal_form_cert_cached, certify._normal_form_cert_reversed,
-                      certify._diag_chain_cached, certify._lift_chain_cached):
-            cache.cache_clear()
+        self._clear_caches()
 
     def test_verify_names_the_perturbed_step(self, monkeypatch):
         from p1h.expr import parse_ratfun
@@ -885,18 +1011,28 @@ class TestStepChecksLiveInVerify:
         f = parse_ratfun(self.F_TEXT, self.F5)
         assert len(normal_form_cert(f)[1].steps) >= 2
         for bad in (0, 1):
-            self._perturb_embed(monkeypatch, bad)
+            self._perturb_slide(monkeypatch, bad)
             cert = normal_form_cert(f)[1]
             res = verify(cert)
             assert not res and res.step == bad
             assert res.reason == f"non-constant resultant at step {bad}"
+
+    def test_verify_names_the_perturbed_lift_step(self, monkeypatch):
+        from p1h.expr import parse_ratfun
+
+        f, g = parse_ratfun(self.F_TEXT, self.F5), parse_ratfun(self.G_TEXT, self.F5)
+        first = len(normal_form_cert(f)[1].steps)  # f's blocks all have degree 1: no split
+        self._perturb_embed(monkeypatch, 0)
+        res = verify(connect(f, g))
+        assert not res and res.step == first
+        assert res.reason == f"non-constant resultant at step {first}"
 
     def test_cli_refuses_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
         from p1h.cli import main
 
         out = tmp_path / "cert.json"
         argv = ["certify", "--field", "F5", self.F_TEXT, self.G_TEXT, "--out", str(out)]
-        self._perturb_embed(monkeypatch, 1)
+        self._perturb_slide(monkeypatch, 1)
         assert main(argv) == 1
         assert not out.exists()
         err = capsys.readouterr().err
