@@ -79,6 +79,7 @@ from .classify import (
     compose_invariant,
     mk_pd,
     pd_equiv,
+    pointed_difference,
     pointed_equiv,
     pointed_invariant,
     sum_invariant,

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bezout_hankel import SymMatrix, f2_iso_inv
-from .classify import (
-    PdPoint,
-    PointedInvariant,
-    mk_pd,
-    normalized_equiv,
-    pointed_invariant,
-)
+from .classify import PdPoint, mk_pd, normalized_equiv, pointed_difference
 from .fields import (
     FieldError,
     PrimeField,
@@ -43,7 +37,7 @@ from .poly import (
     resultant_nn,
     zero,
 )
-from .quadform import _sqrt_exact, is_isotropic, isotropic_at, oplog_to_path, stable_equal
+from .quadform import _sqrt_exact, is_isotropic, isotropic_at, oplog_to_path
 from .ratmap import (
     PointedRat,
     UnpointedRat,
@@ -61,6 +55,7 @@ from .ratmap import (
     poly_point,
     projective_normal,
     reflect,
+    reflect_poly,
     reverse_path,
     sl2_elementary_factors,
     x_over,
@@ -217,17 +212,16 @@ def verify(cert: Certificate) -> VerifyResult:
 def reverse_step(kind, step, field):
     kt = PolyRing(field)
     if isinstance(step, PairStep):  # every unpointed step, loaded pointed steps
-        A, B = step.A.map_coeffs(reflect, kt), step.B.map_coeffs(reflect, kt)
-        return PairStep(kt, step.n, A, B)
+        return PairStep(kt, step.n, reflect_poly(step.A), reflect_poly(step.B))
     if kind == "pointed":
         return reverse_path(step)
     if kind == "pd":
         return PdPoint(
             kt,
             step.d,
-            step.A.map_coeffs(reflect, kt),
-            tuple(B.map_coeffs(reflect, kt) for B in step.Bs),
-            tuple(c.map_coeffs(reflect, kt) for c in step.cofactors),
+            reflect_poly(step.A),
+            tuple(reflect_poly(B) for B in step.Bs),
+            tuple(reflect_poly(c) for c in step.cofactors),
         )
     if kind == "symmat":
         return SymMatrix.make(kt, [[reflect(c) for c in row] for row in step.rows])
@@ -680,20 +674,11 @@ def _lift_chain_cached(field, us, chain) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _invariant_diff(i1: PointedInvariant, i2: PointedInvariant) -> str:
-    parts = []
-    if i1.n != i2.n:
-        parts.append(f"degree {i1.n} vs {i2.n}")
-    else:
-        if not i1.field.is_zero(i1.field.sub(i1.res, i2.res)):
-            parts.append(f"resultant {i1.field.format(i1.res)} vs {i2.field.format(i2.res)}")
-        if i1.witt is not None and i2.witt is not None and not stable_equal(i1.witt, i2.witt):
-            parts.append("stable Witt class differs")
-    return "; ".join(parts) or "invariants differ"
-
-
 def connect(f: PointedRat, g: PointedRat):
-    """A certificate f ~ g, or NotEquivalent.
+    """A certificate f ~ g, or NotEquivalent with the reason
+    classify.pointed_difference gives: the first invariant that differs,
+    compared cheapest first, so a degree, resultant or signature mismatch
+    answers without factoring.
 
     The certificate runs from f to its monomial normal form, along the
     diagonal chain between the two normal forms, and back from g's normal
@@ -705,13 +690,9 @@ def connect(f: PointedRat, g: PointedRat):
     field = f.ring
     if f.A == g.A and f.B == g.B:
         return Certificate("pointed", field, (), f, g)
-    if isinstance(field, PolyRing):
-        raise FieldError("invariants are taken over the base field")
-    if f.n != g.n:  # decided before any invariant is built
-        return NotEquivalent(f"degree {f.n} vs {g.n}")
-    i1, i2 = pointed_invariant(f), pointed_invariant(g)
-    if i1 != i2:
-        return NotEquivalent(_invariant_diff(i1, i2))
+    reason = pointed_difference(f, g)
+    if reason is not None:
+        return NotEquivalent(reason)
     us, cert_f = normal_form_cert(f)
     vs = normal_form_cert(g)[0]
     out = cert_f

@@ -156,8 +156,9 @@ def compose_invariant(i1: PointedInvariant, i2: PointedInvariant) -> PointedInva
     return PointedInvariant(n3, witt, res3, field)
 
 
-def pointed_equiv(f: PointedRat, g: PointedRat) -> bool:
-    """Same naive homotopy class iff all invariants agree.
+def pointed_difference(f: PointedRat, g: PointedRat) -> str | None:
+    """The first invariant on which two field points differ, or None when
+    they are in the same naive homotopy class.
 
     The invariants are compared cheapest first, and a mismatch answers at
     once: the degree, then the exact resultant each point holds, then over
@@ -165,19 +166,30 @@ def pointed_equiv(f: PointedRat, g: PointedRat) -> bool:
     coherence check).  None of these needs a prime.  Only when all agree
     are the full invariants built, which over Q factor the resultant for
     the Hasse symbols.  An identical point is equivalent without either
-    stage."""
+    stage.  The reason names that one invariant: "degree a vs b",
+    "resultant r vs s", or "stable Witt class differs" for a signature or
+    a full-invariant mismatch."""
     field = f.ring
     if field != g.ring:
         raise FieldError("points over different fields")
     if isinstance(field, PolyRing):
         raise FieldError("invariants are taken over the base field")
     if f.A == g.A and f.B == g.B:
-        return True
-    if f.n != g.n or f.res != g.res:
-        return False
-    if isinstance(field, Rationals) and _signature(f) != _signature(g):
-        return False
-    return pointed_invariant(f) == pointed_invariant(g)
+        return None
+    if f.n != g.n:
+        return f"degree {f.n} vs {g.n}"
+    if f.res != g.res:
+        return f"resultant {field.format(f.res)} vs {field.format(g.res)}"
+    if (isinstance(field, Rationals) and _signature(f) != _signature(g)
+            or pointed_invariant(f) != pointed_invariant(g)):
+        return "stable Witt class differs"
+    return None
+
+
+def pointed_equiv(f: PointedRat, g: PointedRat) -> bool:
+    """Same naive homotopy class iff all invariants agree, compared
+    cheapest first (pointed_difference)."""
+    return pointed_difference(f, g) is None
 
 
 # ---------------------------------------------------------------------------

@@ -228,14 +228,6 @@ class Poly:
             acc = R.add(R.mul(acc, x), c)
         return acc
 
-    def subst(self, g: "Poly") -> "Poly":
-        """Evaluate at another polynomial (Horner)."""
-        R = self.ring
-        acc = Poly(R, ())
-        for c in reversed(self.coeffs):
-            acc = acc * g + Poly.make(R, [c])
-        return acc
-
     def map_coeffs(self, fn, new_ring) -> "Poly":
         return Poly.make(new_ring, [fn(c) for c in self.coeffs])
 

@@ -12,9 +12,10 @@ inverse at the level of field points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from math import comb
 
 from . import linalg
-from .fields import FieldError
+from .fields import FieldError, PrimeField
 from .poly import (
     Poly,
     PolyRing,
@@ -416,9 +417,20 @@ def path_of_point(f: PointedRat, kt: PolyRing) -> PointedRat:
 
 
 def reflect(c: Poly) -> Poly:
-    """c(1-T) for c in k[T]: the substitution that runs a path backwards."""
-    base = c.ring
-    return c.subst(Poly(base, (base.one, base.neg(base.one))))
+    """c(1-T) for c in k[T]: the substitution that runs a path backwards.
+    One binomial pass, b_k = (-1)^k sum_{j>=k} C(j, k) a_j."""
+    base, a = c.ring, c.coeffs
+    m = len(a)
+    out = [sum(comb(j, k) * a[j] for j in range(k, m)) for k in range(m)]
+    out[1::2] = [-b for b in out[1::2]]
+    if isinstance(base, PrimeField):
+        out = [b % base.p for b in out]
+    return Poly.trimmed(base, out)
+
+
+def reflect_poly(P: Poly) -> Poly:
+    """P(X; 1-T) for P in k[T][X]: reflect every coefficient."""
+    return Poly.trimmed(P.ring, [reflect(c) for c in P.coeffs])
 
 
 def reverse_path(F: PointedRat) -> PointedRat:
@@ -426,8 +438,7 @@ def reverse_path(F: PointedRat) -> PointedRat:
     reflected: a certificate step is written and verified from them alone,
     and a later read of U or V solves the pair, as for any point built
     without one."""
-    kt = F.ring
-    return PointedRat(kt, F.A.map_coeffs(reflect, kt), F.B.map_coeffs(reflect, kt), F.res)
+    return PointedRat(F.ring, reflect_poly(F.A), reflect_poly(F.B), F.res)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from p1h.classify import (
     compose_invariant,
     mk_pd,
     pd_equiv,
+    pointed_difference,
     pointed_equiv,
     pointed_invariant,
     res_class_mod_2n,
@@ -494,8 +495,35 @@ class TestCheapestInvariantFirst:
             u1, u2 = unpointed_of_pointed(f1), unpointed_of_pointed(f2)
             assert not unpointed_equiv(u1, u2)
             assert certify.unpointed_connect(u1, u2).reason == "unpointed invariants differ"
-        out = certify.connect(x_over(QQ, 1), f)
-        assert out.reason == "degree 1 vs 3"
+        g = pairs[1][1]
+        expected = [
+            ((x_over(QQ, 1), f), "degree 1 vs 3"),
+            (pairs[1], f"resultant {QQ.format(f.res)} vs {QQ.format(g.res)}"),
+            (pairs[2], "stable Witt class differs"),
+        ]
+        for (f1, f2), reason in expected:
+            assert certify.connect(f1, f2).reason == reason
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(101), QQ], ids=str)
+    def test_connect_decides_as_pointed_equiv(self, field, rng):
+        # one decision: connect certifies exactly the pairs pointed_equiv
+        # accepts, and refuses the others with pointed_difference's reason
+        from p1h.certify import Certificate, NotEquivalent, connect, verify
+
+        seen = set()
+        for f, g in _seeded_pairs(field, rng, 60):
+            out, reason = connect(f, g), pointed_difference(f, g)
+            assert pointed_equiv(f, g) == (reason is None)
+            if reason is None:
+                assert isinstance(out, Certificate) and verify(out), (f, g)
+            else:
+                assert isinstance(out, NotEquivalent) and out.reason == reason, (f, g)
+            seen.add(reason and reason.split()[0])
+        assert {None, "degree"} <= seen, seen
+        if field.char != 2:
+            assert "resultant" in seen, seen
+        if field is QQ:
+            assert "stable" in seen, seen
 
     def test_mixed_fields_and_paths_raise(self):
         from p1h.certify import connect

@@ -346,8 +346,8 @@ class TestUntrustedInputInAChild:
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("command,first", [
-        ("equiv", "X/1"), ("equiv", "g"), ("certify", "X/1"),
-    ], ids=["equiv-degree", "equiv-resultant", "certify-degree"])
+        ("equiv", "X/1"), ("equiv", "g"), ("certify", "X/1"), ("certify", "g"),
+    ], ids=["equiv-degree", "equiv-resultant", "certify-degree", "certify-resultant"])
     def test_degree_20_q_pair_decides_without_factoring(self, command, first):
         # each was still in rho after 15 s when the full invariants were
         # built before any comparison

@@ -29,6 +29,7 @@ from p1h.ratmap import (
     phi_n,
     pointed_from_pair,
     poly_point,
+    reflect,
     reverse_path,
     sl2_elementary_factors,
     unpointed_of_pointed,
@@ -41,6 +42,7 @@ from conftest import (
     euclid_pairs,
     random_point,
     run_optimized,
+    schoolbook_mul,
     solved_twin,
 )
 
@@ -584,6 +586,23 @@ class TestPaths:
         R = reverse_path(F)
         assert eval_path(R, 0) == eval_path(F, 1)
         assert eval_path(R, 1) == eval_path(F, 0)
+
+    @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(101), QQ], ids=str)
+    def test_reflect_is_the_substitution(self, field, rng):
+        # c(1-T) by Horner with schoolbook products, the field's own add
+        one_minus_t = Poly.make(field, [1, -1])
+        for _ in range(60):
+            m = rng.randrange(0, 9)
+            if field is QQ:
+                cs = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(m)]
+            else:
+                cs = [rng.randrange(field.p) for _ in range(m)]
+            c = Poly.make(field, cs)
+            expected = Poly.make(field, [])
+            for a in reversed(c.coeffs):
+                expected = schoolbook_mul(expected, one_minus_t) + const(field, a)
+            assert reflect(c) == expected, c
+            assert reflect(reflect(c)) == c
 
 
 class TestSl2Factors:
