@@ -252,9 +252,8 @@ def concat_certificates(a: Certificate, b: Certificate) -> Certificate:
 
 
 def _embed(kt, left, G, right):
-    """left (+) G (+) right with constant companions, as one k[T]-step: the
-    normal form's splits and the lifted SL_2 moves.  A slide needs no sum:
-    it is a straight line (`_line_step`)."""
+    """left (+) G (+) right with constant companions, as one k[T]-step: a
+    lifted SL_2 move between the field sums of the blocks beside it."""
     F = path_of_point(oplus_all(G.ring.base, left), kt) if left else identity_point(kt)
     F = oplus(F, G)
     if right:
@@ -273,19 +272,6 @@ def _interp_poly(kt, P: Poly, Q: Poly) -> Poly:
             Poly.trimmed(field, [P.coeff(i), field.sub(Q.coeff(i), P.coeff(i))])
             for i in range(max(P.degree, Q.degree) + 1)
         ],
-    )
-
-
-def _line_step(kt, f: PointedRat, g: PointedRat) -> PointedRat:
-    """The straight line from the field point f to g as a k[T]-point, its
-    Bezout pair the line between theirs.  A step only when the attached
-    matrices stay unimodular along the line, as for a normal-form slide."""
-    return PointedRat(
-        kt,
-        _interp_poly(kt, f.A, g.A),
-        _interp_poly(kt, f.B, g.B),
-        const(kt.base, f.res),
-        _pair=(_interp_poly(kt, f.U, g.U), _interp_poly(kt, f.V, g.V)),
     )
 
 
@@ -313,15 +299,15 @@ def _end_point(step: PointedRat, t) -> PointedRat:
 def normal_form_cert(f: PointedRat):
     """A certificate from f to its monomial normal form [u_1, ..., u_n].
 
-    Follows the continued-fraction decomposition: each polynomial block is
-    slid to its leading monomial, each monomial X^d/u is slid to
-    X^d/(X^{d-1}+u) which splits into blocks of smaller degree; degree-1
-    blocks normalize to X/u.  Every step is a single k[T]-point of the
-    full-degree sum.  A slide changes one block's matrix by a rank-one
-    term, so its step is the straight line (`_line_step`) between two field
-    points, the second computed from the first; a split is embedded with
-    constant companions (`_embed`).  The target is the last point reached.
-    Results are memoized (everything involved is immutable).
+    Follows the continued-fraction decomposition in rounds over all blocks
+    P/b at once: a slide round moves each block to its leading monomial
+    X^d/b, a split round each monomial X^d/u of degree d > 1 to
+    X^d/(X^{d-1}+u), which splits into blocks of smaller degree, until every
+    block is X/u.  Each block's homotopy is a k[T]-point, so a round is one
+    step, their k[T] sum (oplus_all), whose T-degree is the number of
+    blocks it moves.  Step 0 at T = 0 is the sum of f's blocks, f itself,
+    and the target is read off the last step at T = 1.  Results are
+    memoized (everything involved is immutable).
     """
     return _normal_form_cert_cached(f)
 
@@ -341,73 +327,48 @@ def _normal_form_cert_cached(f: PointedRat):
     kt = PolyRing(field)
     if f.n == 0:
         return (), Certificate("pointed", field, (), f, f)
-    # the slots need not be summed back to f: verify compares step 0 at
+    # the blocks need not be summed back to f: verify compares step 0 at
     # T = 0 with f, and the units are checked against cf_values(f) below
-    slots = [poly_point(P, b) for P, b in cf_expand(f)]
+    blocks = list(cf_expand(f))
     steps = []
-    cur = f  # the field point the chain has reached
-
-    def slide(i):
-        # slot i's numerator P to its leading monomial X^d, the denominator
-        # kept.  Slot i's matrix [P, -1/u; u, 0] gains (X^d - P) E_11, so the
-        # sum's gains (X^d - P) (A_L, B_L)^t (A_R, -V_R), with L and R the
-        # sums of the slots left and right of i: affine in T, and the
-        # determinant stays 1 since the slot's U is 0.
-        nonlocal cur
-        g = slots[i]
-        xd = X(field).shift(g.n - 1)
-        left, right = oplus_all(field, slots[:i]), oplus_all(field, slots[i + 1 :])
-        dA, dV = (xd - g.A) * right.A, (xd - g.A) * right.V
-        nxt = PointedRat(
-            field,
-            cur.A + dA * left.A,
-            cur.B + dA * left.B,
-            f.res,
-            _pair=(cur.U - dV * left.B, cur.V + dV * left.A),
-        )
-        steps.append(_line_step(kt, cur, nxt))
-        cur = nxt
-        slots[i] = poly_point(xd, g.B.constant())
-
-    # each pass slides a non-monomial slot to a monomial, or splits a
-    # monomial slot into blocks of smaller degree, so the loop ends
+    # each split round leaves blocks of smaller degree, so the loop ends
     while True:
-        i = next((i for i, g in enumerate(slots) if g.n > 1), None)
-        if i is None:
+        slid = [(X(field).shift(P.degree - 1), b) for P, b in blocks]
+        if slid != blocks:
+            # a block P/b slides along ((1-T) P + T X^d)/b, pair (0, 1/b)
+            paths = [poly_point(_interp_poly(kt, P, Q), b) for (P, b), (Q, _) in zip(blocks, slid)]
+            steps.append(oplus_all(kt, paths))
+            blocks = slid
+        if all(P.degree == 1 for P, _ in blocks):
             break
-        g = slots[i]
-        d = g.n
-        if any(not field.is_zero(g.A.coeff(j)) for j in range(d)):
-            slide(i)
-        else:
+        paths, split = [], []
+        for P, u in blocks:
+            d = P.degree
+            if d == 1:
+                paths.append(poly_point(_interp_poly(kt, P, P), u))
+                split.append((P, u))
+                continue
             # X^d/u -> X^d/(X^{d-1} + u), then split off the lead.  The path
             # B = u + T X^{d-1} has B V = 1 - (T/u)^2 X^{2d-2} = 1 mod X^d
             # for V = 1/u - (T/u^2) X^{d-1}, so U = (T/u)^2 X^{d-2}.
-            u = g.B.constant()
             T = Poly.make(field, [field.zero, field.one])
             w = T.scale(field.inv(u))
             pad = [zero(field)] * (d - 2)
-            xd = X(field).shift(d - 1)
             B1 = Poly.make(field, [u] + [field.zero] * (d - 2) + [field.one])
-            G = pointed_from_pair(
-                _interp_poly(kt, xd, xd),
+            paths.append(pointed_from_pair(
+                _interp_poly(kt, P, P),
                 _interp_poly(kt, const(field, u), B1),
                 Poly.make(kt, pad + [w * w]),
                 Poly.make(kt, [const(field, field.inv(u))] + pad + [-w.scale(field.inv(u))]),
-            )
-            steps.append(_embed(kt, slots[:i], G, slots[i + 1 :]))
-            cur = _end_point(steps[-1], 1)
-            slots[i : i + 1] = [poly_point(P, b) for P, b in cf_expand(mk_pointed(xd, B1))]
-    # degree-1 slots: normalize (X+a)/u to X/u
-    for i, g in enumerate(slots):
-        if not field.is_zero(g.A.coeff(0)):
-            slide(i)
-    # every slot is now X/u_i, and cur is their sum; verify, and
-    # concat_certificates on each join, check that the steps chain from f
-    units = tuple(g.B.constant() for g in slots)
+            ))
+            split += cf_expand(mk_pointed(P, B1))
+        steps.append(oplus_all(kt, paths))
+        blocks = split
+    units = tuple(b for _, b in blocks)
     if units != cf_values(f):
         raise FieldError("normal form units differ from the continued-fraction values")
-    return units, Certificate("pointed", field, tuple(steps), f, cur)
+    target = _end_point(steps[-1], 1) if steps else f
+    return units, Certificate("pointed", field, tuple(steps), f, target)
 
 
 # ---------------------------------------------------------------------------

@@ -122,37 +122,55 @@ def schoolbook_divmod(a, b):
 
 
 def reference_normal_form_steps(f):
-    """The steps of normal_form_cert(f) by the route slides took before they
-    became straight lines: each slide is `_embed` of the slid slot's k[T]
-    point between its constant companions, two k[T] oplus calls.  A split
-    is built by `_embed` on both routes, so it is left as None here and only
-    its blocks are replayed."""
+    """normal_form_cert(f) by the per-block route, in the rounds the
+    certificate takes: slide every block to its monomial, then split every
+    monomial X^d/u of degree d > 1, one block at a time.  Each block's move is
+    its own step, `_embed` of the block's k[T] point between its constant
+    companions; a split's point is solved by mk_pointed over k[T], not
+    written down.  Returns one (kind, steps, start, end) per round, kind
+    "slide" or "split", start and end the field points the round's first
+    step passes at T = 0 and its last at T = 1."""
     from p1h.certify import _embed, _interp_poly
+    from p1h.ratmap import eval_path
 
     field = f.ring
     kt = PolyRing(field)
     slots = [poly_point(P, b) for P, b in cf_expand(f)]
-    steps = []
+    rounds = []
 
-    def slide(i):
-        g = slots[i]
+    def run(kind, move):
+        # move(slot) -> (its k[T] point, its replacement slots), or None
+        steps, done = [], []
+        for i, g in enumerate(slots):
+            moved = move(g)
+            if moved is None:
+                done.append(g)
+                continue
+            steps.append(_embed(kt, done, moved[0], slots[i + 1:]))
+            done += moved[1]
+        if steps:
+            rounds.append((kind, steps, eval_path(steps[0], 0), eval_path(steps[-1], 1)))
+        return done
+
+    def slide(g):
         u, xd = g.B.constant(), X(field).shift(g.n - 1)
-        steps.append(_embed(kt, slots[:i], poly_point(_interp_poly(kt, g.A, xd), u), slots[i + 1:]))
-        slots[i] = poly_point(xd, u)
+        if g.A == xd:
+            return None
+        return poly_point(_interp_poly(kt, g.A, xd), u), [poly_point(xd, u)]
 
-    while (i := next((i for i, g in enumerate(slots) if g.n > 1), None)) is not None:
-        g = slots[i]
-        if any(not field.is_zero(g.A.coeff(j)) for j in range(g.n)):
-            slide(i)
-        else:
-            u, d = g.B.constant(), g.n
-            B1 = Poly.make(field, [u] + [field.zero] * (d - 2) + [field.one])
-            steps.append(None)
-            slots[i:i + 1] = [poly_point(P, b) for P, b in cf_expand(mk_pointed(g.A, B1))]
-    for i, g in enumerate(slots):
-        if not field.is_zero(g.A.coeff(0)):
-            slide(i)
-    return steps
+    def split(g):
+        if g.n == 1:
+            return None
+        u, d = g.B.constant(), g.n
+        B1 = Poly.make(field, [u] + [field.zero] * (d - 2) + [field.one])
+        G = mk_pointed(_interp_poly(kt, g.A, g.A), _interp_poly(kt, g.B, B1))
+        return G, [poly_point(P, b) for P, b in cf_expand(mk_pointed(g.A, B1))]
+
+    while True:
+        slots = run("slide", slide)
+        if all(g.n == 1 for g in slots):
+            return rounds
+        slots = run("split", split)
 
 
 def perm_det(field, M):

@@ -15,7 +15,7 @@ from p1h.serial import certificate_to_json, dumps
 from conftest import random_point
 
 # sha256 of the newline-joined `dumps(certificate_to_json(c))` texts below
-PINNED_SHA256 = "c110dd808ae1752b71743c4477f9418607e908bed26a7b133699448e7301ff87"
+PINNED_SHA256 = "dafb1f99c456ca3019d0964ab8a80c198b952aa5991573bc4fed2ecd81dc1e48"
 PINNED_COUNT = 15
 # sha256 of the same texts for PLACEMENT_PAIRS, Q pairs whose first sweep
 # move does not exist, so their chains go through a placement step

@@ -12,6 +12,7 @@ from p1h.certify import (
     Certificate,
     DiagMove,
     _coprime_split,
+    _end_point,
     _lambda_witness,
     _represent,
     apply_move,
@@ -840,10 +841,10 @@ class TestGenerationSolvesOnce:
 
 
 class TestSlidesAreStraightLines:
-    """A slide changes one block's matrix by a rank-one term, so the step is
-    the straight line between two field points: checked against the k[T]
-    sums slides were built as (conftest.reference_normal_form_steps), with
-    the certificate ends read off the steps."""
+    """Each block slides along a straight line, and a normal-form round is
+    the k[T] sum of every block's path: checked against the per-block route
+    (conftest.reference_normal_form_steps), with the certificate ends read
+    off the steps."""
 
     @staticmethod
     def _block_point(field, rng):
@@ -871,14 +872,14 @@ class TestSlidesAreStraightLines:
             f = self._block_point(field, rng) if rng.random() < 0.7 else random_point(
                 field, rng.randrange(1, 9 if field != QQ else 6), rng)
             units, cert = normal_form_cert(f)
-            ref = reference_normal_form_steps(f)
-            assert len(cert.steps) == len(ref)
-            for got, want in zip(cert.steps, ref):
-                if want is None:
-                    splits += 1
-                    continue
-                slides += 1
-                assert (got.A, got.B, got.U, got.V, got.res) == (want.A, want.B, want.U, want.V, want.res)
+            rounds = reference_normal_form_steps(f)
+            assert len(cert.steps) == len(rounds)
+            for got, (kind, ref, start, end) in zip(cert.steps, rounds):
+                slides, splits = slides + (kind == "slide"), splits + (kind == "split")
+                assert verify(Certificate("pointed", field, tuple(ref), start, end))
+                for t, want in ((0, start), (1, end)):
+                    p = _end_point(got, t)
+                    assert (p.A, p.B, p.U, p.V, p.res) == (want.A, want.B, want.U, want.V, want.res)
             assert cert.source == f and cert.target == monomial_sum(field, units)
             assert verify(cert)
             # a chain of one to three moves, each (u_i, u_i+1) -> (c, u_i u_i+1 / c)
@@ -896,12 +897,12 @@ class TestSlidesAreStraightLines:
             assert verify(lift)
         assert slides >= 12 and splits >= 1
 
-    def test_degree_one_blocks_run_no_kt_oplus(self, monkeypatch):
+    def test_degree_one_blocks_run_one_kt_sum(self, monkeypatch, rng):
+        """k blocks (X + a)/b slide in one step, one k[T] sum of k paths: k - 1
+        k[T] oplus calls and no field sums."""
         from p1h import certify, ratmap
 
-        F5 = GF(5)
-        f = mk_pointed(Poly.make(F5, [1, 4, 4, 1]), Poly.make(F5, [1, 2, 4]))
-        assert [P.degree for P, _ in ratmap.cf_expand(f)] == [1, 1, 1]
+        F7 = GF(7)
         calls = {"field": 0, "kt": 0}
         real = ratmap.oplus
 
@@ -909,12 +910,20 @@ class TestSlidesAreStraightLines:
             calls["kt" if f.is_path else "field"] += 1
             return real(f, g)
 
-        monkeypatch.setattr(ratmap, "oplus", oplus)
-        monkeypatch.setattr(certify, "oplus", oplus)
-        certify._normal_form_cert_cached.cache_clear()
-        assert len(normal_form_cert(f)[1].steps) == 3
-        certify._normal_form_cert_cached.cache_clear()
-        assert calls == {"field": 2, "kt": 0}
+        for k in (10, 20, 40):
+            f = ratmap.oplus_all(F7, [poly_point(Poly.make(F7, [rng.randrange(1, 7), 1]), rng.randrange(1, 7))
+                                      for _ in range(k)])
+            assert [P.degree for P, _ in ratmap.cf_expand(f)] == [1] * k
+            calls.update(field=0, kt=0)
+            with monkeypatch.context() as m:
+                m.setattr(ratmap, "oplus", oplus)
+                m.setattr(certify, "oplus", oplus)
+                certify._normal_form_cert_cached.cache_clear()
+                cert = normal_form_cert(f)[1]
+                certify._normal_form_cert_cached.cache_clear()
+            assert len(cert.steps) == 1 and calls == {"field": 0, "kt": k - 1}
+            if k == 10:  # the step's T-degree is k, and its k[T] resultant grows steeply with k
+                assert verify(cert)
 
     def test_connect_builds_no_monomial_sum(self, monkeypatch):
         from p1h import certify
@@ -945,12 +954,14 @@ class TestSlidesAreStraightLines:
 
 
 class TestStepChecksLiveInVerify:
-    """Generation checks no k[T] step: a wrong slide (a straight line built
-    by _line_step) or a wrong lift step (a k[T] sum built inside _embed) is
-    refused by verify, and the CLI writes nothing."""
+    """Generation checks no k[T] step: a wrong normal-form round (a k[T] sum
+    built by oplus_all) or a wrong lift step (a k[T] sum built inside
+    _embed) is refused by verify, and the CLI writes nothing."""
 
     F5 = GF(5)
     F_TEXT, G_TEXT = "(X^3+4*X^2+4*X+1)/(4*X^2+2*X+1)", "(X^3+3*X^2+3*X+3)/(X^2+3*X+4)"
+    # equivalent to G_TEXT; blocks (X+1)/3 and X^2/2: slide, split, slide
+    H_TEXT = "(X^3+X^2+1)/(3*X^2)"
 
     @staticmethod
     def _bump(F):
@@ -968,19 +979,21 @@ class TestStepChecksLiveInVerify:
                       certify._diag_chain_cached, certify._lift_chain_cached):
             cache.cache_clear()
 
-    def _perturb_slide(self, monkeypatch, bad_call):
-        """Perturb the `bad_call`-th slide step that _line_step builds."""
+    def _perturb_round(self, monkeypatch, bad_call):
+        """Perturb the `bad_call`-th normal-form round, a k[T] oplus_all."""
         from p1h import certify
 
-        real_line = certify._line_step
-        seen = {"line": -1}
+        real_oplus_all = certify.oplus_all
+        seen = {"round": -1}
 
-        def line_step(*args):
-            seen["line"] += 1
-            out = real_line(*args)
-            return self._bump(out) if seen["line"] == bad_call else out
+        def oplus_all(ring, points):
+            out = real_oplus_all(ring, points)
+            if not isinstance(ring, PolyRing):
+                return out
+            seen["round"] += 1
+            return self._bump(out) if seen["round"] == bad_call else out
 
-        monkeypatch.setattr(certify, "_line_step", line_step)
+        monkeypatch.setattr(certify, "oplus_all", oplus_all)
         self._clear_caches()
 
     def _perturb_embed(self, monkeypatch, bad_call):
@@ -1008,10 +1021,10 @@ class TestStepChecksLiveInVerify:
     def test_verify_names_the_perturbed_step(self, monkeypatch):
         from p1h.expr import parse_ratfun
 
-        f = parse_ratfun(self.F_TEXT, self.F5)
+        f = parse_ratfun(self.H_TEXT, self.F5)
         assert len(normal_form_cert(f)[1].steps) >= 2
         for bad in (0, 1):
-            self._perturb_slide(monkeypatch, bad)
+            self._perturb_round(monkeypatch, bad)
             cert = normal_form_cert(f)[1]
             res = verify(cert)
             assert not res and res.step == bad
@@ -1031,8 +1044,8 @@ class TestStepChecksLiveInVerify:
         from p1h.cli import main
 
         out = tmp_path / "cert.json"
-        argv = ["certify", "--field", "F5", self.F_TEXT, self.G_TEXT, "--out", str(out)]
-        self._perturb_slide(monkeypatch, 1)
+        argv = ["certify", "--field", "F5", self.H_TEXT, self.G_TEXT, "--out", str(out)]
+        self._perturb_round(monkeypatch, 1)
         assert main(argv) == 1
         assert not out.exists()
         err = capsys.readouterr().err
