@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bezout_hankel import SymMatrix, f2_iso_inv
-from .classify import PdPoint, mk_pd, normalized_equiv, pointed_difference
+from .classify import PdPoint, mk_pd, pointed_difference, rescaling_witness
 from .fields import (
     FieldError,
     PrimeField,
-    Rationals,
     factorize,
-    rational_root,
     sqrt_mod,
     squarefree_part,
 )
@@ -689,60 +687,6 @@ def _normalization_step(move, kt) -> PairStep:
     return _apply_path(kt, u.n, elementary_path(field, 2, inv), A, B)
 
 
-def _lambda_witness(field, r1, r2, n):
-    """lambda with r1 = r2 / lambda^{2n} (exists when the 2n-power classes
-    of r1 and r2 agree)."""
-    if isinstance(field, Rationals):
-        return rational_root(field.div(r2, r1), 2 * n)
-    return _root_mod_p(field.div(r2, r1), 2 * n, field.p, field.generator())
-
-
-def _root_mod_p(c: int, m: int, p: int, g: int):
-    """lambda with lambda^m = c mod p, or None when c is no m-th power.
-
-    With N = p - 1 = s t, where s collects the primes of d = gcd(m, N):
-    m is invertible mod t, so c^b with b = 0 mod s, b = 1/m mod t is an
-    m-th root of the t-part; the s-part needs log_h(c^t) for h = g^t of
-    order s, which Pohlig-Hellman finds over the primes of d alone."""
-    N = p - 1
-    d = math.gcd(m, N)
-    s = 1
-    while (f := math.gcd(N // s, d)) > 1:
-        s *= f
-    t = N // s
-    e = _subgroup_log(pow(g, t, p), pow(c, t, p), s, p)
-    if e % d:
-        return None
-    a = (e // d) * pow(t * m // d, -1, s // d) % (s // d)
-    b = s * pow(s * m, -1, t)
-    return pow(g, t * a, p) * pow(c, b, p) % p
-
-
-def _subgroup_log(h: int, y: int, s: int, p: int) -> int:
-    """x mod s with h^x = y mod p, for h of order s and y in <h>: one
-    base-ell digit at a time for each prime power ell^k of s (Pohlig-Hellman)."""
-    x, mod = 0, 1
-    for ell, k in factorize(s).items():
-        q = ell**k
-        hq, yq = pow(h, s // q, p), pow(y, s // q, p)
-        gamma = pow(hq, q // ell, p)  # order ell
-        xq = 0
-        for i in range(k):
-            z = pow(yq * pow(hq, -xq, p) % p, q // ell ** (i + 1), p)
-            digit = next(u for u in range(ell) if pow(gamma, u, p) == z)
-            xq += digit * ell**i
-        x += mod * ((xq - x) * pow(mod, -1, q) % q)
-        mod *= q
-    return x
-
-
-def scale_pointed(f: PointedRat, lam) -> PointedRat:
-    """lambda^2 f as a pointed pair: (A, B / lambda^2)."""
-    field = f.ring
-    lam2 = field.mul(lam, lam)
-    return mk_pointed(f.A, f.B.scale(field.inv(lam2)))
-
-
 def _scaling_step(f: PointedRat, lam, kt) -> PairStep:
     """Path from f to lambda^2 f: T-scaled elementary factors of
     diag(lambda, 1/lambda) applied to (A, B)."""
@@ -753,18 +697,18 @@ def _scaling_step(f: PointedRat, lam, kt) -> PairStep:
 
 
 def unpointed_connect(u1: UnpointedRat, u2: UnpointedRat):
-    """Certificate for unpointed equivalence, or NotEquivalent, via a
-    lambda^2 rescaling witness and a pointed certificate."""
-    if u1.field != u2.field:
-        raise FieldError("points over different fields")
+    """Certificate for unpointed equivalence, or NotEquivalent: the
+    normalization paths, and between them a pointed certificate from f1 to
+    lambda^2 f2 and the rescaling path back to f2, with lambda from
+    classify.rescaling_witness, which decides the pair."""
     field = u1.field
     f1, mv1 = normalize_unpointed(u1)
     f2, mv2 = normalize_unpointed(u2)
-    if not normalized_equiv(f1, f2):
+    witness = rescaling_witness(f1, f2)
+    if witness is None:
         return NotEquivalent("unpointed invariants differ")
     kt = PolyRing(field)
-    n = f1.n
-    if n == 0:
+    if f1.n == 0:
         # constant maps: one straight-line path (distinct projective points
         # are never anti-parallel, so the interpolant never vanishes)
         if u1.avec == u2.avec and u1.bvec == u2.bvec:
@@ -772,13 +716,8 @@ def unpointed_connect(u1: UnpointedRat, u2: UnpointedRat):
         (A1, B1), (A2, B2) = u1.polys(), u2.polys()
         step = PairStep(kt, 0, _interp_poly(kt, A1, A2), _interp_poly(kt, B1, B2))
         return Certificate("unpointed", field, (step,), u1, u2)
-    lam = _lambda_witness(field, f1.res, f2.res, n)
-    if lam is None:
-        return NotEquivalent("no rescaling witness exists")
-    pcert = connect(f1, scale_pointed(f2, lam))
-    if isinstance(pcert, NotEquivalent):
-        # the unpointed invariants agree, so lambda^2 f2 must match f1
-        raise FieldError(f"rescaling witness {field.format(lam)} is wrong: {pcert.reason}")
+    lam, g = witness
+    pcert = connect(f1, g)
     steps = []
     if mv1.factors:
         steps.append(_normalization_step(mv1, kt))

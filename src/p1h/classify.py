@@ -16,8 +16,11 @@ A decision compares the invariants cheapest first: degree, resultant and,
 over Q, signature need no prime, so the full invariant, whose Hasse symbols
 need the primes of the resultant, is built only when these agree.
 
-Unpointed classes reduce the determinant further modulo 2n-th powers;
-maps to higher-dimensional projective spaces are classified by the degree
+Unpointed classes reduce the determinant further modulo 2n-th powers.
+Two of them are decided through the scalar action f -> lambda^2 f: a
+lambda with lambda^{2n} = r2/r1 moves the second representative onto the
+first's resultant, and the pointed decision finishes (rescaling_witness).
+Maps to higher-dimensional projective spaces are classified by the degree
 alone.
 """
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .fields import FieldError, Rationals, factorize, rational_root
+from .fields import FieldError, Rationals, factorize
 from .poly import Poly, PolyRing, poly_xgcd, const, zero
 from .quadform import (
     WittInvariant,
@@ -36,7 +39,7 @@ from .quadform import (
     witt_sum,
     witt_tensor,
 )
-from .ratmap import PointedRat, UnpointedRat, cf_values, normalize_unpointed
+from .ratmap import PointedRat, UnpointedRat, cf_values, normalize_unpointed, scale_pointed
 
 
 def _detbez_sign(n: int) -> int:
@@ -198,7 +201,11 @@ def pointed_equiv(f: PointedRat, g: PointedRat) -> bool:
 
 
 def res_class_mod_2n(field, r, n: int):
-    """Canonical representative of r modulo 2n-th powers of units."""
+    """Canonical representative of r modulo 2n-th powers of units.
+
+    It serves the invariant that `classify --unpointed` prints and the
+    oracle's fibers, not decisions: over Q it factors r, where
+    rescaling_witness takes exact roots instead."""
     if isinstance(field, Rationals):
         r = field.coerce(r)
         sign = -1 if r < 0 else 1
@@ -251,12 +258,7 @@ class UnpointedInvariant:
 
 
 def unpointed_invariant(u: UnpointedRat) -> UnpointedInvariant:
-    return _unpointed_invariant_of(normalize_unpointed(u)[0])
-
-
-def _unpointed_invariant_of(f: PointedRat) -> UnpointedInvariant:
-    """The unpointed invariant of a point with normalized representative f."""
-    base = pointed_invariant(f)
+    base = pointed_invariant(normalize_unpointed(u)[0])
     if base.n == 0:
         return UnpointedInvariant(0, None, base.field.one, base.field)
     return UnpointedInvariant(
@@ -264,35 +266,43 @@ def _unpointed_invariant_of(f: PointedRat) -> UnpointedInvariant:
     )
 
 
-def normalized_equiv(f1: PointedRat, f2: PointedRat) -> bool:
-    """Unpointed equivalence of two points given by their normalized
-    representatives (ratmap.normalize_unpointed), cheapest invariant
-    first: the degree, then over Q the signature and the class of the
-    resultant modulo 2n-th powers.  Over Q that class is equal when
-    r2/r1 is the 2n-th power of a positive rational, decided by exact
-    integer roots (fields.rational_root) with no factoring.  A mismatch
-    answers at once; only when all agree are the full invariants built,
-    which over Q factor the resultants for the Hasse symbols and the
-    class (over F_p they need no factoring)."""
-    if f1.n != f2.n:
-        return False
+def rescaling_witness(f1: PointedRat, f2: PointedRat):
+    """The unpointed decision on two normalized representatives
+    (ratmap.normalize_unpointed): (lambda, lambda^2 f2) with lambda^2 f2
+    pointed-equivalent to f1 when the two are in one unpointed class, else
+    None.
+
+    In order: the degrees must match; lambda with lambda^{2n} = r2/r1 must
+    exist (field.root: exact integer roots over Q, no factoring); then
+    lambda^2 f2 has resultant r1, which is checked; last, scaling by a
+    square keeps the Witt class, so the unpointed invariants agree exactly
+    when f1 and lambda^2 f2 are pointed-equivalent (pointed_difference,
+    cheapest invariant first).  A rescaled twin is therefore decided
+    without building any invariant."""
     field = f1.ring
-    if f1.n and isinstance(field, Rationals) and (
-        _signature(f1) != _signature(f2)
-        or rational_root(field.div(f2.res, f1.res), 2 * f1.n) is None
-    ):
-        return False
-    return _unpointed_invariant_of(f1) == _unpointed_invariant_of(f2)
+    if field != f2.ring:
+        raise FieldError("points over different fields")
+    if f1.n != f2.n:
+        return None
+    if f1.n == 0:
+        return field.one, f2
+    lam = field.root(field.div(f2.res, f1.res), 2 * f1.n)
+    if lam is None:
+        return None
+    # lambda^2 = 1 (always over F_3) leaves f2 as it is
+    g = f2 if field.mul(lam, lam) == field.one else scale_pointed(f2, lam)
+    if g.res != f1.res:
+        raise FieldError(
+            f"rescaling witness {field.format(lam)} is wrong: "
+            f"resultant {field.format(f1.res)} vs {field.format(g.res)}"
+        )
+    return None if pointed_difference(f1, g) else (lam, g)
 
 
 def unpointed_equiv(u1: UnpointedRat, u2: UnpointedRat) -> bool:
-    """Same unpointed class iff the unpointed invariants agree, compared
-    cheapest first (normalized_equiv): the degree, over Q the signature
-    and the 2n-th-power class of the resultant, and only then the full
-    invariants."""
-    if u1.field != u2.field:
-        raise FieldError("points over different fields")
-    return normalized_equiv(normalize_unpointed(u1)[0], normalize_unpointed(u2)[0])
+    """Same unpointed class iff the normalized representatives have a
+    rescaling witness (rescaling_witness)."""
+    return rescaling_witness(normalize_unpointed(u1)[0], normalize_unpointed(u2)[0]) is not None
 
 
 # ---------------------------------------------------------------------------

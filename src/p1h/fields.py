@@ -7,6 +7,7 @@ the library is unambiguously attached to its field.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,8 +51,6 @@ def _rho_factor(n: int) -> int:
     cycle with gcds batched over 128 steps."""
     if n % 2 == 0:
         return 2
-    import math
-
     for c in range(1, 64):
         y, r, q = 2, 1, 1
         g, x, ys = 1, 0, 0
@@ -154,17 +153,6 @@ def _int_root(x: int, k: int):
         r = s
 
 
-def rational_root(x: Fraction, k: int):
-    """The positive rational r with r^k = x, or None when x <= 0 or has no
-    such root.  x is in lowest terms, so r exists exactly when its
-    numerator and denominator are k-th powers of integers: two exact
-    integer roots, and no factoring."""
-    if x <= 0:
-        return None
-    num, den = _int_root(x.numerator, k), _int_root(x.denominator, k)
-    return None if num is None or den is None else Fraction(num, den)
-
-
 def sqrt_mod(a: int, p: int):
     """The smaller square root of a modulo an odd prime p, or None when a is
     not a square: Euler's criterion, then Tonelli-Shanks (O(log^2 p)
@@ -254,6 +242,16 @@ class Rationals:
         return a ** e
 
     exact_div = div
+
+    def root(self, a, k: int):
+        """The positive rational r with r^k = a, or None when a <= 0 or has no
+        such root.  a is in lowest terms, so r exists exactly when its
+        numerator and denominator are k-th powers of integers: two exact
+        integer roots, and no factoring."""
+        if a <= 0:
+            return None
+        num, den = _int_root(a.numerator, k), _int_root(a.denominator, k)
+        return None if num is None or den is None else Fraction(num, den)
 
     def square_class(self, a):
         """Canonical representative of a*Q^{x2}: the squarefree integer with a's sign."""
@@ -361,6 +359,39 @@ class PrimeField:
         if self.p == 2:
             return a % 2
         return sqrt_mod(a, self.p)
+
+    def root(self, a, k: int):
+        """An r with r^k = a, or None when the unit a is no k-th power.
+
+        With N = p - 1 = s t, where s collects the primes of d = gcd(k, N):
+        k is invertible mod t, so a^b with b = 0 mod s, b = 1/k mod t is a
+        k-th root of the t-part; the s-part needs x = log_h(a^t) for
+        h = g^t of order s, which Pohlig-Hellman finds one base-ell digit
+        at a time over the primes ell of d alone."""
+        p, N = self.p, self.p - 1
+        d = math.gcd(k, N)
+        s = 1
+        while (f := math.gcd(N // s, d)) > 1:
+            s *= f
+        t = N // s
+        h, y = pow(self.generator(), t, p), pow(a, t, p)
+        x, mod = 0, 1
+        for ell, e in factorize(s).items():
+            q = ell**e
+            hq, yq = pow(h, s // q, p), pow(y, s // q, p)
+            gamma = pow(hq, q // ell, p)  # order ell
+            xq = 0
+            for i in range(e):
+                z = pow(yq * pow(hq, -xq, p) % p, q // ell ** (i + 1), p)
+                digit = next(u for u in range(ell) if pow(gamma, u, p) == z)
+                xq += digit * ell**i
+            x += mod * ((xq - x) * pow(mod, -1, q) % q)
+            mod *= q
+        if x % d:
+            return None
+        c = (x // d) * pow(t * k // d, -1, s // d) % (s // d)
+        b = s * pow(s * k, -1, t)
+        return pow(h, c, p) * pow(a, b, p) % p
 
     def nonresidue(self):
         """Smallest quadratic non-residue (p odd)."""

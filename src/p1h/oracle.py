@@ -794,7 +794,7 @@ def unpointed_components(q: int, n: int, D: int = None) -> UnpointedReport:
     fibers, which pins both down to the true naive components.
     """
     from .certify import Certificate, _normalization_step, _scaling_step, verify
-    from .ratmap import normalize_unpointed, unpointed_of_pointed
+    from .ratmap import normalize_unpointed, scale_pointed, unpointed_of_pointed
 
     field = GF(q)
     kt = PolyRing(field)
@@ -840,7 +840,7 @@ def unpointed_components(q: int, n: int, D: int = None) -> UnpointedReport:
         if mv.factors:
             link(up, fu, _normalization_step(mv, kt))
         for lam in range(2, q):
-            g = certify.scale_pointed(f, lam)
+            g = scale_pointed(f, lam)
             link(fu, unpointed_of_pointed(g), _scaling_step(f, lam, kt))
     fibers: dict = {}
     for i, up in enumerate(pts):

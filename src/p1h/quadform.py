@@ -245,7 +245,10 @@ def _hilbert_local(alpha: int, u: int, beta: int, w: int, p: int) -> int:
 def hilbert_symbol(a, b, place) -> int:
     """The Hilbert symbol (a, b)_v over Q at a prime or the real place.  The
     arguments are converted to Fraction once; at a prime the symbol is
-    `_hilbert_local` on their `_val_unit` pairs, on integers only."""
+    `_hilbert_local` on their `_val_unit` pairs, on integers only.
+
+    Public API with no caller in the package: the Hasse invariants call
+    `_hilbert_local` directly."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise FieldError("hilbert symbol needs nonzero arguments")
@@ -395,7 +398,10 @@ def stable_invariant(S: SymMatrix) -> WittInvariant:
 
 
 def stable_equal(i1: WittInvariant, i2: WittInvariant) -> bool:
-    """Equality in the stable Witt monoid (Hasse maps compared with +1 default)."""
+    """Equality in the stable Witt monoid (Hasse maps compared with +1 default).
+
+    Public API with no caller in the package: decisions compare whole
+    invariants (classify.pointed_difference)."""
     if i1.field != i2.field:
         raise FieldError("invariants over different fields")
     return i1 == i2

@@ -364,6 +364,13 @@ def ga_act(h, f: PointedRat) -> PointedRat:
     return PointedRat(ring, A2, f.B, f.res, _pair=(f.U, V2))
 
 
+def scale_pointed(f: PointedRat, lam) -> PointedRat:
+    """lambda^2 f as a pointed pair: (A, B / lambda^2)."""
+    field = f.ring
+    lam2 = field.mul(lam, lam)
+    return mk_pointed(f.A, f.B.scale(field.inv(lam2)))
+
+
 def phi_n(f: PointedRat):
     """The translation coordinate: minus the X^{n-1} coefficient of V_1,
     where (U_1, V_1) is the unique solution of A U_1 + B V_1 = X^{2n-1}.

@@ -13,7 +13,6 @@ from p1h.certify import (
     DiagMove,
     _coprime_split,
     _end_point,
-    _lambda_witness,
     _represent,
     apply_move,
     NotEquivalent,
@@ -26,12 +25,11 @@ from p1h.certify import (
     normal_form_cert,
     pd_cert,
     reverse_certificate,
-    scale_pointed,
     unpointed_connect,
     verify,
 )
 from p1h.classify import PdPoint, mk_pd, pointed_equiv, pointed_invariant, unpointed_invariant
-from p1h.fields import GF, QQ, FieldError, factorize, is_prime
+from p1h.fields import GF, QQ, FieldError, Rationals, factorize, is_prime
 from p1h.bezout_hankel import SymMatrix
 from p1h.poly import Poly, PolyRing, X, const, poly_divmod, poly_gcd, zero
 from p1h.quadform import REAL_PLACE, hilbert_symbol
@@ -46,6 +44,7 @@ from p1h.ratmap import (
     oplus,
     path_of_point,
     poly_point,
+    scale_pointed,
     unpointed_of_pointed,
     x_over,
 )
@@ -642,14 +641,14 @@ class TestUnpointedConnect:
 
         u1 = unpointed_of_pointed(x_over(QQ, 1))
         u2 = unpointed_of_pointed(x_over(QQ, 4))
-        monkeypatch.setattr(certify, "_lambda_witness", lambda field, r1, r2, n: field.coerce(3))
+        monkeypatch.setattr(Rationals, "root", lambda self, a, k: self.coerce(3))
         with pytest.raises(FieldError, match="rescaling witness 3"):
             unpointed_connect(u1, u2)
         script = (
             "from p1h import certify\n"
-            "from p1h.fields import QQ, FieldError\n"
+            "from p1h.fields import QQ, FieldError, Rationals\n"
             "from p1h.ratmap import unpointed_of_pointed, x_over\n"
-            "certify._lambda_witness = lambda field, r1, r2, n: field.coerce(3)\n"
+            "Rationals.root = lambda self, a, k: self.coerce(3)\n"
             "try:\n"
             "    print(certify.unpointed_connect(unpointed_of_pointed(x_over(QQ, 1)),\n"
             "                                    unpointed_of_pointed(x_over(QQ, 4))))\n"
@@ -712,7 +711,7 @@ class TestUnpointedConnect:
             d = math.gcd(2 * n, p - 1)
             for r1 in F.units():
                 for r2 in F.units():
-                    lam = _lambda_witness(F, r1, r2, n)
+                    lam = F.root(F.div(r2, r1), 2 * n)
                     if (dlog(F, r2) - dlog(F, r1)) % d == 0:
                         assert r1 * pow(lam, 2 * n, p) % p == r2
                     else:
@@ -738,31 +737,31 @@ class TestLambdaWitnessQ:
             extra = Fraction(rng.choice([1, 1, 2, 3, 4, 9, 12]), rng.choice([1, 1, 2, 4, 8]))
             r1 = Fraction(rng.choice([1, -1]) * rng.randrange(1, 30), rng.randrange(1, 30))
             r2 = r1 * base ** (2 * n) * extra * rng.choice([1, 1, 1, -1])
-            lam = _lambda_witness(QQ, r1, r2, n)
+            lam = QQ.root(r2 / r1, 2 * n)
             assert lam == (None if r2 / r1 < 0 else self._by_factoring(r2 / r1, n))
             if lam is not None:
                 assert lam > 0 and r1 * lam ** (2 * n) == r2
 
     def test_none_on_non_powers(self):
-        assert _lambda_witness(QQ, Fraction(1), Fraction(2), 1) is None
-        assert _lambda_witness(QQ, Fraction(1), Fraction(4, 3), 1) is None
-        assert _lambda_witness(QQ, Fraction(1), Fraction(16), 2) == 2
-        assert _lambda_witness(QQ, Fraction(1), Fraction(8), 2) is None
-        assert _lambda_witness(QQ, Fraction(3), Fraction(-3), 1) is None
-        assert _lambda_witness(QQ, Fraction(2), Fraction(2 * (10**20 + 1) ** 2), 1) == 10**20 + 1
+        assert QQ.root(Fraction(2) / Fraction(1), 2) is None
+        assert QQ.root(Fraction(4, 3) / Fraction(1), 2) is None
+        assert QQ.root(Fraction(16) / Fraction(1), 4) == 2
+        assert QQ.root(Fraction(8) / Fraction(1), 4) is None
+        assert QQ.root(Fraction(-3) / Fraction(3), 2) is None
+        assert QQ.root(Fraction(2 * (10**20 + 1) ** 2) / Fraction(2), 2) == 10**20 + 1
 
     def test_large_prime_powers_need_no_factoring(self, monkeypatch):
         import time
 
-        from p1h import certify
+        from p1h import fields
 
         p = next(x for x in range(10**11 + 12345, 10**12) if is_prime(x))
         q = next(x for x in range(3 * 10**11 + 6789, 10**12) if is_prime(x))
-        monkeypatch.setattr(certify, "factorize", lambda m: pytest.fail("factorize called"))
+        monkeypatch.setattr(fields, "factorize", lambda m: pytest.fail("factorize called"))
         for n in (1, 2, 3):
             t0 = time.perf_counter()
-            assert _lambda_witness(QQ, Fraction(5), Fraction(5 * (p * q) ** (2 * n), q ** (2 * n)), n) == p
-            assert _lambda_witness(QQ, Fraction(1), Fraction((p * q) ** (2 * n) * 2), n) is None
+            assert QQ.root(Fraction(5 * (p * q) ** (2 * n), q ** (2 * n)) / Fraction(5), 2 * n) == p
+            assert QQ.root(Fraction((p * q) ** (2 * n) * 2) / Fraction(1), 2 * n) is None
             assert time.perf_counter() - t0 < 0.1
 
 

@@ -34,6 +34,7 @@ from p1h.ratmap import (
     monomial_sum,
     oplus,
     poly_point,
+    scale_pointed,
     unpointed_of_pointed,
     x_over,
 )
@@ -542,6 +543,117 @@ class TestCheapestInvariantFirst:
                 pointed_equiv(a, b)
         with pytest.raises(FieldError):
             connect(F, G)
+
+
+def _moebius(f, rng):
+    """f's coefficient vectors moved by a random SL_2(k) matrix, a product
+    of three elementary ones: an unpointed point in f's unpointed class,
+    usually with B of full degree."""
+    field = f.ring
+
+    def draw():
+        if field is QQ:
+            return Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+        return field.coerce(rng.randrange(field.p))
+
+    A, B = f.A, f.B
+    for step in range(3):
+        x = draw()
+        A, B = (A + B.scale(x), B) if step % 2 == 0 else (A, B + A.scale(x))
+    return mk_unpointed(field, [A.coeff(i) for i in range(f.n + 1)],
+                        [B.coeff(i) for i in range(f.n + 1)])
+
+
+def _unpointed_pairs(field, rng, count):
+    """Unpointed pairs of degree 0-4: a point against its rescaling by a
+    random lambda, against a pointed disguise, against (A, B/mu) for a
+    random mu, against an unrelated point of its degree or of another, and
+    over Q against a sum of another signature or Hasse symbol; each side
+    moved by a random SL_2 matrix."""
+    kinds = ["rescaled", "disguised", "over-scaled", "unrelated", "degree"]
+    if field is QQ:
+        kinds += list(_Q_BASES)
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        n = rng.randrange(0, 3 if kind in _Q_BASES else 5)  # the bases add 2
+        f = random_point(field, n, rng)
+        if kind == "rescaled":
+            lam = (rng.choice([Fraction(1, 2), Fraction(-3, 2), 2, 5]) if field is QQ
+                   else rng.randrange(1, field.p))
+            g = scale_pointed(_disguised(f, rng), field.coerce(lam))
+        elif kind == "disguised":
+            g = _disguised(f, rng)
+        elif kind == "over-scaled":
+            g = _over_scaled(f, rng.choice([2, 3, 4, 9]) if field is QQ else rng.randrange(1, field.p))
+        elif kind == "unrelated":
+            g = random_point(field, n, rng)
+        elif kind == "degree":
+            g = random_point(field, rng.choice([m for m in range(5) if m != n]), rng)
+        else:
+            us, vs = _Q_BASES[kind]
+            f, g = (oplus(monomial_sum(QQ, units), f) for units in (us, vs))
+        yield _moebius(f, rng), _moebius(g, rng)
+
+
+class TestOneUnpointedDecision:
+    """unpointed_equiv and unpointed_connect both decide through
+    rescaling_witness; the reference is the comparison of the full
+    unpointed invariants."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7)], ids=str)
+    def test_agrees_with_the_full_invariants(self, field, rng):
+        from p1h.certify import Certificate, NotEquivalent, unpointed_connect, verify
+
+        decided = []
+        for u1, u2 in _unpointed_pairs(field, rng, 150):
+            same = unpointed_invariant(u1) == unpointed_invariant(u2)
+            assert unpointed_equiv(u1, u2) == same, (u1, u2)
+            out = unpointed_connect(u1, u2)
+            if same:
+                assert isinstance(out, Certificate) and verify(out), (u1, u2)
+                assert (out.source, out.target) == (u1, u2)
+            else:
+                assert isinstance(out, NotEquivalent), (u1, u2)
+                assert out.reason == "unpointed invariants differ"
+            decided.append(same)
+        assert 20 <= sum(decided) <= len(decided) - 20, sum(decided)
+
+    def test_both_callers_use_the_one_decision(self, monkeypatch, rng):
+        from p1h import certify, classify
+
+        calls = []
+        decide = classify.rescaling_witness
+        _patch_everywhere(monkeypatch, decide, lambda f1, f2: calls.append((f1, f2)) or decide(f1, f2))
+        f = random_point(GF(7), 3, rng)
+        u1, u2 = unpointed_of_pointed(f), _moebius(scale_pointed(f, 3), rng)
+        assert unpointed_equiv(u1, u2)
+        assert len(calls) == 1
+        assert isinstance(certify.unpointed_connect(u1, u2), certify.Certificate)
+        assert len(calls) == 2 and calls[0] == calls[1]
+
+    def test_rescaled_twin_needs_no_factoring(self, monkeypatch):
+        # X/6 (+) X/-10 (+) X/(15/7) against its lambda = 3/2 rescaling: the
+        # witness takes the rescaling back to the first point itself
+        from p1h import certify, classify, fields
+
+        calls = []
+        factor = fields.factorize
+        _patch_everywhere(monkeypatch, factor, lambda m: calls.append(m) or factor(m))
+        classify._pointed_invariant_cached.cache_clear()
+        f = monomial_sum(QQ, (Fraction(6), Fraction(-10), Fraction(15, 7)))
+        u1, u2 = unpointed_of_pointed(f), unpointed_of_pointed(scale_pointed(f, Fraction(3, 2)))
+        assert unpointed_equiv(u1, u2)
+        cert = certify.unpointed_connect(u1, u2)
+        assert calls == []
+        assert isinstance(cert, certify.Certificate) and certify.verify(cert)
+
+    def test_wrong_witness_raises(self, monkeypatch):
+        from p1h import classify
+
+        f = x_over(GF(7), 1)
+        monkeypatch.setattr(type(f.ring), "root", lambda self, a, k: 2)
+        with pytest.raises(FieldError, match="rescaling witness 2 is wrong"):
+            classify.rescaling_witness(f, x_over(GF(7), 2))
 
 
 class TestPd:

@@ -300,22 +300,31 @@ def _run_bounded(argv, seconds):
     )
 
 
-def _degree_20_pair():
-    """Two seeded points of degree 20 over Q, coefficients in -99..99 (A
-    monic, B of degree 19 with a nonzero lead).  Their resultants have
-    about 80 digits and no small factorization, so building either full
-    invariant hangs in rho."""
+def _degree_20_coefficients():
+    """Two seeded points of degree 20 over Q as (A, B) coefficient lists,
+    coefficients in -99..99 (A monic, B of degree 19 with a nonzero lead).
+    Their resultants have about 80 digits and no small factorization, so
+    building either full invariant hangs in rho."""
     rng = random.Random(21)
-
-    def text(cs):
-        return "".join(f"{c:+d}*X^{k}" for k, c in enumerate(cs) if c).lstrip("+")
 
     def point():
         A = [rng.randint(-99, 99) for _ in range(20)] + [1]
         B = [rng.randint(-99, 99) for _ in range(19)] + [rng.choice([-1, 1]) * rng.randint(1, 99)]
-        return f"({text(A)})/({text(B)})"
+        return A, B
 
     return point(), point()
+
+
+def _ratfun_text(A, B):
+    def text(cs):
+        return "".join(f"{'+-'[c < 0]}{abs(c)}*X^{k}" for k, c in enumerate(cs) if c).lstrip("+")
+
+    return f"({text(A)})/({text(B)})"
+
+
+def _degree_20_pair():
+    """The two points of _degree_20_coefficients as expressions."""
+    return tuple(_ratfun_text(A, B) for A, B in _degree_20_coefficients())
 
 
 class TestUntrustedInputInAChild:
@@ -358,6 +367,19 @@ class TestUntrustedInputInAChild:
         out = _run_bounded([command, "--field", "Q", g if first == "g" else first, f], 5.0)
         assert time.perf_counter() - t0 < 5.0
         assert out.returncode == 1, out.stderr
+
+    @pytest.mark.parametrize("command", ["equiv", "certify"])
+    def test_degree_20_q_point_against_its_rescaling(self, command):
+        # A/B against A/(B/4) = 4 A/B, its lambda = 2 rescaling: killed at
+        # 20 s in rho when the unpointed invariants were built first
+        import time
+
+        (A, B), _ = _degree_20_coefficients()
+        f, g = _ratfun_text(A, B), _ratfun_text(A, [Fraction(c, 4) for c in B])
+        t0 = time.perf_counter()
+        out = _run_bounded([command, "--unpointed", "--field", "Q", f, g], 5.0)
+        assert time.perf_counter() - t0 < 5.0
+        assert out.returncode == 0, out.stderr
 
     def test_unpointed_degree_1000_classifies(self):
         for field in ("Q", "F7"):
